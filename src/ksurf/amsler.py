@@ -261,10 +261,7 @@ def geodesic_provider(cx: SurfaceComplex) -> ProviderResult:
     mesh = triangulate_complex(cx)
     src = origin_vertex(cx, mesh)
     march = fast_march(mesh, [(src, 0.0)])
-    per_sector = [np.full((s.I + 1, s.J + 1), math.inf) for s in cx.sectors]
-    for v, refs in enumerate(mesh.back_refs):
-        for (sid, i, j) in refs:
-            per_sector[sid][i, j] = march.d[v]
+    per_sector = mesh.node_values(cx, march.d, math.inf)
     return ProviderResult(per_sector=per_sector, march=march, mesh=mesh)
 
 
@@ -281,13 +278,30 @@ def _apply_inherits(cx: SurfaceComplex, dst: int) -> None:
             grid.geo_dist[di, dj] = src.geo_dist[si, sj]
 
 
+def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
+                    curv: CurvatureSpec, changes: list) -> None:
+    """Raise NonConvergenceError naming the first masked node that is not finite."""
+    finite = np.isfinite(values).reshape(mask.shape + (-1,)).all(axis=-1)
+    bad = np.argwhere(mask & ~finite)
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        raise NonConvergenceError(
+            f"non-finite {what} at sector {sid} node ({i}, {j}) in iteration "
+            f"{len(changes) + 1} at epsilon {curv.epsilon:g}",
+            epsilon=curv.epsilon,
+            changes=changes,
+        )
+
+
 def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
               provider=None, seed_sectors=None) -> StageRecord:
     """One outer iteration stage at fixed epsilon.
 
     Optionally seeds the listed sectors with a constant-curvature sweep,
     then alternates fast-marched distance fields with re-sweeps until the
-    maximum vertex displacement drops below cfg.tol.
+    maximum vertex displacement drops below cfg.tol. A non-finite interior
+    distance or swept position raises NonConvergenceError, since NaN would
+    otherwise drop out of the displacement maximum and read as converged.
     """
     provider = provider or geodesic_provider
     if seed_sectors:
@@ -301,6 +315,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
         prov = provider(cx)
         for sid, s in enumerate(cx.sectors):
             interior = s.valid & ~s.boundary_mask()
+            _require_finite(prov.per_sector[sid], interior, "distance", sid, curv, changes)
             s.geo_dist[interior] = prov.per_sector[sid][interior]
 
         change = 0.0
@@ -313,6 +328,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             rho_field[boundary] = s.rho[boundary]
             swept = sweep_sector(s, rho_field)
             interior = s.valid & ~boundary
+            _require_finite(swept.positions, interior, "position", sid, curv, changes)
             if interior.any():
                 disp = np.linalg.norm(swept.positions[interior] - s.positions[interior], axis=-1)
                 change = max(change, float(disp.max()))

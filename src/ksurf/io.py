@@ -26,6 +26,7 @@ from .amsler import (
     CurvatureSpec,
     IterationConfig,
     auto_schedule,
+    origin_vertex,
 )
 from .geodesic import TriMesh, fast_march, trimesh_from_quads, triangulate_complex
 from .lelieuvre import compatibility_residual, quad_residuals
@@ -476,13 +477,11 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
                 sa.normals[ia, ja] - sb.normals[ib, jb])))
 
     mesh = triangulate_complex(cx)
-    ids, _, back_refs = global_vertex_ids(cx)
-    origin_vid = None
-    target = tuple(cx.origin)
-    for v, refs in enumerate(back_refs):
-        if target in refs:
-            origin_vid = v
-            break
+    ids = mesh.node_values(cx, np.arange(mesh.n_vertices), -1)
+    try:
+        origin_vid = origin_vertex(cx, mesh)
+    except ValueError:
+        origin_vid = None
     arc_err = math.nan
     if origin_vid is not None:
         march = fast_march(mesh, [(origin_vid, 0.0)])

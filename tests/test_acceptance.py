@@ -271,5 +271,19 @@ def test_golden_meshes_reproduce_bitwise(n, eps, tmp_path):
         golden.write_bytes(fresh.read_bytes())
     assert golden.exists(), "golden mesh missing; run with KSURF_UPDATE_GOLDEN=1"
     same = fresh.read_bytes() == golden.read_bytes()
-    print(f"n={n} eps={eps}: {'bitwise identical' if same else 'DIFFERS'}")
-    assert same
+    detail = "bitwise identical"
+    if not same:
+        detail = f"DIFFERS, max vertex deviation {_max_vertex_deviation(fresh, golden):.3e}"
+    print(f"n={n} eps={eps}: {detail}")
+    assert same, detail
+
+
+def _obj_vertices(path):
+    return np.array([[float(x) for x in line.split()[1:4]]
+                     for line in path.read_text().splitlines() if line.startswith("v ")])
+
+
+def _max_vertex_deviation(fresh, golden):
+    """Largest |x - x_golden| over vertices, inf when the vertex counts differ."""
+    a, b = _obj_vertices(fresh), _obj_vertices(golden)
+    return float(np.abs(a - b).max()) if a.shape == b.shape else math.inf

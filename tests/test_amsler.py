@@ -154,6 +154,19 @@ def test_run_stage_raises_on_stall():
         run_stage(cx, curv, IterationConfig(tol=1e-15, max_iters=2), seed_sectors=[0])
 
 
+def test_non_finite_distance_is_not_converged():
+    def nan_at_4_4(cx):
+        prov = geodesic_provider(cx)
+        prov.per_sector[0][4, 4] = math.nan
+        return prov
+
+    with pytest.raises(NonConvergenceError, match=r"sector 0 node \(4, 4\)") as err:
+        patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=8, J=8),
+                      CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
+                      IterationConfig(tol=1e-4, max_iters=100), distance_provider=nan_at_4_4)
+    assert err.value.changes == []
+
+
 def test_angle_list_validation():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=4, J=4)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)

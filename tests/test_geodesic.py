@@ -1,4 +1,6 @@
 """Triangulation, the unfold update and fast marching."""
+import functools
+import logging
 import math
 
 import numpy as np
@@ -7,16 +9,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ksurf import (
+    CurvatureFamily,
+    CurvatureSpec,
+    IterationConfig,
+    SectorSpec,
+    SurgerySpec,
     dijkstra_bound,
     fast_march,
     global_vertex_ids,
+    insert_branch_point,
     origin_vertex,
+    patch_sectors,
     split_quad,
+    symmetric_angles,
     triangulate_complex,
     trimesh_from_quads,
     unfold_candidate,
 )
 
+import geodesic_oracle as oracle
 from conftest import build_patched
 
 
@@ -255,3 +266,116 @@ def test_heap_traffic_stays_near_linear():
         assert res.pops >= N  # every vertex accepted once, stale entries cost extra pops
         ratios.append(res.pushes / (N * math.log2(N)))
     assert ratios[-1] <= 3.0 * ratios[0]
+
+
+def _perturbed_grid(seed, n=12):
+    """Random grid whose rows mix exact squares, near-right angles and skew.
+
+    Rows 0-1 are exact unit-spaced squares (diagonal ties), rows 2-4 are
+    nudged by 1e-13 (near ties) and the rest by up to 0.35 h in all three
+    coordinates (obtuse splits and unfold fallbacks).
+    """
+    rng = np.random.default_rng(seed)
+    h = 1.0 / n
+    verts, quads = _flat_grid(n, h)
+    scale = np.where(np.arange(n + 1) < 2, 0.0,
+                     np.where(np.arange(n + 1) < 5, 1e-13, 0.35 * h))
+    verts = verts + rng.uniform(-1.0, 1.0, verts.shape) * np.repeat(scale, n + 1)[:, None]
+    return verts, quads
+
+
+def _scalar_quads(cx):
+    """Vertices and quads of a complex assembled node by node."""
+    ids, n_verts, back_refs = global_vertex_ids(cx)
+    verts = np.array([cx.sectors[sid].positions[i, j] for sid, i, j in
+                      (refs[0] for refs in back_refs)])
+    quads = [(ids[sid][qi, qj], ids[sid][qi + 1, qj],
+              ids[sid][qi, qj + 1], ids[sid][qi + 1, qj + 1])
+             for sid, s in enumerate(cx.sectors) for (qi, qj) in s.quads()]
+    return verts, quads
+
+
+@functools.lru_cache(maxsize=None)
+def _surgery_m3():
+    base = build_patched("LINEAR", 1.0, 2, 0.5, 8, tol=1e-6)
+    return insert_branch_point(
+        base, SurgerySpec(sector=0, b=4, m=3), CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
+        IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
+
+
+def _assert_march_matches_oracle(m, sources):
+    got = fast_march(m, sources)
+    d, order, pops, pushes, evaluations, fell_back = oracle.fast_march(m, sources)
+    assert got.d.tobytes() == d.tobytes()
+    assert got.order == order
+    assert (got.pops, got.pushes) == (pops, pushes)
+    # each (triangle, target) unfold is evaluated once, not on every revisit
+    assert got.fallbacks == len(fell_back) <= min(evaluations, 3 * m.tris.shape[0])
+    return got
+
+
+def _oracle_meshes():
+    for seed in (1, 2, 3):
+        verts, quads = _perturbed_grid(seed)
+        yield f"grid{seed}", verts, quads, trimesh_from_quads(verts, quads)
+    for name, cx in (("patched", build_patched("LINEAR", 1.0, 2, 0.5, 8)),
+                     ("surgery_m3", _surgery_m3())):
+        verts, quads = _scalar_quads(cx)
+        m = triangulate_complex(cx)
+        assert m.vertices.tobytes() == verts.tobytes(), name
+        yield name, verts, quads, m
+
+
+def test_array_kernels_match_scalar_oracles():
+    fell_back = 0
+    for name, verts, quads, m in _oracle_meshes():
+        tris, lengths, obtuse = oracle.trimesh(verts, quads)
+        assert np.array_equal(m.tris, tris), name
+        assert m.tri_lengths.tobytes() == lengths.tobytes(), name
+        assert m.obtuse_tris == obtuse, name
+        rng = np.random.default_rng(len(name))
+        multi = [(int(v), float(w)) for v, w in zip(
+            rng.choice(m.n_vertices, 3, replace=False), rng.uniform(0.0, 0.2, 3))]
+        # weights across one edge that differ by more than its length
+        # cannot be unfolded, which exercises the fallback and its count
+        a, b = (int(v) for v in m.tris[0, :2])
+        clash = [(a, 0.0), (b, 1.1 * float(m.tri_lengths[0, 2]))]
+        for sources in ([(0, 0.0)], [(m.n_vertices // 2, 0.0)], multi, clash):
+            fell_back += _assert_march_matches_oracle(m, sources).fallbacks
+    assert fell_back > 0
+
+
+def test_fallback_counts_each_stencil_once():
+    # Sources 0 and 5, and 0 and 1, straddle edges of triangles (0, 5, 6) and
+    # (0, 6, 1) with weights that cannot be unfolded. Source 1 is accepted
+    # while vertex 6 is still open, so the full recompute evaluates the first
+    # failed unfold twice.
+    h = 0.25
+    verts, quads = _flat_grid(4, h)
+    m = trimesh_from_quads(verts, quads)
+    assert m.tris[0].tolist() == [0, 5, 6]
+    sources = [(0, 0.0), (5, 1.1 * h), (1, 1.2 * h)]
+    got = _assert_march_matches_oracle(m, sources)
+    evaluations = oracle.fast_march(m, sources)[4]
+    assert got.fallbacks == 2 < evaluations == 3
+
+
+def test_split_quad_matches_scalar_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        pts = [np.array(p, dtype=float) for p in
+               [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]]
+        pts = [p + rng.normal(0.0, rng.choice([0.0, 1e-12, 0.3]), 3) for p in pts]
+        tris, worst = split_quad(*pts)
+        assert (tris, worst) == oracle.split_quad(*pts)
+
+
+def test_triangulation_logs_no_warning(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ksurf.geodesic"):
+        cx = patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=8, J=8),
+                           CurvatureSpec(CurvatureFamily.LINEAR, 10.0),
+                           IterationConfig(tol=1e-4, max_iters=200))
+        m = triangulate_complex(cx)
+    assert m.obtuse_count > 0
+    geodesic = [r for r in caplog.records if r.name == "ksurf.geodesic"]
+    assert geodesic and all(r.levelno < logging.WARNING for r in geodesic)
