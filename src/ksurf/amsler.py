@@ -19,6 +19,7 @@ signed Lelieuvre edge relations hold exactly along the boundary.
 """
 from __future__ import annotations
 
+import collections
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -47,10 +48,19 @@ class GridTooCoarseError(Exception):
 
 
 class NonConvergenceError(Exception):
-    def __init__(self, message: str, epsilon: float, changes: list):
+    """The fixed point was not reached; ``kind`` says how it failed.
+
+    "cycle": the iterate returns to where it was two iterations back
+    (max |x_k - x_{k-2}| < tol) while each step still moves it by tol or
+    more. "divergence": the change grew over the last iterations, or the
+    iterate is no longer finite. "stall": any other failure to converge.
+    """
+
+    def __init__(self, message: str, epsilon: float, changes: list, kind: str = "stall"):
         super().__init__(message)
         self.epsilon = epsilon
         self.changes = changes
+        self.kind = kind
 
 
 class CurvatureFamily(Enum):
@@ -286,10 +296,11 @@ def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
     if len(bad):
         i, j = (int(x) for x in bad[0])
         raise NonConvergenceError(
-            f"non-finite {what} at sector {sid} node ({i}, {j}) in iteration "
+            f"divergence: non-finite {what} at sector {sid} node ({i}, {j}) in iteration "
             f"{len(changes) + 1} at epsilon {curv.epsilon:g}",
             epsilon=curv.epsilon,
             changes=changes,
+            kind="divergence",
         )
 
 
@@ -311,6 +322,8 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             cx.sectors[sid] = sweep_sector(s, np.ones_like(s.rho))
 
     changes = []
+    # interior positions of the last three iterates, to tell a cycle
+    recent = collections.deque(maxlen=3)
     for iteration in range(1, cfg.max_iters + 1):
         prov = provider(cx)
         for sid, s in enumerate(cx.sectors):
@@ -335,16 +348,35 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             cx.sectors[sid] = swept
             for hook in cx.post_sweep_hooks.get(sid, ()):
                 hook(cx)
+        recent.append([s.positions[s.valid & ~s.boundary_mask()] for s in cx.sectors])
         changes.append(change)
         logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
         if change < cfg.tol:
             return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes)
+    kind, detail = _classify_failure(changes, recent, cfg.tol)
     raise NonConvergenceError(
-        f"no convergence after {cfg.max_iters} iterations at epsilon {curv.epsilon:g} "
-        f"(last change {changes[-1]:.3e})",
+        f"{kind}: no convergence after {cfg.max_iters} iterations at epsilon "
+        f"{curv.epsilon:g} (last change {changes[-1]:.3e}{detail})",
         epsilon=curv.epsilon,
         changes=changes,
+        kind=kind,
     )
+
+
+DIVERGENCE_WINDOW = 3  # changes that must grow in a row to call it divergence
+
+
+def _classify_failure(changes: list, recent, tol: float) -> tuple:
+    """(kind, message detail) of a stage that used up its iterations."""
+    if len(recent) == 3:
+        gap = max((float(np.linalg.norm(a - b, axis=-1).max(initial=0.0))
+                   for a, b in zip(recent[-1], recent[0])), default=0.0)
+        if gap < tol:
+            return "cycle", f", two-step change {gap:.3e}"
+    tail = changes[-DIVERGENCE_WINDOW:]
+    if len(tail) == DIVERGENCE_WINDOW and all(a < b for a, b in zip(tail, tail[1:])):
+        return "divergence", ""
+    return "stall", ""
 
 
 def _resolve_schedule(curv: CurvatureSpec, cfg: IterationConfig) -> list:

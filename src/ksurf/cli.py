@@ -8,13 +8,15 @@ Subcommands:
   validate   reimport an export and run the structural checks
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(non-convergence, unsolvable quad, grid too coarse).
+(non-convergence, unsolvable quad, grid too coarse, degenerate geometry).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
+from pathlib import Path
 
 from .amsler import (
     GridTooCoarseError,
@@ -43,6 +45,19 @@ logger = logging.getLogger("ksurf")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+
+
+class GeometryError(Exception):
+    """Geometry the numerics cannot work on, such as a zero-length edge."""
+
+
+@contextlib.contextmanager
+def _geometry(what: str):
+    """Report ValueErrors of the geometry code as GeometryError (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GeometryError(f"{what}: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -128,6 +143,7 @@ def _load_config(args) -> "RunConfig":
         cfg.out_mesh = args.out
         cfg.out_csv = args.out.rsplit(".", 1)[0] + ".csv"
         cfg.out_report = args.out.rsplit(".", 1)[0] + ".report.txt"
+    cfg.check_surgery()  # again, against the overridden grid and sector count
     return cfg
 
 
@@ -137,11 +153,19 @@ def _generate_complex(cfg):
     return patch_sectors(angles, spec, cfg.curvature, cfg.iteration_config())
 
 
+def _json_report_path(text_path: str) -> str:
+    """The text report's path with a .json suffix."""
+    p = Path(text_path)
+    json_path = p.with_suffix(".json")
+    return str(json_path if json_path != p else p.with_name(p.name + ".json"))
+
+
 def _export_all(cx, cfg) -> None:
     export_mesh(cx, cfg.out_mesh, cfg.out_csv)
     report = build_report(cx)
-    write_report(report, cfg.out_report)
-    logger.info("report written to %s", cfg.out_report)
+    json_path = _json_report_path(cfg.out_report)
+    write_report(report, cfg.out_report, json_path)
+    logger.info("report written to %s and %s", cfg.out_report, json_path)
 
 
 def cmd_generate(args) -> int:
@@ -157,13 +181,15 @@ def cmd_surgery(args) -> int:
         raise ConfigError("surgery: config lists no cuts")
     cx = _generate_complex(cfg)
     for cut in cfg.surgery:
-        cx = insert_branch_point(cx, cut, cfg.curvature, cfg.iteration_config())
+        with _geometry(f"surgery at sector {cut.sector}"):
+            cx = insert_branch_point(cx, cut, cfg.curvature, cfg.iteration_config())
     _export_all(cx, cfg)
     return EXIT_OK
 
 
 def cmd_distance(args) -> int:
-    mesh = trimesh_from_obj(args.mesh)
+    with _geometry(args.mesh):
+        mesh = trimesh_from_obj(args.mesh)
     raw = args.source if args.source else [0]
     sources = []
     for s in raw:
@@ -219,7 +245,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
-    except (NonConvergenceError, QuadError, GridTooCoarseError) as exc:
+    except (NonConvergenceError, QuadError, GridTooCoarseError, GeometryError) as exc:
         logger.error("%s", exc)
         return EXIT_NUMERICAL
 

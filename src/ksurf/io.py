@@ -29,7 +29,7 @@ from .amsler import (
     origin_vertex,
 )
 from .geodesic import TriMesh, fast_march, trimesh_from_quads, triangulate_complex
-from .lelieuvre import compatibility_residual, quad_residuals
+from .lelieuvre import quad_residual_arrays
 from .mesh import (
     BranchPoint,
     GluingMap,
@@ -37,11 +37,12 @@ from .mesh import (
     SectorGrid,
     SurfaceComplex,
     global_vertex_ids,
+    gluing_gaps,
+    quad_corner_arrays,
     quad_corner_indices,
-    quad_corners,
     validate_complex,
 )
-from .vectors import angle_between
+from .vectors import cross
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +77,39 @@ class RunConfig:
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(tol=self.tol, max_iters=self.max_iters,
                                epsilon_schedule=tuple(self.schedule))
+
+    def check_surgery(self) -> None:
+        """Reject cuts that cannot apply to the complex they will meet.
+
+        Follows the sector shapes through the cuts without generating
+        anything: the 2n patched sectors alternate I x J and J x I, and a
+        cut of sector s at b with m new sectors appends m fan sectors of
+        (I - b) x size, size x size, ..., size x (I - b).
+        """
+        shapes = [(self.I, self.J) if k % 2 == 0 else (self.J, self.I)
+                  for k in range(2 * self.n)]
+        truncated = set()
+        for idx, cut in enumerate(self.surgery):
+            path = f"surgery[{idx}]"
+            if cut.m % 2 == 0:
+                raise ConfigError(f"{path}.m: must be odd, got {cut.m}")
+            if cut.sector >= len(shapes):
+                raise ConfigError(
+                    f"{path}.sector: no sector {cut.sector}, the complex has "
+                    f"{len(shapes)} sectors before this cut")
+            if cut.sector in truncated:
+                raise ConfigError(f"{path}.sector: sector {cut.sector} was already cut")
+            rows, cols = shapes[cut.sector]
+            if rows != cols:
+                raise ConfigError(
+                    f"{path}.sector: sector {cut.sector} is {rows}x{cols}, "
+                    "surgery needs a square sector")
+            if not 1 <= cut.b < rows:
+                raise ConfigError(f"{path}.b: must satisfy 1 <= b < {rows}, got {cut.b}")
+            side = rows - cut.b
+            size = cut.size if cut.size is not None else side
+            shapes += [(side, size)] + [(size, size)] * (cut.m - 2) + [(size, side)]
+            truncated.add(cut.sector)
 
 
 def _expect(mapping, key, types, path, default=None, required=False):
@@ -198,8 +232,6 @@ def parse_config(text: str) -> RunConfig:
         sector = _expect(entry, "sector", int, path, default=0)
         b = _expect(entry, "b", int, path, required=True)
         m = _expect(entry, "m", int, path, required=True)
-        if m % 2 == 0:
-            raise ConfigError(f"{path}.m: must be odd, got {m}")
         spacing = _expect(entry, "spacing", float, path, default=None)
         size = _expect(entry, "size", int, path, default=None)
         try:
@@ -213,12 +245,14 @@ def parse_config(text: str) -> RunConfig:
     out_report = _expect(output, "report", str, "output", default="report.txt")
     seed = _expect(data, "seed", int, "", default=0)
 
-    return RunConfig(
+    cfg = RunConfig(
         curvature=curv, schedule=schedule, n=n, angles=angles,
         I=I, J=J, u_max=u_max, v_max=v_max,
         tol=tol, max_iters=max_iters, surgery=cuts,
         out_mesh=out_mesh, out_csv=out_csv, out_report=out_report, seed=seed,
     )
+    cfg.check_surgery()
+    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -372,13 +406,17 @@ def trimesh_from_obj(path) -> TriMesh:
     faces = []
     with open(path) as fh:
         for line in fh:
-            if line.startswith("v "):
-                vertices.append([float(x) for x in line.split()[1:4]])
-            elif line.startswith("f "):
-                idx = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
-                if len(idx) != 4:
-                    raise ConfigError(f"{path}: expected quad faces, got {len(idx)} vertices")
-                faces.append(idx)
+            try:
+                if line.startswith("v "):
+                    vertices.append([float(x) for x in line.split()[1:4]])
+                elif line.startswith("f "):
+                    idx = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
+                    if len(idx) != 4:
+                        raise ConfigError(
+                            f"{path}: expected quad faces, got {len(idx)} vertices")
+                    faces.append(idx)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: cannot parse {line.strip()!r}") from exc
     if not vertices or not faces:
         raise ConfigError(f"{path}: no mesh data found")
     verts = np.asarray(vertices, dtype=float)
@@ -443,38 +481,52 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
+# corners (center, a, b) of the four quad angles, corners ordered (f0, f1, f2, f12)
+ANGLE_CENTER = (0, 3, 1, 2)
+ANGLE_A = (1, 1, 0, 0)
+ANGLE_B = (2, 2, 3, 3)
+# np.arctan2 and math.atan2 differ in the last bit: candidates for the
+# smallest margin are chosen by array within this slack, then recomputed
+MARGIN_SLACK = 1e-12
+
+
+def _singular_margin(pos: np.ndarray) -> float:
+    """min of pi - angle over the quad angles, from (4, n, 3) corner positions.
+
+    Each angle is ``angle_between`` of the two edges at its corner. NaN
+    angles are skipped, as a Python ``min`` fold from inf skips them;
+    returns inf when no angle is finite.
+    """
+    u = pos[ANGLE_A, :] - pos[ANGLE_CENTER, :]
+    v = pos[ANGLE_B, :] - pos[ANGLE_CENTER, :]
+    c = cross(u, v)
+    y = np.sqrt(np.vecdot(c, c)).ravel()  # |u x v|
+    x = np.vecdot(u, v).ravel()
+    rough = math.pi - np.arctan2(y, x)
+    best = np.fmin.reduce(rough, initial=math.inf)
+    if best == math.inf:
+        return math.inf
+    near = np.flatnonzero(rough <= best + MARGIN_SLACK).tolist()
+    return min(math.pi - math.atan2(y[k], x[k]) for k in near)
+
+
 def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
-    """Recompute all diagnostics from the complex data (nothing cached)."""
-    max_compat = 0.0
-    max_tan = 0.0
-    max_edge = 0.0
-    max_unit = 0.0
+    """Recompute all diagnostics from the complex data (nothing cached).
+
+    Residual maxima skip NaN (``np.fmax`` from 0.0), as the Python ``max``
+    fold that first defined them did.
+    """
+    worst = [0.0] * 4  # compatibility, tangency, edge length, unit norm
     margin = math.inf
     n_quads = 0
     for s in cx.sectors:
-        for (qi, qj) in s.quads():
-            n_quads += 1
-            quad = quad_corners(s, qi, qj)
-            max_compat = max(max_compat, compatibility_residual(quad))
-            res = quad_residuals(quad)
-            max_tan = max(max_tan, res.tangency)
-            max_edge = max(max_edge, res.edge_length)
-            max_unit = max(max_unit, res.unit_norm)
-            f0, f1, f2, f12 = quad
-            for center, a, b in ((f0, f1, f2), (f12, f1, f2), (f1, f0, f12), (f2, f0, f12)):
-                ang = angle_between(a.position - center.position,
-                                    b.position - center.position)
-                margin = min(margin, math.pi - ang)
-
-    pos_max = 0.0
-    nrm_max = 0.0
-    for g in cx.gluings:
-        sa, sb = cx.sectors[g.sector_a], cx.sectors[g.sector_b]
-        for (ia, ja), (ib, jb) in g.pairs():
-            pos_max = max(pos_max, float(np.linalg.norm(
-                sa.positions[ia, ja] - sb.positions[ib, jb])))
-            nrm_max = max(nrm_max, float(np.linalg.norm(
-                sa.normals[ia, ja] - sb.normals[ib, jb])))
+        pos, nrm, rho = quad_corner_arrays(s)
+        n_quads += pos.shape[1]
+        worst = [float(np.fmax.reduce(res, initial=w))
+                 for w, res in zip(worst, quad_residual_arrays(pos, nrm, rho))]
+        margin = min(margin, _singular_margin(pos))
+    max_compat, max_tan, max_edge, max_unit = worst
+    pos_max, nrm_max = gluing_gaps(cx)
 
     mesh = triangulate_complex(cx)
     ids = mesh.node_values(cx, np.arange(mesh.n_vertices), -1)
@@ -487,16 +539,13 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
         march = fast_march(mesh, [(origin_vid, 0.0)])
         arc_err = 0.0
         for sid, s in enumerate(cx.sectors):
-            for side in ("row", "col"):
-                if ids[sid][0, 0] != origin_vid:
-                    continue
-                arc = 0.0
-                count = s.I if side == "row" else s.J
-                for t in range(1, count + 1):
-                    a = (t - 1, 0) if side == "row" else (0, t - 1)
-                    b = (t, 0) if side == "row" else (0, t)
-                    arc += float(np.linalg.norm(s.positions[b] - s.positions[a]))
-                    arc_err = max(arc_err, abs(float(march.d[ids[sid][b]]) - arc))
+            if ids[sid][0, 0] != origin_vid:
+                continue
+            for ray, vids in ((s.positions[:, 0], ids[sid][1:, 0]),
+                              (s.positions[0, :], ids[sid][0, 1:])):
+                step = ray[1:] - ray[:-1]
+                arc = np.cumsum(np.sqrt(np.vecdot(step, step)))
+                arc_err = float(np.fmax.reduce(np.abs(march.d[vids] - arc), initial=arc_err))
 
     history = [{"epsilon": rec.epsilon, "iterations": rec.iterations,
                 "changes": list(rec.changes)} for rec in cx.history]

@@ -17,23 +17,34 @@ determines nu12 = C w - nu0 with w = nu1 + nu2 and
 The branch with "+" keeps continuity with the constant-curvature update
 (a Householder reflection of N0 across span(N1 + N2)), which is the
 rho == const specialization of the same formula.
+
+One array kernel, ``closure``, solves many quads at once; the scalar
+updates are that kernel on one row. A sector sweep visits anti-diagonals
+i + j = d in increasing d and solves every node of a diagonal in one call:
+a node reads only the three nodes of its quad, which lie on diagonals d - 1
+and d - 2. Norms and dots are ``np.vecdot`` (the BLAS ``ddot`` of the
+scalar form, where ``(a * b).sum(-1)`` rounds differently), so each node
+gets the same bits as a node-by-node sweep would give it.
+
+Residuals of finished quads (``quad_residual_arrays``) are the second array
+kernel; the diagnostics report folds them over every quad of a complex.
 """
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Parity, SectorGrid, quad_corner_indices
-from .vectors import Vec3
-
-logger = logging.getLogger(__name__)
+from .mesh import Parity, SectorGrid
+from .vectors import Vec3, cross
 
 DEGENERATE_TOL = 1e-12
 FLAT_QUAD_TOL = 1e-12
+
+# closure status per row: solved, or why the quad has no solution
+SOLVED, DEGENERATE, STEEP, PERPENDICULAR = 0, 1, 2, 3
 
 
 class QuadError(Exception):
@@ -54,11 +65,73 @@ class UnsolvableQuadError(QuadError):
     pass
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
+
+
+def scaled_normals(N: np.ndarray, rho) -> np.ndarray:
+    """Lelieuvre normals nu = sqrt(rho) N, row by row."""
+    return np.sqrt(rho)[..., None] * N
+
+
 def scale_normal(N: Vec3, K: float) -> Vec3:
     """Lelieuvre normal nu = (-K)^(-1/4) N = sqrt(rho) N for K < 0."""
     if not K < 0.0:
         raise ValueError(f"curvature must be negative, got {K!r}")
-    return (-K) ** -0.25 * N
+    return scaled_normals(N, np.float64(-K) ** -0.5)
+
+
+def closure(nu0: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
+            rho0: np.ndarray, rho12: np.ndarray):
+    """Solve nu12 = C (nu1 + nu2) - nu0 with |nu12|^2 = rho12, row by row.
+
+    Takes (n, 3) normals and (n,) rho values; returns (nu12, C, alpha,
+    status). alpha is NaN on the branch where <w, nu0> vanishes and the
+    quadratic collapses to C^2 |w|^2 = rho12 - rho0. Rows that have no
+    solution get a nonzero status (DEGENERATE, STEEP or PERPENDICULAR) and
+    NaN in nu12. A NaN input propagates to nu12 and never sets a status by
+    itself, as in the scalar form, where every comparison with NaN fails.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = nu1 + nu2
+        w2 = np.vecdot(w, w)
+        scale = _norm(nu1) + _norm(nu2)
+        degenerate = w2 <= (DEGENERATE_TOL * scale) ** 2
+        d = np.vecdot(w, nu0)
+        generic = np.abs(d) > DEGENERATE_TOL * np.sqrt(w2) * _norm(nu0)
+        alpha = np.where(generic, w2 * (rho12 - rho0) / (d * d), np.nan)
+        radicand = 1.0 + alpha
+        t = (rho12 - rho0) / w2
+        C = np.where(generic, (1.0 + np.sqrt(radicand)) * d / w2, np.sqrt(t))
+    status = np.where(degenerate, DEGENERATE, np.where(
+        generic, np.where(radicand < 0.0, STEEP, SOLVED),
+        np.where(t < 0.0, PERPENDICULAR, SOLVED)))
+    nu12 = C[:, None] * w - nu0
+    nu12[status != SOLVED] = np.nan
+    return nu12, C, alpha, status
+
+
+def _quad_error(status: int, alpha: float, location: tuple | None) -> QuadError:
+    if status == DEGENERATE:
+        return DegenerateQuadError("degenerate quad: nu1 + nu2 vanishes", location)
+    if status == STEEP:
+        return UnsolvableQuadError(
+            f"quad unsolvable: curvature variation too large (1 + alpha = {1.0 + alpha:.3e})",
+            location,
+        )
+    return UnsolvableQuadError(
+        "quad unsolvable: rho decreases across a quad with <nu1 + nu2, nu0> = 0",
+        location,
+    )
+
+
+def _close_one(nu0: Vec3, nu1: Vec3, nu2: Vec3, rho0: float, rho12: float):
+    """The closure kernel on one row; raises on an unsolvable quad."""
+    nu12, C, alpha, status = closure(nu0[None], nu1[None], nu2[None],
+                                     np.array([rho0]), np.array([rho12]))
+    if status[0] != SOLVED:
+        raise _quad_error(int(status[0]), float(alpha[0]), None)
+    return nu12[0], float(C[0]), float(alpha[0])
 
 
 @dataclass
@@ -97,41 +170,6 @@ class QuadSolveOutputs:
     alpha: float
 
 
-def _closure(nu0: Vec3, nu1: Vec3, nu2: Vec3, rho0: float, rho12: float,
-             location: tuple | None = None):
-    """Solve for nu12 = C (nu1 + nu2) - nu0 with |nu12|^2 = rho12.
-
-    Returns (nu12, C, alpha). alpha is NaN on the degenerate branch where
-    <w, nu0> vanishes and the quadratic collapses to C^2 |w|^2 = rho12 - rho0.
-    """
-    w = nu1 + nu2
-    w2 = float(w @ w)
-    scale = math.sqrt(float(nu1 @ nu1)) + math.sqrt(float(nu2 @ nu2))
-    if w2 <= (DEGENERATE_TOL * scale) ** 2:
-        raise DegenerateQuadError("degenerate quad: nu1 + nu2 vanishes", location)
-    d = float(w @ nu0)
-    norm0 = math.sqrt(float(nu0 @ nu0))
-    if abs(d) > DEGENERATE_TOL * math.sqrt(w2) * norm0:
-        alpha = w2 * (rho12 - rho0) / (d * d)
-        radicand = 1.0 + alpha
-        if radicand < 0.0:
-            raise UnsolvableQuadError(
-                f"quad unsolvable: curvature variation too large (1 + alpha = {radicand:.3e})",
-                location,
-            )
-        C = (1.0 + math.sqrt(radicand)) * d / w2
-    else:
-        t = (rho12 - rho0) / w2
-        if t < 0.0:
-            raise UnsolvableQuadError(
-                "quad unsolvable: rho decreases across a quad with <nu1 + nu2, nu0> = 0",
-                location,
-            )
-        C = math.sqrt(t)
-        alpha = math.nan
-    return C * w - nu0, C, alpha
-
-
 def quad_update_constant(q: QuadSolveInputs) -> QuadSolveOutputs:
     """Fourth corner of a pseudospherical (K = -1) quad.
 
@@ -144,7 +182,7 @@ def quad_update_constant(q: QuadSolveInputs) -> QuadSolveOutputs:
             and np.linalg.norm(q.N2 - q.N0) < FLAT_QUAD_TOL):
         warnings.warn("flat quad: coincident normals give zero edge vectors",
                       RuntimeWarning, stacklevel=2)
-    nu12, C, alpha = _closure(q.N0, q.N1, q.N2, 1.0, 1.0)
+    nu12, C, alpha = _close_one(q.N0, q.N1, q.N2, 1.0, 1.0)
     r12 = q.r2 + np.cross(nu12, q.N2)
     return QuadSolveOutputs(N12=nu12, r12=r12, C=C, alpha=alpha)
 
@@ -152,23 +190,53 @@ def quad_update_constant(q: QuadSolveInputs) -> QuadSolveOutputs:
 def quad_update_variable(q: QuadSolveInputs) -> QuadSolveOutputs:
     """Fourth corner of a quad with prescribed rho at all corners."""
     q.validate()
-    nu0 = math.sqrt(q.rho0) * q.N0
-    nu1 = math.sqrt(q.rho1) * q.N1
-    nu2 = math.sqrt(q.rho2) * q.N2
-    nu12, C, alpha = _closure(nu0, nu1, nu2, q.rho0, q.rho12)
+    nu0, nu1, nu2 = scaled_normals(np.array([q.N0, q.N1, q.N2]),
+                                   np.array([q.rho0, q.rho1, q.rho2]))
+    nu12, C, alpha = _close_one(nu0, nu1, nu2, q.rho0, q.rho12)
     N12 = nu12 / math.sqrt(q.rho12)
     r12 = q.r2 + np.cross(nu12, nu2)
     return QuadSolveOutputs(N12=N12, r12=r12, C=C, alpha=alpha)
 
 
-def _scaled_normals(quad) -> list:
-    return [math.sqrt(v.rho) * v.normal for v in quad]
+# corner pairs (a, b) of the four quad edges, corners ordered (f0, f1, f2, f12)
+EDGE_A = (0, 0, 1, 2)
+EDGE_B = (1, 2, 3, 3)
+
+
+def quad_residual_arrays(pos: np.ndarray, nrm: np.ndarray, rho: np.ndarray):
+    """Residuals of n quads from corner arrays ordered (f0, f1, f2, f12).
+
+    ``pos`` and ``nrm`` have shape (4, n, 3), ``rho`` shape (4, n). Returns
+    (compatibility, tangency, edge_length, unit_norm), each of shape (n,);
+    see ``compatibility_residual`` and ``quad_residuals``. The maxima over
+    a quad's edges and corners skip NaN, as Python's ``max`` fold from 0.0
+    did (``np.fmax``); unit_norm is NaN when corner f0's is, since that
+    fold started from f0.
+    """
+    nu = scaled_normals(nrm, rho)
+    compatibility = _norm(cross(nu[3] + nu[0], nu[1] + nu[2]))
+    e = pos[EDGE_B, :] - pos[EDGE_A, :]
+    na, nb = nrm[EDGE_A, :], nrm[EDGE_B, :]
+    tangency = np.fmax.reduce(np.fmax(np.abs(np.vecdot(e, na)), np.abs(np.vecdot(e, nb))),
+                              axis=0, initial=0.0)
+    target = np.sqrt(rho[EDGE_A, :] * rho[EDGE_B, :]) * _norm(cross(na, nb))
+    edge_length = np.fmax.reduce(np.abs(_norm(e) - target), axis=0, initial=0.0)
+    unit = np.abs(_norm(nrm) - 1.0)
+    unit_norm = np.where(np.isnan(unit[0]), np.nan, np.fmax.reduce(unit, axis=0))
+    return compatibility, tangency, edge_length, unit_norm
+
+
+def _quad_arrays(quad):
+    """Corner arrays of one quad of VertexStates, shaped for the kernel."""
+    pos = np.array([v.position for v in quad])[:, None]
+    nrm = np.array([v.normal for v in quad])[:, None]
+    rho = np.array([[v.rho] for v in quad], dtype=float)
+    return quad_residual_arrays(pos, nrm, rho)
 
 
 def compatibility_residual(quad) -> float:
     """| (nu12 + nu0) x (nu1 + nu2) | for a quad of VertexStates (f0, f1, f2, f12)."""
-    nu0, nu1, nu2, nu12 = _scaled_normals(quad)
-    return float(np.linalg.norm(np.cross(nu12 + nu0, nu1 + nu2)))
+    return float(_quad_arrays(quad)[0][0])
 
 
 @dataclass
@@ -188,17 +256,9 @@ def quad_residuals(quad) -> QuadResiduals:
     edge_length: max | |edge| - sqrt(rho_a rho_b) |Na x Nb| |.
     unit_norm: max | |N| - 1 | over the corners.
     """
-    f0, f1, f2, f12 = quad
-    edges = [(f0, f1), (f0, f2), (f1, f12), (f2, f12)]
-    tangency = 0.0
-    edge_length = 0.0
-    for a, b in edges:
-        e = b.position - a.position
-        tangency = max(tangency, abs(float(e @ a.normal)), abs(float(e @ b.normal)))
-        target = math.sqrt(a.rho * b.rho) * float(np.linalg.norm(np.cross(a.normal, b.normal)))
-        edge_length = max(edge_length, abs(float(np.linalg.norm(e)) - target))
-    unit_norm = max(abs(float(np.linalg.norm(v.normal)) - 1.0) for v in quad)
-    return QuadResiduals(tangency=tangency, edge_length=edge_length, unit_norm=unit_norm)
+    _, tangency, edge_length, unit_norm = _quad_arrays(quad)
+    return QuadResiduals(tangency=float(tangency[0]), edge_length=float(edge_length[0]),
+                         unit_norm=float(unit_norm[0]))
 
 
 def sweep_sector(s: SectorGrid, rho_field: np.ndarray) -> SectorGrid:
@@ -206,35 +266,55 @@ def sweep_sector(s: SectorGrid, rho_field: np.ndarray) -> SectorGrid:
 
     ``rho_field`` prescribes rho per node for this sweep; all four corner
     rho values of a quad are read from it, so the field must agree with the
-    stored boundary rho on the first row/column. Interior nodes are written
-    in lexicographic wavefront order; each result depends only on nodes with
-    smaller indices, so the order does not affect the output. Boundary nodes
-    are left untouched. Quad solve failures are re-raised annotated with the
-    sector id and quad indices.
+    stored boundary rho on the first row/column. Interior nodes are solved
+    one anti-diagonal i + j = d at a time; each result depends only on
+    nodes of smaller diagonals, so the order does not affect the output.
+    Boundary nodes are left untouched.
+
+    A quad without a solution leaves NaN at its node and the sweep goes
+    on; then the failure of the lexicographically first such quad is
+    raised, annotated with the sector id and quad indices. Every node a
+    quad reads is lexicographically smaller than its own, so that is the
+    quad a sweep in i-major order would have stopped at.
     """
     if rho_field.shape != s.rho.shape:
         raise ValueError("rho_field shape does not match the sector grid")
     boundary = s.boundary_mask()
     if not np.all(np.isfinite(s.positions[boundary])):
         raise ValueError(f"sector {s.sector_id} boundary is not initialized")
+    if np.any(rho_field[s.valid] < 0.0):
+        raise ValueError(f"sector {s.sector_id}: rho_field must be nonnegative")
 
     out = s.copy()
-    pos = out.positions
-    nrm = out.normals
-    parity = s.parity
-    for i in range(1, s.I + 1):
-        for j in range(1, s.J + 1):
-            if not s.valid[i, j]:
-                continue
-            f0, f1, f2, _ = quad_corner_indices(parity, i - 1, j - 1)
-            rho0 = float(rho_field[f0])
-            rho12 = float(rho_field[i, j])
-            nu0 = math.sqrt(rho0) * nrm[f0]
-            nu1 = math.sqrt(float(rho_field[f1])) * nrm[f1]
-            nu2 = math.sqrt(float(rho_field[f2])) * nrm[f2]
-            nu12, _, _ = _closure(nu0, nu1, nu2, rho0, rho12,
-                                  location=(s.sector_id, i - 1, j - 1))
-            pos[i, j] = pos[f2] + np.cross(nu12, nu2)
-            nrm[i, j] = nu12 / math.sqrt(rho12)
-            out.rho[i, j] = rho12
+    width = s.J + 1
+    i, j = np.nonzero(s.valid[1:, 1:])
+    diag = i + j
+    order = np.argsort(diag, kind="stable")
+    n12 = ((i + 1) * width + j + 1)[order]
+    n0 = n12 - width - 1
+    u_step, v_step = (width, 1) if s.parity is Parity.ODD else (1, width)
+    n1, n2 = n0 + u_step, n0 + v_step
+    cuts = np.flatnonzero(np.diff(diag[order])) + 1
+    # flat views: positions and normals of earlier diagonals are read back
+    pos, nrm = out.positions.reshape(-1, 3), out.normals.reshape(-1, 3)
+    rho = rho_field.ravel()
+    root = np.sqrt(rho)
+    r0, r1, r2, r12 = root[n0], root[n1], root[n2], root[n12]
+    rho0, rho12 = rho[n0], rho[n12]
+    failures = []
+    for a, b in zip([0, *cuts], [*cuts, len(n12)]):
+        nu0 = r0[a:b, None] * nrm[n0[a:b]]
+        nu1 = r1[a:b, None] * nrm[n1[a:b]]
+        nu2 = r2[a:b, None] * nrm[n2[a:b]]
+        nu12, _, alpha, status = closure(nu0, nu1, nu2, rho0[a:b], rho12[a:b])
+        pos[n12[a:b]] = pos[n2[a:b]] + cross(nu12, nu2)
+        nrm[n12[a:b]] = nu12 / r12[a:b, None]
+        if status.any():
+            failures.extend((int(n12[a + k]), int(status[k]), float(alpha[k]))
+                            for k in np.flatnonzero(status))
+    out.rho.ravel()[n12] = rho12
+    if failures:
+        node, status, alpha = min(failures)
+        i, j = divmod(node, width)
+        raise _quad_error(status, alpha, (s.sector_id, i - 1, j - 1))
     return out

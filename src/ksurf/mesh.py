@@ -167,6 +167,23 @@ def quad_corner_indices(parity: Parity, i: int, j: int):
     return f0, f1, f2, f12
 
 
+def quad_corner_arrays(s: SectorGrid):
+    """Positions, normals and rho of all valid quads, as (4, n, ...) arrays.
+
+    Corners are ordered (f0, f1, f2, f12) as in ``quad_corner_indices`` and
+    quads in the i-major order of ``SectorGrid.quads``.
+    """
+    v = s.valid
+    ok = v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
+
+    def corners(a: np.ndarray) -> np.ndarray:
+        c00, c10, c01, c11 = a[:-1, :-1][ok], a[1:, :-1][ok], a[:-1, 1:][ok], a[1:, 1:][ok]
+        f1, f2 = (c10, c01) if s.parity is Parity.ODD else (c01, c10)
+        return np.stack([c00, f1, f2, c11])
+
+    return corners(s.positions), corners(s.normals), corners(s.rho)
+
+
 def quad_corners(s: SectorGrid, i: int, j: int):
     """VertexStates (f0, f1, f2, f12) of quad (i, j), parity-aware."""
     if not (0 <= i < s.I and 0 <= j < s.J):
@@ -248,53 +265,70 @@ def global_vertex_ids(cx: SurfaceComplex):
     arrays per sector (-1 on invalid nodes), count the number of distinct
     vertices and back_refs a list mapping each vertex id to its (sector, i, j)
     occurrences in deterministic order.
-    """
-    keys = []
-    offsets = []
-    total = 0
-    for s in cx.sectors:
-        offsets.append(total)
-        total += (s.I + 1) * (s.J + 1)
 
-    parent = list(range(total))
+    Nodes are numbered flat, sector by sector in i-major order. Union-find
+    runs over the glued pairs only and names each set by its smallest flat
+    index; vertex ids then number the sets in order of their first valid node.
+    """
+    shapes = [(s.I + 1, s.J + 1) for s in cx.sectors]
+    sizes = [a * b for a, b in shapes]
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+    parent = {}
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while parent.get(x, x) != x:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def flat(sector_id: int, i: int, j: int) -> int:
-        s = cx.sectors[sector_id]
-        return offsets[sector_id] + i * (s.J + 1) + j
-
     for g in cx.gluings:
+        oa, wa = int(offsets[g.sector_a]), shapes[g.sector_a][1]
+        ob, wb = int(offsets[g.sector_b]), shapes[g.sector_b][1]
         for (ia, ja), (ib, jb) in g.pairs():
-            union(flat(g.sector_a, ia, ja), flat(g.sector_b, ib, jb))
+            ra, rb = find(oa + ia * wa + ja), find(ob + ib * wb + jb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    root = np.arange(offsets[-1])
+    for x in parent:
+        root[x] = find(x)
 
-    ids = []
-    back_refs = []
-    lookup = {}
-    for sid, s in enumerate(cx.sectors):
-        arr = np.full((s.I + 1, s.J + 1), -1, dtype=int)
-        for i in range(s.I + 1):
-            for j in range(s.J + 1):
-                if not s.valid[i, j]:
-                    continue
-                root = find(flat(sid, i, j))
-                if root not in lookup:
-                    lookup[root] = len(back_refs)
-                    back_refs.append([])
-                vid = lookup[root]
-                arr[i, j] = vid
-                back_refs[vid].append((sid, i, j))
-        ids.append(arr)
+    nodes = np.flatnonzero(np.concatenate([s.valid.ravel() for s in cx.sectors]))
+    _, first, inverse = np.unique(root[nodes], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vid = rank[inverse]
+    flat_ids = np.full(offsets[-1], -1, dtype=int)
+    flat_ids[nodes] = vid
+    ids = [flat_ids[offsets[k]:offsets[k + 1]].reshape(shape)
+           for k, shape in enumerate(shapes)]
+
+    sector = np.repeat(np.arange(len(shapes)), sizes)[nodes]
+    i, j = divmod(nodes - offsets[sector], np.array([w for _, w in shapes], dtype=int)[sector])
+    refs = list(zip(sector.tolist(), i.tolist(), j.tolist()))
+    # first occurrences open the lists in id order; glued copies follow in flat order
+    back_refs = [[refs[k]] for k in np.sort(first).tolist()]
+    copies = np.ones(len(nodes), dtype=bool)
+    copies[first] = False
+    for k in np.flatnonzero(copies).tolist():
+        back_refs[vid[k]].append(refs[k])
     return ids, len(back_refs), back_refs
+
+
+def gluing_gaps(cx: SurfaceComplex) -> tuple:
+    """Largest position and normal distances between glued nodes.
+
+    Both start from 0.0 and skip NaN distances, as a Python ``max`` fold
+    does (``np.fmax``).
+    """
+    pos_max = nrm_max = 0.0
+    for g in cx.gluings:
+        sa, sb = cx.sectors[g.sector_a], cx.sectors[g.sector_b]
+        ia, ja = np.array(g.nodes_a, dtype=int).reshape(-1, 2).T
+        ib, jb = np.array(g.nodes_b, dtype=int).reshape(-1, 2).T
+        dp = sa.positions[ia, ja] - sb.positions[ib, jb]
+        dn = sa.normals[ia, ja] - sb.normals[ib, jb]
+        pos_max = float(np.fmax.reduce(np.sqrt(np.vecdot(dp, dp)), initial=pos_max))
+        nrm_max = float(np.fmax.reduce(np.sqrt(np.vecdot(dn, dn)), initial=nrm_max))
+    return pos_max, nrm_max
 
 
 def incident_quad_count(cx: SurfaceComplex, sector: int, i: int, j: int) -> int:
@@ -380,15 +414,7 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
         detail=bad_state or f"max | |N| - 1 | = {worst_norm:.3e}",
     ))
 
-    pos_max = 0.0
-    nrm_max = 0.0
-    for g in cx.gluings:
-        sa, sb = cx.sectors[g.sector_a], cx.sectors[g.sector_b]
-        for (ia, ja), (ib, jb) in g.pairs():
-            dp = np.linalg.norm(sa.positions[ia, ja] - sb.positions[ib, jb])
-            dn = np.linalg.norm(sa.normals[ia, ja] - sb.normals[ib, jb])
-            pos_max = max(pos_max, float(dp))
-            nrm_max = max(nrm_max, float(dn))
+    pos_max, nrm_max = gluing_gaps(cx)
     checks.append(CheckResult(
         "gluing_coincidence",
         passed=pos_max < COINCIDENCE_TOL and nrm_max < COINCIDENCE_TOL,

@@ -26,6 +26,19 @@ def unit(v: Vec3) -> Vec3:
     return v / n
 
 
+_NEXT = [1, 2, 0]
+_LAST = [2, 0, 1]
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b with the products and differences of ``np.cross``.
+
+    Same bits as ``np.cross`` on (..., 3) arrays, without its per-call
+    axis handling, which dominates on short rows.
+    """
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
 def rotate_about(v: Vec3, axis: Vec3, angle: float) -> Vec3:
     """Rotate ``v`` by ``angle`` (counterclockwise) about the unit vector ``axis``.
 

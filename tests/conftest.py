@@ -15,7 +15,9 @@ from ksurf import (
     CurvatureSpec,
     IterationConfig,
     SectorSpec,
+    SurgerySpec,
     auto_schedule,
+    insert_branch_point,
     patch_sectors,
     symmetric_angles,
 )
@@ -32,6 +34,15 @@ def build_patched(family: str, epsilon: float, n: int, extent: float, grid: int,
     cfg = IterationConfig(tol=tol, max_iters=max_iters,
                           epsilon_schedule=auto_schedule(epsilon))
     return patch_sectors(symmetric_angles(n), spec, curv, cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def build_surgery_m3():
+    """LINEAR eps 1, 4 sectors of 8x8, with an m=3 cut of sector 0 at b=4."""
+    base = build_patched("LINEAR", 1.0, 2, 0.5, 8, tol=1e-6)
+    return insert_branch_point(
+        base, SurgerySpec(sector=0, b=4, m=3), CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
+        IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
 
 
 @pytest.fixture(scope="session")

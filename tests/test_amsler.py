@@ -150,8 +150,38 @@ def test_continuation_walks_the_schedule():
 def test_run_stage_raises_on_stall():
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="^stall: ") as err:
         run_stage(cx, curv, IterationConfig(tol=1e-15, max_iters=2), seed_sectors=[0])
+    assert err.value.kind == "stall"
+
+
+def test_two_cycle_is_reported_as_cycle():
+    # The eps 5 stage settles into a period-2 orbit: every step moves the
+    # surface by 2.6e-3 while x_k and x_{k-2} agree to about 1e-14.
+    with pytest.raises(NonConvergenceError, match="^cycle: .*two-step change") as err:
+        patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
+                      CurvatureSpec(CurvatureFamily.LINEAR, 10.0), IterationConfig())
+    assert err.value.kind == "cycle"
+    assert err.value.epsilon == 5.0
+    assert min(err.value.changes[-10:]) > 1e-3
+
+
+def test_growing_change_is_reported_as_divergence():
+    calls = []
+
+    def growing(cx):
+        calls.append(None)
+        prov = geodesic_provider(cx)
+        prov.per_sector = [d * 1.5 ** len(calls) for d in prov.per_sector]
+        return prov
+
+    curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
+    cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
+    with pytest.raises(NonConvergenceError, match="^divergence: ") as err:
+        run_stage(cx, curv, IterationConfig(tol=1e-4, max_iters=6), growing, seed_sectors=[0])
+    assert err.value.kind == "divergence"
+    tail = err.value.changes[-3:]
+    assert tail == sorted(tail)
 
 
 def test_non_finite_distance_is_not_converged():
@@ -165,6 +195,7 @@ def test_non_finite_distance_is_not_converged():
                       CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
                       IterationConfig(tol=1e-4, max_iters=100), distance_provider=nan_at_4_4)
     assert err.value.changes == []
+    assert err.value.kind == "divergence"
 
 
 def test_angle_list_validation():

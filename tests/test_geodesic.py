@@ -1,5 +1,4 @@
 """Triangulation, the unfold update and fast marching."""
-import functools
 import logging
 import math
 
@@ -13,11 +12,9 @@ from ksurf import (
     CurvatureSpec,
     IterationConfig,
     SectorSpec,
-    SurgerySpec,
     dijkstra_bound,
     fast_march,
     global_vertex_ids,
-    insert_branch_point,
     origin_vertex,
     patch_sectors,
     split_quad,
@@ -28,7 +25,7 @@ from ksurf import (
 )
 
 import geodesic_oracle as oracle
-from conftest import build_patched
+from conftest import build_patched, build_surgery_m3
 
 
 def _max_angle(p, q, r):
@@ -295,14 +292,6 @@ def _scalar_quads(cx):
     return verts, quads
 
 
-@functools.lru_cache(maxsize=None)
-def _surgery_m3():
-    base = build_patched("LINEAR", 1.0, 2, 0.5, 8, tol=1e-6)
-    return insert_branch_point(
-        base, SurgerySpec(sector=0, b=4, m=3), CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
-        IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
-
-
 def _assert_march_matches_oracle(m, sources):
     got = fast_march(m, sources)
     d, order, pops, pushes, evaluations, fell_back = oracle.fast_march(m, sources)
@@ -319,7 +308,7 @@ def _oracle_meshes():
         verts, quads = _perturbed_grid(seed)
         yield f"grid{seed}", verts, quads, trimesh_from_quads(verts, quads)
     for name, cx in (("patched", build_patched("LINEAR", 1.0, 2, 0.5, 8)),
-                     ("surgery_m3", _surgery_m3())):
+                     ("surgery_m3", build_surgery_m3())):
         verts, quads = _scalar_quads(cx)
         m = triangulate_complex(cx)
         assert m.vertices.tobytes() == verts.tobytes(), name

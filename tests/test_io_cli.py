@@ -1,6 +1,7 @@
 """Config parsing, OBJ/CSV round trips, diagnostics and the CLI."""
 import copy
 import json
+import logging
 import math
 
 import numpy as np
@@ -20,9 +21,11 @@ from ksurf import (
     trimesh_from_obj,
     validate_complex,
 )
+import ksurf.cli
 from ksurf.cli import main
 
-from conftest import build_patched
+import lelieuvre_oracle as oracle
+from conftest import build_patched, build_surgery_m3
 
 
 def test_parse_config_defaults():
@@ -52,7 +55,7 @@ sectors:
   angles: [1.0, 1.0, 1.0, 1.0, 1.0, 1.2831853071795862]
 grid:
   I: 8
-  J: 6
+  J: 8
   u_max: 0.75
   v_max: 0.5
 iteration:
@@ -75,7 +78,7 @@ def test_parse_config_full():
     assert cfg.curvature.ring_gain == 10.0
     assert cfg.schedule == [0.5, 1.0, 2.0]
     assert cfg.n == 3 and len(cfg.angles) == 6
-    assert (cfg.I, cfg.J, cfg.u_max, cfg.v_max) == (8, 6, 0.75, 0.5)
+    assert (cfg.I, cfg.J, cfg.u_max, cfg.v_max) == (8, 8, 0.75, 0.5)
     assert cfg.tol == 1e-5 and cfg.max_iters == 40
     assert cfg.surgery == [SurgerySpec(sector=1, b=3, m=5, spacing=None, size=3)]
     assert (cfg.out_mesh, cfg.out_csv, cfg.out_report) == ("m.obj", "m.csv", "m.txt")
@@ -181,6 +184,20 @@ def test_report_sees_tampering(pseudosphere_n2):
     cx.sectors[2].positions[5, 0] += np.array([0.0, 2e-4, 0.0])
     rep = build_report(cx)
     assert rep.gluing_pos_max == pytest.approx(2e-4, rel=1e-9)
+
+
+def _report_bits(report):
+    return {k: repr(v) for k, v in report.to_dict().items()}
+
+
+def test_build_report_matches_per_quad_oracle(pseudosphere_n2):
+    tampered = copy.deepcopy(build_patched("LINEAR", 1.0, 2, 0.5, 8))
+    tampered.sectors[1].normals[3, 3] = np.nan
+    tampered.sectors[2].positions[0, 4] = np.nan
+    tampered.sectors[0].rho[5, 5] = np.nan
+    for cx in (pseudosphere_n2, build_patched("LINEAR", 10.0, 3, 0.5, 8),
+               build_surgery_m3(), tampered):
+        assert _report_bits(build_report(cx)) == _report_bits(oracle.build_report(cx))
 
 
 BASE_CLI_CONFIG = """
@@ -309,3 +326,55 @@ surgery:
     # surgery subcommand requires cuts in the config
     plain = _write_cfg(tmp_path, BASE_CLI_CONFIG, "plain.yaml")
     assert main(["surgery", "--config", str(plain), "--quiet"]) == 1
+
+
+def test_cli_writes_json_report(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    obj = tmp_path / "j.obj"
+    assert main(["generate", "--config", str(cfg), "--out", str(obj), "--quiet"]) == 0
+    written = json.loads((tmp_path / "j.report.json").read_text())
+    cx = import_mesh(obj, tmp_path / "j.csv")
+    assert written == json.loads(json.dumps(build_report(cx).to_dict()))
+
+
+def _cli_error(caplog, argv):
+    """Exit code and the ERROR lines of one CLI run that must not raise."""
+    caplog.clear()
+    code = main(argv)
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    return code, errors
+
+
+@pytest.mark.parametrize("cut,fragment", [
+    ("{sector: 9, b: 3, m: 3}", "no sector 9"),
+    ("{sector: 0, b: 6, m: 3}", "1 <= b < 6"),
+    ("{sector: 0, b: 3, m: 3, size: 2}\n  - {sector: 4, b: 1, m: 3}", "3x2"),
+    ("{sector: 0, b: 3, m: 4}", "must be odd"),
+    ("{sector: 0, b: 3, m: 3}\n  - {sector: 0, b: 2, m: 3}", "already cut"),
+])
+def test_cli_rejects_bad_cut_before_generating(tmp_path, caplog, monkeypatch, cut, fragment):
+    generated = []
+    monkeypatch.setattr(ksurf.cli, "patch_sectors", lambda *a, **k: generated.append(a))
+    cfg = _write_cfg(tmp_path, BASE_CLI_CONFIG + f"surgery:\n  - {cut}\n", "cut.yaml")
+    code, errors = _cli_error(caplog, ["surgery", "--config", str(cfg), "--quiet"])
+    assert code == 1 and len(errors) == 1 and fragment in errors[0]
+    assert generated == []
+
+
+def test_cli_rechecks_cuts_against_grid_override(tmp_path, caplog):
+    cfg = _write_cfg(tmp_path, BASE_CLI_CONFIG + "surgery:\n  - {sector: 0, b: 3, m: 3}\n",
+                     "cut.yaml")
+    code, errors = _cli_error(caplog, ["surgery", "--config", str(cfg), "--grid", "3",
+                                       "--quiet"])
+    assert code == 1 and errors == ["surgery[0].b: must satisfy 1 <= b < 3, got 3"]
+
+
+def test_cli_distance_on_degenerate_obj(tmp_path, caplog):
+    obj = tmp_path / "flat.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 0 0\nv 1 1 0\nf 1 2 4 3\n")
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(obj), "--quiet"])
+    assert code == 2 and len(errors) == 1 and "zero-length edge" in errors[0]
+    garbled = tmp_path / "garbled.obj"
+    garbled.write_text("v 0 0 zero\nf 1 1 1 1\n")
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(garbled), "--quiet"])
+    assert code == 1 and len(errors) == 1 and "cannot parse" in errors[0]

@@ -11,7 +11,9 @@ from ksurf import (
     CurvatureFamily,
     CurvatureSpec,
     DegenerateQuadError,
+    Parity,
     QuadSolveInputs,
+    SectorGrid,
     SectorSpec,
     UnsolvableQuadError,
     VertexState,
@@ -26,7 +28,8 @@ from ksurf import (
     sweep_sector,
 )
 
-from conftest import build_patched
+import lelieuvre_oracle as oracle
+from conftest import build_patched, build_surgery_m3
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -234,7 +237,6 @@ def test_sweep_rejects_bad_inputs():
     g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT))
     with pytest.raises(ValueError, match="shape"):
         sweep_sector(g, np.ones((2, 2)))
-    from ksurf import Parity, SectorGrid
     empty = SectorGrid.empty(3, 3, Parity.ODD)
     with pytest.raises(ValueError, match="boundary"):
         sweep_sector(empty, np.ones_like(empty.rho))
@@ -266,3 +268,108 @@ def test_edge_signs_on_converged_sectors(sector_id):
                 worst = max(worst, float(np.linalg.norm(
                     e - sign * np.cross(nu[b], nu[a]))))
     assert worst < 1e-12
+
+
+def _sweep_or_error(sweep, s, rho):
+    try:
+        return sweep(s, rho)
+    except (DegenerateQuadError, UnsolvableQuadError) as exc:
+        return exc
+
+
+def _assert_sweep_matches_oracle(s, rho):
+    """The array sweep gives the scalar sweep's bits, or its error."""
+    got = _sweep_or_error(sweep_sector, s, rho)
+    want = _sweep_or_error(oracle.sweep_sector, s, rho)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert (str(got), got.location) == (str(want), want.location)
+    else:
+        for name in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    return got
+
+
+def _perturbed_sector(seed, parity, I=7, J=5):
+    """Random boundary data: tilted unit normals near z, rho in [0.8, 1.25]."""
+    rng = np.random.default_rng(seed)
+    s = SectorGrid.empty(I, J, parity, sector_id=seed)
+    boundary = s.boundary_mask()
+    n = int(boundary.sum())
+    s.positions[boundary] = rng.uniform(-1.0, 1.0, (n, 3))
+    tilt = np.column_stack([rng.uniform(-0.3, 0.3, (n, 2)), np.ones(n)])
+    s.normals[boundary] = tilt / np.linalg.norm(tilt, axis=1)[:, None]
+    rho = rng.uniform(0.8, 1.25, s.rho.shape)
+    s.rho[boundary] = rho[boundary]
+    return s, rho
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+def test_sweep_matches_scalar_oracle_on_perturbed_grids(parity):
+    solved = 0
+    for seed in range(6):
+        s, rho = _perturbed_sector(seed, parity)
+        solved += not isinstance(_assert_sweep_matches_oracle(s, rho), Exception)
+    assert solved == 6
+
+
+def test_sweep_matches_scalar_oracle_on_truncated_sector():
+    cx = build_surgery_m3()
+    for s in cx.sectors:
+        rho = np.where(s.valid, s.rho, np.nan)
+        _assert_sweep_matches_oracle(s, rho)
+    assert not cx.sectors[0].valid.all()
+
+
+def _perpendicular_sector(rho11):
+    """Node (1, 1) of this sector has <nu1 + nu2, nu0> = 0 exactly."""
+    s, rho = _perturbed_sector(0, Parity.ODD, I=4, J=4)
+    a = 0.3
+    s.normals[0, 0] = [1.0, 0.0, 0.0]
+    s.normals[1, 0] = [0.0, math.sin(a), math.cos(a)]
+    s.normals[0, 1] = [0.0, -math.sin(a), math.cos(a)]
+    rho[:2, :2] = 1.0
+    s.rho[:2, :2] = 1.0
+    rho[1, 1] = rho11
+    return s, rho
+
+
+def test_sweep_matches_scalar_oracle_on_the_perpendicular_branch():
+    s, rho = _perpendicular_sector(1.2)
+    out = _assert_sweep_matches_oracle(s, rho)
+    assert np.isfinite(out.positions).all()
+    nu0, nu1, nu2 = (math.sqrt(rho[f]) * s.normals[f] for f in ((0, 0), (1, 0), (0, 1)))
+    assert float((nu1 + nu2) @ nu0) == 0.0
+    # rho may not drop across such a quad: same error, same quad
+    s, rho = _perpendicular_sector(0.8)
+    err = _assert_sweep_matches_oracle(s, rho)
+    assert isinstance(err, UnsolvableQuadError) and err.location == (0, 0, 0)
+
+
+def test_sweep_reports_lexicographically_first_failure():
+    # Quad (1, 0) lies on diagonal 1 + 0, quad (0, 4) on diagonal 0 + 4: a
+    # diagonal sweep meets (1, 0) first, an i-major sweep meets (0, 4) first.
+    spec = SectorSpec(u_max=0.75, v_max=0.75, I=6, J=6)
+    g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT), sector_id=3)
+    rho = np.ones_like(g.rho)
+    for i, j in ((1, 5), (2, 1)):
+        one = np.ones_like(g.rho)
+        one[i, j] = 1e-9
+        with pytest.raises(UnsolvableQuadError) as alone:
+            sweep_sector(g, one)
+        assert alone.value.location == (3, i - 1, j - 1)
+        rho[i, j] = 1e-9
+    with pytest.raises(UnsolvableQuadError) as both:
+        sweep_sector(g, rho)
+    assert both.value.location == (3, 0, 4)
+    err = _assert_sweep_matches_oracle(g, rho)
+    assert str(err) == str(both.value)
+
+
+def test_report_residuals_match_per_quad_oracle():
+    cx = build_surgery_m3()
+    for s in cx.sectors:
+        for i, j in s.quads():
+            quad = quad_corners(s, i, j)
+            assert compatibility_residual(quad) == oracle.compatibility_residual(quad)
+            assert quad_residuals(quad) == oracle.quad_residuals(quad)

@@ -16,7 +16,8 @@ from ksurf import (
 from ksurf.mesh import incident_quad_count
 from ksurf import CurvatureFamily, CurvatureSpec, IterationConfig, SectorSpec, run_stage
 
-from conftest import build_patched
+import mesh_oracle
+from conftest import build_patched, build_surgery_m3
 
 
 def test_parity_flip_roundtrip():
@@ -113,3 +114,14 @@ def test_single_sector_quads_are_two_colorable():
     rep = validate_complex(cx)
     assert rep.check("two_coloring").passed
     assert rep.check("edge_labels").passed
+
+
+def test_vertex_ids_match_scalar_oracle():
+    for cx in (build_patched("LINEAR", 1.0, 3, 0.5, 8), build_surgery_m3()):
+        ids, count, back_refs = global_vertex_ids(cx)
+        want_ids, want_count, want_refs = mesh_oracle.global_vertex_ids(cx)
+        assert (count, back_refs) == (want_count, want_refs)
+        assert len(ids) == len(want_ids)
+        for got, want in zip(ids, want_ids):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert all(type(x) is int for refs in back_refs for ref in refs for x in ref)
