@@ -22,7 +22,7 @@ from __future__ import annotations
 import collections
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -217,6 +217,42 @@ def ray_boundary_data(start: Vec3, direction: Vec3, normal0: Vec3, spacing: floa
     return RayData(positions=positions, normals=normals, rho=np.asarray(rho), D=np.asarray(D))
 
 
+@dataclass(frozen=True)
+class RaySpec:
+    """Boundary record: a straight ray from the origin with normal (0, 0, 1).
+
+    ``count`` intervals of ``spacing`` along ``direction``, labeled ``kind``
+    ("u" or "v"), written into every ``(sector, "row" | "col")`` side of
+    ``sides``. It depends on the curvature alone, so ``source`` is None.
+    """
+
+    direction: tuple
+    spacing: float
+    count: int
+    kind: str
+    sides: tuple
+
+    source = None
+
+    def write(self, cx: SurfaceComplex, curv: CurvatureSpec) -> None:
+        data = ray_boundary_data(vec(0, 0, 0), vec(*self.direction), Z_AXIS, self.spacing,
+                                 self.count, curv, 0.0, self.kind)
+        for sid, side in self.sides:
+            cx.sectors[sid].write_side(side, data)
+
+
+def refresh_boundaries(cx: SurfaceComplex, curv: CurvatureSpec, swept: int | None = None) -> None:
+    """Write the boundary records of ``cx`` whose source is ``swept``, in order.
+
+    With ``swept=None`` these are the records that depend on the curvature
+    alone (the base rays); with a sector id, the records that sector's sweep
+    has made stale.
+    """
+    for record in cx.boundaries:
+        if record.source == swept:
+            record.write(cx, curv)
+
+
 def init_boundary(spec: SectorSpec, curv: CurvatureSpec, sector_id: int = 0) -> SectorGrid:
     """Fresh ODD-parity sector with its two boundary rays initialized.
 
@@ -224,31 +260,9 @@ def init_boundary(spec: SectorSpec, curv: CurvatureSpec, sector_id: int = 0) -> 
     both starting at the origin with normal (0, 0, 1). Boundary D is exact
     arc length. Interior nodes are left unset.
     """
-    s_a, s_b = spec.directions()
-    grid = SectorGrid.empty(spec.I, spec.J, Parity.ODD, sector_id)
-    _write_ray(grid, "row", ray_boundary_data(
-        vec(0, 0, 0), s_a, Z_AXIS, spec.u_max / spec.I, spec.I, curv, 0.0, "u"))
-    _write_ray(grid, "col", ray_boundary_data(
-        vec(0, 0, 0), s_b, Z_AXIS, spec.v_max / spec.J, spec.J, curv, 0.0, "v"))
+    grid = single_sector_complex(spec, curv).sectors[0]
+    grid.sector_id = sector_id
     return grid
-
-
-def _write_ray(grid: SectorGrid, side: str, data: RayData) -> None:
-    n = data.positions.shape[0]
-    if side == "row":
-        if n != grid.I + 1:
-            raise ValueError("ray length does not match the grid row")
-        grid.positions[:, 0] = data.positions
-        grid.normals[:, 0] = data.normals
-        grid.rho[:, 0] = data.rho
-        grid.geo_dist[:, 0] = data.D
-    else:
-        if n != grid.J + 1:
-            raise ValueError("ray length does not match the grid column")
-        grid.positions[0, :] = data.positions
-        grid.normals[0, :] = data.normals
-        grid.rho[0, :] = data.rho
-        grid.geo_dist[0, :] = data.D
 
 
 @dataclass
@@ -275,19 +289,6 @@ def geodesic_provider(cx: SurfaceComplex) -> ProviderResult:
     return ProviderResult(per_sector=per_sector, march=march, mesh=mesh)
 
 
-def _apply_inherits(cx: SurfaceComplex, dst: int) -> None:
-    for link in cx.inherits:
-        if link.dst_sector != dst:
-            continue
-        src = cx.sectors[link.src_sector]
-        grid = cx.sectors[dst]
-        for (si, sj), (di, dj) in zip(link.src_nodes, link.dst_nodes):
-            grid.positions[di, dj] = src.positions[si, sj]
-            grid.normals[di, dj] = src.normals[si, sj]
-            grid.rho[di, dj] = src.rho[si, sj]
-            grid.geo_dist[di, dj] = src.geo_dist[si, sj]
-
-
 def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
                     curv: CurvatureSpec, changes: list) -> None:
     """Raise NonConvergenceError naming the first masked node that is not finite."""
@@ -310,16 +311,18 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
 
     Optionally seeds the listed sectors with a constant-curvature sweep,
     then alternates fast-marched distance fields with re-sweeps until the
-    maximum vertex displacement drops below cfg.tol. A non-finite interior
-    distance or swept position raises NonConvergenceError, since NaN would
-    otherwise drop out of the displacement maximum and read as converged.
+    maximum vertex displacement drops below cfg.tol. Every sweep, seeding
+    included, is followed by the boundary records it made stale. A
+    non-finite interior distance or swept position raises
+    NonConvergenceError, since NaN would otherwise drop out of the
+    displacement maximum and read as converged.
     """
     provider = provider or geodesic_provider
     if seed_sectors:
         for sid in seed_sectors:
-            _apply_inherits(cx, sid)
             s = cx.sectors[sid]
             cx.sectors[sid] = sweep_sector(s, np.ones_like(s.rho))
+            refresh_boundaries(cx, curv, sid)
 
     changes = []
     # interior positions of the last three iterates, to tell a cycle
@@ -333,7 +336,6 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
 
         change = 0.0
         for sid in range(len(cx.sectors)):
-            _apply_inherits(cx, sid)
             s = cx.sectors[sid]
             rho_field = np.full_like(s.rho, np.nan)
             rho_field[s.valid] = eval_rho(curv, s.geo_dist[s.valid])
@@ -346,8 +348,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
                 disp = np.linalg.norm(swept.positions[interior] - s.positions[interior], axis=-1)
                 change = max(change, float(disp.max()))
             cx.sectors[sid] = swept
-            for hook in cx.post_sweep_hooks.get(sid, ()):
-                hook(cx)
+            refresh_boundaries(cx, curv, sid)
         recent.append([s.positions[s.valid & ~s.boundary_mask()] for s in cx.sectors])
         changes.append(change)
         logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
@@ -393,12 +394,14 @@ def _resolve_schedule(curv: CurvatureSpec, cfg: IterationConfig) -> list:
 
 def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
                             cfg: IterationConfig, provider=None) -> SurfaceComplex:
-    """Run the epsilon schedule on an initialized complex, warm-starting stages."""
+    """Run the epsilon schedule on an initialized complex, warm-starting stages.
+
+    Each stage starts by rewriting the base rays for its epsilon.
+    """
     schedule = _resolve_schedule(curv, cfg)
     for si, eps in enumerate(schedule):
         curv_s = curv.with_epsilon(eps)
-        if cx.boundary_refresh is not None:
-            cx.boundary_refresh(cx, curv_s)
+        refresh_boundaries(cx, curv_s)
         seed = list(range(len(cx.sectors))) if si == 0 else None
         rec = run_stage(cx, curv_s, cfg, provider, seed_sectors=seed)
         cx.history.append(rec)
@@ -407,21 +410,14 @@ def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
 
 
 def single_sector_complex(spec: SectorSpec, curv: CurvatureSpec) -> SurfaceComplex:
-    cx = SurfaceComplex(sectors=[init_boundary(spec, curv, 0)], origin=(0, 0, 0))
-
-    def refresh(cx2: SurfaceComplex, curv2: CurvatureSpec) -> None:
-        fresh = init_boundary(spec, curv2, 0)
-        old = cx2.sectors[0]
-        old.positions[:, 0] = fresh.positions[:, 0]
-        old.normals[:, 0] = fresh.normals[:, 0]
-        old.rho[:, 0] = fresh.rho[:, 0]
-        old.geo_dist[:, 0] = fresh.geo_dist[:, 0]
-        old.positions[0, :] = fresh.positions[0, :]
-        old.normals[0, :] = fresh.normals[0, :]
-        old.rho[0, :] = fresh.rho[0, :]
-        old.geo_dist[0, :] = fresh.geo_dist[0, :]
-
-    cx.boundary_refresh = refresh
+    """One ODD sector whose row and column are the rays s_a (u) and s_b (v)."""
+    s_a, s_b = spec.directions()
+    cx = SurfaceComplex(
+        sectors=[SectorGrid.empty(spec.I, spec.J, Parity.ODD, 0)],
+        boundaries=[RaySpec(tuple(s_a), spec.u_max / spec.I, spec.I, "u", ((0, "row"),)),
+                    RaySpec(tuple(s_b), spec.v_max / spec.J, spec.J, "v", ((0, "col"),))],
+    )
+    refresh_boundaries(cx, curv)
     return cx
 
 
@@ -476,21 +472,27 @@ def build_patched_complex(angles, spec: SectorSpec, curv: CurvatureSpec) -> Surf
     Ray k sits at the cumulative angle of the preceding sectors; rays with
     even index (0-based) carry u, odd rays carry v, and sector parities
     alternate starting from ODD. Each ray's boundary data is computed once
-    and written into both adjacent sectors, so gluing coincidence is exact.
+    and written into both adjacent sectors (the row of sector k and the
+    column of sector k - 1), so gluing coincidence is exact.
     """
     angles = _validate_angles(angles)
     m = len(angles)
 
     sectors = []
+    rays = []
     for k in range(m):
         if k % 2 == 0:
-            grid = SectorGrid.empty(spec.I, spec.J, Parity.ODD, k)
+            sectors.append(SectorGrid.empty(spec.I, spec.J, Parity.ODD, k))
+            spacing, count, kind = spec.u_max / spec.I, spec.I, "u"
         else:
-            grid = SectorGrid.empty(spec.J, spec.I, Parity.EVEN, k)
-        sectors.append(grid)
+            sectors.append(SectorGrid.empty(spec.J, spec.I, Parity.EVEN, k))
+            spacing, count, kind = spec.v_max / spec.J, spec.J, "v"
+        phi = sum(angles[:k])
+        rays.append(RaySpec((math.cos(phi), math.sin(phi), 0.0), spacing, count, kind,
+                            ((k, "row"), ((k - 1) % m, "col"))))
 
-    cx = SurfaceComplex(sectors=sectors, origin=(0, 0, 0))
-    _fill_patched_boundaries(cx, angles, spec, curv)
+    cx = SurfaceComplex(sectors=sectors, origin=(0, 0, 0), boundaries=rays)
+    refresh_boundaries(cx, curv)
 
     for k in range(m):
         prev = (k - 1) % m
@@ -500,8 +502,6 @@ def build_patched_complex(angles, spec: SectorSpec, curv: CurvatureSpec) -> Surf
             sector_b=k,
             nodes_a=[(0, t) for t in range(count)],
             nodes_b=[(t, 0) for t in range(count)],
-            ray_direction=_ray_direction(angles, k),
-            eta_sign=1,
             label="u" if k % 2 == 0 else "v",
         ))
 
@@ -509,34 +509,7 @@ def build_patched_complex(angles, spec: SectorSpec, curv: CurvatureSpec) -> Surf
         cx.branch_points.append(BranchPoint(
             sector=0, i=0, j=0, incident_sectors=m, expected_quads=m,
         ))
-
-    def refresh(cx2: SurfaceComplex, curv2: CurvatureSpec) -> None:
-        _fill_patched_boundaries(cx2, angles, spec, curv2)
-
-    cx.boundary_refresh = refresh
     return cx
-
-
-def _ray_direction(angles, k: int) -> Vec3:
-    phi = sum(angles[:k])
-    return vec(math.cos(phi), math.sin(phi), 0.0)
-
-
-def _fill_patched_boundaries(cx: SurfaceComplex, angles, spec: SectorSpec,
-                             curv: CurvatureSpec) -> None:
-    m = len(angles)
-    rays = []
-    for k in range(m):
-        if k % 2 == 0:
-            data = ray_boundary_data(vec(0, 0, 0), _ray_direction(angles, k), Z_AXIS,
-                                     spec.u_max / spec.I, spec.I, curv, 0.0, "u")
-        else:
-            data = ray_boundary_data(vec(0, 0, 0), _ray_direction(angles, k), Z_AXIS,
-                                     spec.v_max / spec.J, spec.J, curv, 0.0, "v")
-        rays.append(data)
-    for k in range(m):
-        _write_ray(cx.sectors[k], "row", rays[k])
-        _write_ray(cx.sectors[k], "col", rays[(k + 1) % m])
 
 
 def patch_sectors(angles, spec: SectorSpec, curv: CurvatureSpec,

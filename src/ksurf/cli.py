@@ -222,7 +222,8 @@ def cmd_validate(args) -> int:
     if not report.passed:
         logger.error("structural validation failed")
         return EXIT_NUMERICAL
-    diag = build_report(cx)
+    with _geometry(args.mesh):
+        diag = build_report(cx)
     sys.stdout.write(diag.to_text())
     return EXIT_OK
 

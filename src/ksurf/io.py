@@ -72,7 +72,6 @@ class RunConfig:
     out_mesh: str = "surface.obj"
     out_csv: str = "surface.csv"
     out_report: str = "report.txt"
-    seed: int = 0
 
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(tol=self.tol, max_iters=self.max_iters,
@@ -146,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    known = {"curvature", "sectors", "grid", "iteration", "surgery", "output", "seed"}
+    known = {"curvature", "sectors", "grid", "iteration", "surgery", "output"}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown top-level key")
@@ -243,13 +242,12 @@ def parse_config(text: str) -> RunConfig:
     out_mesh = _expect(output, "mesh", str, "output", default="surface.obj")
     out_csv = _expect(output, "csv", str, "output", default="surface.csv")
     out_report = _expect(output, "report", str, "output", default="report.txt")
-    seed = _expect(data, "seed", int, "", default=0)
 
     cfg = RunConfig(
         curvature=curv, schedule=schedule, n=n, angles=angles,
         I=I, J=J, u_max=u_max, v_max=v_max,
         tol=tol, max_iters=max_iters, surgery=cuts,
-        out_mesh=out_mesh, out_csv=out_csv, out_report=out_report, seed=seed,
+        out_mesh=out_mesh, out_csv=out_csv, out_report=out_report,
     )
     cfg.check_surgery()
     return cfg

@@ -114,12 +114,22 @@ class SectorGrid:
             geo_dist=float(self.geo_dist[i, j]),
         )
 
-    def set_node(self, i: int, j: int, position: Vec3, normal: Vec3,
-                 rho: float, geo_dist: float = UNSET_DISTANCE) -> None:
-        self.positions[i, j] = position
-        self.normals[i, j] = normal
-        self.rho[i, j] = rho
-        self.geo_dist[i, j] = geo_dist
+    def write_side(self, side: str, data) -> None:
+        """Write boundary data along the first row or column.
+
+        ``side`` is "row" for the nodes (i, 0) or "col" for (0, j); ``data``
+        carries per-node ``positions``, ``normals``, ``rho`` and ``D``.
+        """
+        if side == "row":
+            at, n = (slice(None), 0), self.I + 1
+        else:
+            at, n = (0, slice(None)), self.J + 1
+        if data.positions.shape[0] != n:
+            raise ValueError(f"{data.positions.shape[0]} boundary nodes for a {side} of {n}")
+        self.positions[at] = data.positions
+        self.normals[at] = data.normals
+        self.rho[at] = data.rho
+        self.geo_dist[at] = data.D
 
     def copy(self) -> "SectorGrid":
         return SectorGrid(
@@ -196,17 +206,13 @@ class GluingMap:
     """Identification of two boundary node runs in different sectors.
 
     ``nodes_a[t]`` in sector ``sector_a`` and ``nodes_b[t]`` in ``sector_b``
-    are the same surface point. ``ray_direction`` records the shared ray for
-    patched complexes; ``eta_sign`` is +1 when sector_b lies on the positive
-    transverse side of the ray.
+    are the same surface point.
     """
 
     sector_a: int
     sector_b: int
     nodes_a: list
     nodes_b: list
-    ray_direction: Vec3 | None = None
-    eta_sign: int = 1
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -217,19 +223,30 @@ class GluingMap:
         return zip(self.nodes_a, self.nodes_b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InheritLink:
-    """Dynamic boundary inheritance used by branch-point surgery.
+    """Boundary record: destination nodes that mirror source nodes.
 
-    The destination nodes mirror the source nodes (position, normal, rho,
-    geodesic distance) and must be re-copied whenever the source sector is
-    re-swept during the outer iteration.
+    Branch-point surgery uses it for the fans' inherited curves. ``write``
+    copies position, normal, rho and geodesic distance of the source nodes,
+    which goes stale whenever the source sector is swept.
     """
 
     src_sector: int
-    src_nodes: list
+    src_nodes: tuple
     dst_sector: int
-    dst_nodes: list
+    dst_nodes: tuple
+
+    @property
+    def source(self) -> int:
+        return self.src_sector
+
+    def write(self, cx: "SurfaceComplex", curv=None) -> None:
+        src, dst = cx.sectors[self.src_sector], cx.sectors[self.dst_sector]
+        si, sj = np.array(self.src_nodes, dtype=int).T
+        di, dj = np.array(self.dst_nodes, dtype=int).T
+        for name in ("positions", "normals", "rho", "geo_dist"):
+            getattr(dst, name)[di, dj] = getattr(src, name)[si, sj]
 
 
 @dataclass
@@ -243,19 +260,31 @@ class BranchPoint:
 
 @dataclass
 class SurfaceComplex:
+    """Sectors with their gluings, branch points and boundary records.
+
+    ``boundaries`` lists immutable records of prescribed boundary data in
+    the order they are written. Each has ``source``, the sector whose sweep
+    makes it stale (None when it depends on the curvature alone), and
+    ``write(cx, curv)``; ``amsler.refresh_boundaries`` writes them.
+    """
+
     sectors: list
     gluings: list = field(default_factory=list)
     branch_points: list = field(default_factory=list)
     origin: tuple = (0, 0, 0)
-    inherits: list = field(default_factory=list)
+    boundaries: list = field(default_factory=list)
     history: list = field(default_factory=list)
-    boundary_refresh: object = None
-    # sector_id -> callables(cx) run right after that sector is swept, used
-    # to keep dependent boundary data anchored to the sector's current state
-    post_sweep_hooks: dict = field(default_factory=dict)
 
-    def sector(self, sector_id: int) -> SectorGrid:
-        return self.sectors[sector_id]
+    def copy(self) -> "SurfaceComplex":
+        """Fresh sector arrays; gluings, records and history in new lists."""
+        return SurfaceComplex(
+            sectors=[s.copy() for s in self.sectors],
+            gluings=list(self.gluings),
+            branch_points=list(self.branch_points),
+            origin=self.origin,
+            boundaries=list(self.boundaries),
+            history=list(self.history),
+        )
 
 
 def global_vertex_ids(cx: SurfaceComplex):
@@ -387,10 +416,10 @@ def _edge_label(parity: Parity, axis: str) -> str:
 def validate_complex(cx: SurfaceComplex) -> ValidationReport:
     """Structural checks for a surface complex.
 
-    Verifies unit normals, gluing coincidence, consistent u/v edge labels
-    across sectors, 2-colorability of the quad adjacency graph, and quad
-    incidence counts (4 at interior vertices, recorded counts at branch
-    points).
+    Verifies finite positions and unit normals, gluing coincidence,
+    consistent u/v edge labels across sectors, 2-colorability of the quad
+    adjacency graph, and quad incidence counts (4 at interior vertices,
+    recorded counts at branch points).
     """
     checks = []
 
@@ -407,6 +436,8 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
             rhos = s.rho[s.valid]
             if not (np.isnan(rhos) | (rhos > 0)).all():
                 bad_state = f"sector {s.sector_id} has nonpositive rho"
+            if not np.isfinite(s.positions[s.valid]).all():
+                bad_state = f"sector {s.sector_id} has non-finite positions"
     checks.append(CheckResult(
         "vertex_states",
         passed=(not bad_state) and worst_norm < UNIT_NORMAL_TOL,

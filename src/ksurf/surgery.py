@@ -11,13 +11,15 @@ The fan axes are straight rays from r_bb in the cut-corner tangent plane,
 splitting the angle theta_b between the two cut boundary curves into m
 equal parts. Sector 1 inherits the remaining row (b+a, b) of the target as
 its first boundary curve, sector m inherits the column (b, b+c); interior
-sectors run between consecutive straight axes. After insertion the whole
-complex is re-converged, re-copying the inherited curves from the target
-after each of its sweeps.
+sectors run between consecutive straight axes. The axes and the inherited
+curves are boundary records of the complex whose source is the target (one
+``FanAxes``, two ``InheritLink``), so while the enlarged complex
+re-converges each sweep of the target rewrites the axes from its current
+corner and then re-copies the inherited curves. The input complex is
+copied, never modified.
 """
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import warnings
@@ -28,8 +30,8 @@ import numpy as np
 from .amsler import (
     CurvatureSpec,
     IterationConfig,
-    _apply_inherits,
     ray_boundary_data,
+    refresh_boundaries,
     run_stage,
 )
 from .mesh import (
@@ -41,7 +43,7 @@ from .mesh import (
     SurfaceComplex,
     validate_complex,
 )
-from .vectors import Vec3, angle_between, rotate_about, unit
+from .vectors import angle_between, rotate_about, unit
 
 logger = logging.getLogger(__name__)
 
@@ -108,37 +110,36 @@ def split_angle_axes(s: SectorGrid, b: int, m: int) -> list:
     return [rotate_about(e_row, sign * N, k * theta / m) for k in range(1, m)]
 
 
-def _axis_boundary_data(target: SectorGrid, b: int, m: int, spacing: float,
-                        m_ax: int, parities, curv: CurvatureSpec) -> list:
-    """Boundary data for the m-1 straight split axes, from the current corner."""
-    axes = split_angle_axes(target, b, m)
-    r_bb = target.positions[b, b].copy()
-    n_bb = target.normals[b, b].copy()
-    d_bb = float(target.geo_dist[b, b])
-    data = []
-    for l in range(1, m):
-        label = "v" if parities[l] is Parity.ODD else "u"
-        data.append(ray_boundary_data(
-            r_bb, axes[l - 1], n_bb, spacing, m_ax, curv, d0=d_bb, kind=label))
-    return data
+@dataclass(frozen=True)
+class FanAxes:
+    """Boundary record: the m - 1 straight split axes of one cut.
 
+    Axis k runs from the target's corner (b, b) with its normal and
+    distance, ``size`` intervals of ``spacing``; it is the column of fan k
+    and the row of fan k + 1 (1-based), labeled by fan k's parity. The
+    target's sweep moves the corner, so ``source`` is the target.
+    """
 
-def _write_axis_boundaries(cx: SurfaceComplex, fan_ids, axis_data) -> None:
-    m = len(fan_ids)
-    for k in range(1, m + 1):
-        grid = cx.sectors[fan_ids[k - 1]]
-        if k > 1:
-            data = axis_data[k - 2]
-            grid.positions[:, 0] = data.positions
-            grid.normals[:, 0] = data.normals
-            grid.rho[:, 0] = data.rho
-            grid.geo_dist[:, 0] = data.D
-        if k < m:
-            data = axis_data[k - 1]
-            grid.positions[0, :] = data.positions
-            grid.normals[0, :] = data.normals
-            grid.rho[0, :] = data.rho
-            grid.geo_dist[0, :] = data.D
+    target: int
+    b: int
+    fans: tuple
+    spacing: float
+    size: int
+
+    @property
+    def source(self) -> int:
+        return self.target
+
+    def write(self, cx: SurfaceComplex, curv: CurvatureSpec) -> None:
+        t, b = cx.sectors[self.target], self.b
+        axes = split_angle_axes(t, b, len(self.fans))
+        r_bb, n_bb, d_bb = t.positions[b, b], t.normals[b, b], float(t.geo_dist[b, b])
+        for axis, left, right in zip(axes, self.fans, self.fans[1:]):
+            label = "v" if cx.sectors[left].parity is Parity.ODD else "u"
+            data = ray_boundary_data(r_bb, axis, n_bb, self.spacing, self.size, curv,
+                                     d0=d_bb, kind=label)
+            cx.sectors[left].write_side("col", data)
+            cx.sectors[right].write_side("row", data)
 
 
 def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSpec,
@@ -160,7 +161,7 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     if spec.sector >= len(cx.sectors):
         raise ValueError(f"no sector {spec.sector} in the complex")
 
-    cx = copy.deepcopy(cx)
+    cx = cx.copy()
     target = cx.sectors[spec.sector]
     if target.I != target.J:
         raise ValueError("surgery requires a square target sector")
@@ -177,16 +178,12 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     m_u = I - b
     m_ax = spec.size if spec.size is not None else m_u
 
-    axes = split_angle_axes(target, b, m)
     spacing = spec.spacing
     if spacing is None:
         spacing = float(np.linalg.norm(
             target.positions[b + 1, b] - target.positions[b, b]))
-
-    # Straight-axis boundary data, shared by the two sectors flanking each axis.
     parities = [target.parity if k % 2 == 1 else target.parity.flipped()
                 for k in range(m + 1)]  # parities[k] for new sector k, 1-based
-    axis_data = _axis_boundary_data(target, b, m, spacing, m_ax, parities, curv)
 
     # Truncate the target. Poison the excised square so stale data cannot leak.
     target.valid[b + 1:, b + 1:] = False
@@ -195,8 +192,10 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     target.rho[b + 1:, b + 1:] = np.nan
     target.geo_dist[b + 1:, b + 1:] = math.inf
 
-    row_nodes = [(b + a, b) for a in range(m_u + 1)]
-    col_nodes = [(b, b + c) for c in range(m_u + 1)]
+    row_nodes = tuple((b + a, b) for a in range(m_u + 1))
+    col_nodes = tuple((b, b + c) for c in range(m_u + 1))
+    fan_row = tuple((a, 0) for a in range(m_u + 1))
+    fan_col = tuple((0, c) for c in range(m_u + 1))
     row_label = "u" if target.parity is Parity.ODD else "v"
     col_label = "v" if target.parity is Parity.ODD else "u"
 
@@ -210,33 +209,27 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
             grid = SectorGrid.empty(m_ax, m_ax, parities[k], len(cx.sectors))
         cx.sectors.append(grid)
         new_ids.append(grid.sector_id)
-    _write_axis_boundaries(cx, new_ids, axis_data)
 
+    # Axes first: node (0, 0) of the first and last fan is also inherited.
     fan_first, fan_last = new_ids[0], new_ids[-1]
-    cx.inherits.append(InheritLink(
-        src_sector=spec.sector, src_nodes=row_nodes,
-        dst_sector=fan_first, dst_nodes=[(a, 0) for a in range(m_u + 1)],
-    ))
-    cx.inherits.append(InheritLink(
-        src_sector=spec.sector, src_nodes=col_nodes,
-        dst_sector=fan_last, dst_nodes=[(0, c) for c in range(m_u + 1)],
-    ))
+    cx.boundaries += [
+        FanAxes(spec.sector, b, tuple(new_ids), spacing, m_ax),
+        InheritLink(spec.sector, row_nodes, fan_first, fan_row),
+        InheritLink(spec.sector, col_nodes, fan_last, fan_col),
+    ]
     cx.gluings.append(GluingMap(
         sector_a=spec.sector, sector_b=fan_first,
-        nodes_a=row_nodes, nodes_b=[(a, 0) for a in range(m_u + 1)],
-        label=row_label,
+        nodes_a=row_nodes, nodes_b=fan_row, label=row_label,
     ))
     cx.gluings.append(GluingMap(
         sector_a=spec.sector, sector_b=fan_last,
-        nodes_a=col_nodes, nodes_b=[(0, c) for c in range(m_u + 1)],
-        label=col_label,
+        nodes_a=col_nodes, nodes_b=fan_col, label=col_label,
     ))
     for k in range(1, m):
         cx.gluings.append(GluingMap(
             sector_a=new_ids[k - 1], sector_b=new_ids[k],
             nodes_a=[(0, t) for t in range(m_ax + 1)],
             nodes_b=[(t, 0) for t in range(m_ax + 1)],
-            ray_direction=axes[k - 1],
             label="v" if parities[k] is Parity.ODD else "u",
         ))
 
@@ -245,24 +238,7 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
         incident_sectors=m + 1, expected_quads=m + 3,
     ))
 
-    for sid in new_ids:
-        _apply_inherits(cx, sid)
-
-    # The fans' straight axes are anchored at the corner vertex, which keeps
-    # moving while the enlarged complex re-converges. Recompute them from the
-    # target's current state right after each of its sweeps.
-    target_id = spec.sector
-    fan_ids = tuple(new_ids)
-    hook_parities = tuple(parities)
-
-    def refresh_axes(cx2: SurfaceComplex) -> None:
-        data = _axis_boundary_data(cx2.sectors[target_id], b, m, spacing,
-                                   m_ax, hook_parities, curv)
-        _write_axis_boundaries(cx2, fan_ids, data)
-
-    cx.post_sweep_hooks.setdefault(target_id, []).append(refresh_axes)
-
-    cx.boundary_refresh = None
+    refresh_boundaries(cx, curv, spec.sector)
     rec = run_stage(cx, curv, cfg, distance_provider, seed_sectors=new_ids)
     cx.history.append(rec)
 

@@ -3,7 +3,7 @@
 Converged complexes are expensive relative to the assertions run against
 them, so they are built once per session and shared. Tests must treat the
 cached objects as read-only; anything that rewrites sector data has to work
-on a copy (surgery already deep-copies its input).
+on a copy (``SurfaceComplex.copy``; surgery copies its input itself).
 """
 import functools
 import logging

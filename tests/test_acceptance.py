@@ -5,6 +5,7 @@ measured number next to the threshold, so a verbose run doubles as a
 numbers report. Golden meshes live in tests/golden; regenerate them with
 KSURF_UPDATE_GOLDEN=1 after an intentional change.
 """
+import functools
 import itertools
 import math
 import os
@@ -39,7 +40,7 @@ from ksurf import (
 )
 from ksurf.mesh import incident_quad_count
 
-from conftest import build_patched
+from conftest import build_patched, build_surgery_m3
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -257,15 +258,17 @@ def test_branch_point_surgery_structure():
 
 
 GOLDEN_MATRIX = [(n, eps) for n in (2, 3, 4) for eps in (1.0, 10.0, 50.0)]
+GOLDEN_BUILDERS = {f"n{n}_eps{int(eps)}": functools.partial(build_patched, "LINEAR", eps, n, 0.5, 8)
+                   for n, eps in GOLDEN_MATRIX}
+GOLDEN_BUILDERS["surgery_m3"] = build_surgery_m3
 
 
-@pytest.mark.parametrize("n,eps", GOLDEN_MATRIX,
-                         ids=[f"n{n}_eps{int(e)}" for n, e in GOLDEN_MATRIX])
-def test_golden_meshes_reproduce_bitwise(n, eps, tmp_path):
-    cx = build_patched("LINEAR", eps, n, 0.5, 8)
+@pytest.mark.parametrize("name", list(GOLDEN_BUILDERS))
+def test_golden_meshes_reproduce_bitwise(name, tmp_path):
+    cx = GOLDEN_BUILDERS[name]()
     fresh = tmp_path / "golden.obj"
     export_mesh(cx, fresh)
-    golden = GOLDEN_DIR / f"n{n}_eps{int(eps)}.obj"
+    golden = GOLDEN_DIR / f"{name}.obj"
     if os.environ.get("KSURF_UPDATE_GOLDEN") == "1":
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden.write_bytes(fresh.read_bytes())
@@ -274,7 +277,7 @@ def test_golden_meshes_reproduce_bitwise(n, eps, tmp_path):
     detail = "bitwise identical"
     if not same:
         detail = f"DIFFERS, max vertex deviation {_max_vertex_deviation(fresh, golden):.3e}"
-    print(f"n={n} eps={eps}: {detail}")
+    print(f"{name}: {detail}")
     assert same, detail
 
 

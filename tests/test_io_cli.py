@@ -67,7 +67,6 @@ output:
   mesh: m.obj
   csv: m.csv
   report: m.txt
-seed: 7
 """
 
 
@@ -82,7 +81,6 @@ def test_parse_config_full():
     assert cfg.tol == 1e-5 and cfg.max_iters == 40
     assert cfg.surgery == [SurgerySpec(sector=1, b=3, m=5, spacing=None, size=3)]
     assert (cfg.out_mesh, cfg.out_csv, cfg.out_report) == ("m.obj", "m.csv", "m.txt")
-    assert cfg.seed == 7
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -378,3 +376,19 @@ def test_cli_distance_on_degenerate_obj(tmp_path, caplog):
     garbled.write_text("v 0 0 zero\nf 1 1 1 1\n")
     code, errors = _cli_error(caplog, ["distance", "--mesh", str(garbled), "--quiet"])
     assert code == 1 and len(errors) == 1 and "cannot parse" in errors[0]
+
+
+def test_cli_validate_on_degenerate_geometry(tmp_path, caplog):
+    # node (0, 4, 3) moved onto (0, 3, 3): every structural check still
+    # passes, and the report's triangulation meets a degenerate triangle
+    obj = tmp_path / "d.obj"
+    assert main(["generate", "--config", str(_write_cfg(tmp_path)), "--out", str(obj),
+                 "--quiet"]) == 0
+    csv_path = tmp_path / "d.csv"
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    node = {tuple(r[:3]): r for r in rows[1:]}
+    node["0", "4", "3"][4:7] = node["0", "3", "3"][4:7]
+    csv_path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv",
+                                       str(csv_path), "--quiet"])
+    assert code == 2 and len(errors) == 1 and "degenerate triangle" in errors[0]

@@ -105,6 +105,17 @@ def test_validate_detects_broken_normal(pseudosphere_n2):
     assert not rep.check("vertex_states").passed
 
 
+def test_validate_detects_non_finite_position():
+    # a NaN glued position drops out of the gluing gap, so vertex_states
+    # has to catch it
+    cx = build_patched("LINEAR", 1.0, 2, 0.5, 8).copy()
+    cx.sectors[2].positions[0, 4] = np.nan
+    rep = validate_complex(cx)
+    assert not rep.passed
+    assert not rep.check("vertex_states").passed
+    assert "non-finite positions" in rep.check("vertex_states").detail
+
+
 def test_single_sector_quads_are_two_colorable():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=3, J=3)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)

@@ -7,6 +7,7 @@ import pytest
 from ksurf import (
     CurvatureFamily,
     CurvatureSpec,
+    InheritLink,
     IterationConfig,
     SectorSpec,
     SurgerySpec,
@@ -78,8 +79,19 @@ def test_even_m_forced_breaks_labeling():
     assert not rep.check("two_coloring").passed
 
 
+def _snapshot(cx):
+    """Bytes of every sector array and the records of a complex."""
+    sectors = [([a.tobytes() for a in (s.positions, s.normals, s.rho, s.geo_dist, s.valid)],
+                s.parity, s.sector_id, list(s.history)) for s in cx.sectors]
+    gluings = [(g.sector_a, g.sector_b, list(g.nodes_a), list(g.nodes_b), g.label)
+               for g in cx.gluings]
+    return (sectors, gluings, list(cx.branch_points), list(cx.boundaries),
+            list(cx.history), cx.origin)
+
+
 def test_m3_insertion_structure():
     base = _base_constant()
+    before = _snapshot(base)
     cx = insert_branch_point(base, SurgerySpec(sector=0, b=4, m=3), CONSTANT, CFG0)
     assert len(cx.sectors) == len(base.sectors) + 3
     assert validate_complex(cx).passed
@@ -95,14 +107,15 @@ def test_m3_insertion_structure():
     assert not target.valid[5:, 5:].any()
     assert target.valid[:5, :].all() and target.valid[:, :5].all()
     # base complex untouched
-    assert base.sectors[0].valid.all()
+    assert _snapshot(base) == before
 
 
 def test_m3_inherits_are_bitwise():
     cx = insert_branch_point(_base_constant(), SurgerySpec(sector=0, b=4, m=3),
                              CONSTANT, CFG0)
-    assert cx.inherits
-    for link in cx.inherits:
+    links = [r for r in cx.boundaries if isinstance(r, InheritLink)]
+    assert len(links) == 2
+    for link in links:
         src = cx.sectors[link.src_sector]
         dst = cx.sectors[link.dst_sector]
         for (si, sj), (di, dj) in zip(link.src_nodes, link.dst_nodes):
