@@ -85,10 +85,11 @@ class CurvatureSpec:
     ring_gain: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
-        if self.ring_radius <= 0.0 or self.ring_gain <= 0.0:
-            raise ValueError("ring parameters must be positive")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon!r}")
+        if not (0.0 < self.ring_radius < math.inf and 0.0 < self.ring_gain < math.inf):
+            raise ValueError("ring parameters must be positive and finite, got "
+                             f"ring_radius={self.ring_radius!r}, ring_gain={self.ring_gain!r}")
 
     def with_epsilon(self, eps: float) -> "CurvatureSpec":
         return replace(self, epsilon=eps)
@@ -134,10 +135,11 @@ class SectorSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.phi1 < math.pi:
             raise ValueError(f"phi1 must lie in (0, pi), got {self.phi1!r}")
-        if self.u_max <= 0.0 or self.v_max <= 0.0:
-            raise ValueError("ray extents must be positive")
+        if not (0.0 < self.u_max < math.inf and 0.0 < self.v_max < math.inf):
+            raise ValueError("ray extents must be positive and finite, got "
+                             f"u_max={self.u_max!r}, v_max={self.v_max!r}")
         if self.I < 1 or self.J < 1:
-            raise ValueError("grid sizes must be at least 1")
+            raise ValueError(f"grid sizes must be at least 1, got I={self.I}, J={self.J}")
 
     def directions(self) -> tuple:
         s_a = vec(1.0, 0.0, 0.0)
@@ -152,14 +154,18 @@ class IterationConfig:
     epsilon_schedule: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.epsilon_schedule is not None:
             sched = tuple(self.epsilon_schedule)
             if not sched:
                 raise ValueError("epsilon schedule must be nonempty")
+            for eps in sched:
+                if not 0.0 <= eps < math.inf:
+                    raise ValueError(
+                        f"epsilon schedule entries must be nonnegative and finite, got {eps!r}")
             if any(b < a for a, b in zip(sched, sched[1:])):
                 raise ValueError("epsilon schedule must be nondecreasing")
             object.__setattr__(self, "epsilon_schedule", sched)
@@ -385,9 +391,7 @@ def _resolve_schedule(curv: CurvatureSpec, cfg: IterationConfig) -> list:
         sched = list(cfg.epsilon_schedule)
         if sched[-1] != curv.epsilon:
             raise ValueError(
-                f"epsilon schedule must end at the target epsilon {curv.epsilon!r}, "
-                f"got {sched[-1]!r}"
-            )
+                f"epsilon schedule must end at epsilon ({curv.epsilon!r}), got {sched[-1]!r}")
         return sched
     return auto_schedule(curv.epsilon)
 
@@ -447,7 +451,7 @@ def continuation(spec: SectorSpec, curv: CurvatureSpec, cfg: IterationConfig,
 def symmetric_angles(n: int) -> list:
     """2n equal sector angles pi / n."""
     if n < 2:
-        raise ValueError("need at least 4 sectors (n >= 2)")
+        raise ValueError(f"n must be at least 2 (4 sectors), got {n}")
     return [math.pi / n] * (2 * n)
 
 

@@ -16,11 +16,11 @@ import argparse
 import contextlib
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .amsler import (
     GridTooCoarseError,
-    IterationConfig,
     NonConvergenceError,
     SectorSpec,
     patch_sectors,
@@ -29,7 +29,9 @@ from .amsler import (
 from .geodesic import fast_march
 from .io import (
     ConfigError,
+    RunConfig,
     build_report,
+    config_key,
     export_mesh,
     import_mesh,
     parse_config,
@@ -98,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> "RunConfig":
-    from .io import RunConfig  # local to keep module import light
-
+def _load_config(args) -> RunConfig:
+    """The config file (or the defaults) with the flags applied, all checked alike."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -110,41 +111,29 @@ def _load_config(args) -> "RunConfig":
         cfg = parse_config(text)
     else:
         cfg = parse_config("")
+    overrides = {}
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError(f"--tol must be positive, got {args.tol!r}")
-        cfg.tol = args.tol
+        overrides["tol"] = args.tol
     if args.epsilon is not None:
-        if args.epsilon < 0:
-            raise ConfigError(f"--epsilon must be nonnegative, got {args.epsilon!r}")
-        from .amsler import auto_schedule
-        cfg.curvature = cfg.curvature.with_epsilon(args.epsilon)
-        cfg.schedule = auto_schedule(args.epsilon)
+        with config_key("curvature"):
+            overrides["curvature"] = cfg.curvature.with_epsilon(args.epsilon)
+        overrides["schedule"] = None
     if args.n_sectors is not None:
-        if args.n_sectors < 2:
-            raise ConfigError(f"--sectors must be at least 2, got {args.n_sectors}")
-        cfg.n = args.n_sectors
-        cfg.angles = None
+        overrides.update(n=args.n_sectors, angles=None)
     if args.grid is not None:
-        parts = args.grid.split(",")
         try:
-            sizes = [int(p) for p in parts]
+            sizes = [int(p) for p in args.grid.split(",")]
         except ValueError:
+            sizes = []
+        if len(sizes) not in (1, 2):
             raise ConfigError(f"--grid expects I or I,J, got {args.grid!r}")
-        if len(sizes) == 1:
-            cfg.I = cfg.J = sizes[0]
-        elif len(sizes) == 2:
-            cfg.I, cfg.J = sizes
-        else:
-            raise ConfigError(f"--grid expects I or I,J, got {args.grid!r}")
-        if cfg.I < 1 or cfg.J < 1:
-            raise ConfigError(f"--grid sizes must be at least 1, got {args.grid!r}")
+        overrides.update(I=sizes[0], J=sizes[-1])
     if args.out:
-        cfg.out_mesh = args.out
-        cfg.out_csv = args.out.rsplit(".", 1)[0] + ".csv"
-        cfg.out_report = args.out.rsplit(".", 1)[0] + ".report.txt"
-    cfg.check_surgery()  # again, against the overridden grid and sector count
-    return cfg
+        out = Path(args.out)
+        with config_key("--out"):
+            overrides.update(out_mesh=args.out, out_csv=str(out.with_suffix(".csv")),
+                             out_report=str(out.with_suffix(".report.txt")))
+    return replace(cfg, **overrides)
 
 
 def _generate_complex(cfg):

@@ -76,16 +76,6 @@ class TriMesh:
     def obtuse_count(self) -> int:
         return len(self.obtuse_tris)
 
-    def edges(self):
-        """Deduplicated (a, b, length) triangle edges with a < b."""
-        seen = {}
-        for t in range(self.tris.shape[0]):
-            va, vb, vc = (int(x) for x in self.tris[t])
-            for (a, b, opp) in ((vb, vc, 0), (va, vc, 1), (va, vb, 2)):
-                key = (min(a, b), max(a, b))
-                seen.setdefault(key, float(self.tri_lengths[t, opp]))
-        return [(a, b, l) for (a, b), l in seen.items()]
-
     def node_values(self, cx: SurfaceComplex, values, fill) -> list:
         """Per-sector (I+1, J+1) arrays holding ``values[v]`` at every node of v."""
         out = [np.full((s.I + 1, s.J + 1), fill, dtype=np.asarray(values).dtype)
@@ -318,7 +308,10 @@ def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
     """Edge-graph Dijkstra distances, an upper bound for fast_march."""
     n = m.n_vertices
     adj = [[] for _ in range(n)]
-    for a, b, length in m.edges():
+    # the three edges of each triangle, in the order of the lengths opposite
+    # corners 0, 1, 2; an edge shared by two triangles is listed twice
+    ends = m.tris[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2).tolist()
+    for (a, b), length in zip(ends, m.tri_lengths.ravel().tolist()):
         adj[a].append((b, length))
         adj[b].append((a, length))
 

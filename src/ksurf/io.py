@@ -11,12 +11,14 @@ the complex can be reimported losslessly.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -25,8 +27,11 @@ from .amsler import (
     CurvatureFamily,
     CurvatureSpec,
     IterationConfig,
-    auto_schedule,
+    SectorSpec,
+    _resolve_schedule,
+    _validate_angles,
     origin_vertex,
+    symmetric_angles,
 )
 from .geodesic import TriMesh, fast_march, trimesh_from_quads, triangulate_complex
 from .lelieuvre import quad_residual_arrays
@@ -56,10 +61,24 @@ class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
 
 
-@dataclass
+@contextlib.contextmanager
+def config_key(path: str):
+    """Report ValueErrors of the library validators as ConfigError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """A validated run: building one (or ``replace``-ing a field) checks every value.
+
+    A ``schedule`` of None becomes the automatic schedule for the epsilon.
+    """
+
     curvature: CurvatureSpec
-    schedule: list
+    schedule: list | None = None
     n: int = 2
     angles: list | None = None
     I: int = 20
@@ -73,9 +92,28 @@ class RunConfig:
     out_csv: str = "surface.csv"
     out_report: str = "report.txt"
 
+    def __post_init__(self) -> None:
+        with config_key("curvature.schedule"):
+            schedule = _resolve_schedule(
+                self.curvature, IterationConfig(epsilon_schedule=self.schedule))
+        object.__setattr__(self, "schedule", schedule)
+        with config_key("sectors.n"):
+            symmetric_angles(self.n)
+        if self.angles is not None:
+            with config_key("sectors.angles"):
+                if len(self.angles) != 2 * self.n:
+                    raise ValueError(
+                        f"expected 2*n = {2 * self.n} angles, got {len(self.angles)}")
+                _validate_angles(self.angles)
+        with config_key("grid"):
+            SectorSpec(u_max=self.u_max, v_max=self.v_max, I=self.I, J=self.J)
+        with config_key("iteration"):
+            self.iteration_config()
+        self.check_surgery()
+
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(tol=self.tol, max_iters=self.max_iters,
-                               epsilon_schedule=tuple(self.schedule))
+                               epsilon_schedule=self.schedule)
 
     def check_surgery(self) -> None:
         """Reject cuts that cannot apply to the complex they will meet.
@@ -135,8 +173,40 @@ def _expect_map(data, key, path):
     return sub
 
 
+def _expect_numbers(mapping, key, path):
+    """The list of numbers at ``key`` as floats, or None when absent."""
+    val = mapping.get(key)
+    if val is None:
+        return None
+    if not isinstance(val, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
+        raise ConfigError(f"{path}.{key}: expected a list of numbers")
+    return [float(x) for x in val]
+
+
+def _parse_cuts(entries) -> list:
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise ConfigError("surgery: expected a list of cut specifications")
+    from .surgery import SurgerySpec
+    cuts = []
+    for idx, entry in enumerate(entries):
+        path = f"surgery[{idx}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: expected a mapping")
+        with config_key(path):
+            cuts.append(SurgerySpec(
+                sector=_expect(entry, "sector", int, path, default=0),
+                b=_expect(entry, "b", int, path, required=True),
+                m=_expect(entry, "m", int, path, required=True),
+                spacing=_expect(entry, "spacing", float, path, default=None),
+                size=_expect(entry, "size", int, path, default=None)))
+    return cuts
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a run configuration, filling defaults."""
+    """Parse a run configuration, filling defaults; RunConfig checks the values."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -157,100 +227,35 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:
         names = "|".join(f.value for f in CurvatureFamily)
         raise ConfigError(f"curvature.family: expected one of {names}, got {fam_name!r}")
-    epsilon = _expect(curv_map, "epsilon", float, "curvature", default=0.0)
-    if epsilon < 0:
-        raise ConfigError(f"curvature.epsilon: must be nonnegative, got {epsilon!r}")
     params = _expect_map(curv_map, "params", "curvature.")
-    ring_radius = _expect(params, "ring_radius", float, "curvature.params", default=0.5)
-    ring_gain = _expect(params, "ring_gain", float, "curvature.params", default=20.0)
-    try:
-        curv = CurvatureSpec(family=family, epsilon=epsilon,
-                             ring_radius=ring_radius, ring_gain=ring_gain)
-    except ValueError as exc:
-        raise ConfigError(f"curvature: {exc}") from exc
-    schedule = curv_map.get("schedule")
-    if schedule is None:
-        schedule = auto_schedule(epsilon)
-    else:
-        if not isinstance(schedule, list) or not schedule \
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in schedule):
-            raise ConfigError("curvature.schedule: expected a nonempty list of numbers")
-        schedule = [float(x) for x in schedule]
-        if any(b < a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("curvature.schedule: must be nondecreasing")
-        if schedule[-1] != epsilon:
-            raise ConfigError(
-                f"curvature.schedule: must end at epsilon ({epsilon!r}), "
-                f"got {schedule[-1]!r}")
+    with config_key("curvature"):
+        curv = CurvatureSpec(
+            family=family,
+            epsilon=_expect(curv_map, "epsilon", float, "curvature", default=0.0),
+            ring_radius=_expect(params, "ring_radius", float, "curvature.params", default=0.5),
+            ring_gain=_expect(params, "ring_gain", float, "curvature.params", default=20.0))
 
     sectors = _expect_map(data, "sectors", "")
-    n = _expect(sectors, "n", int, "sectors", default=2)
-    if n < 2:
-        raise ConfigError(f"sectors.n: must be at least 2, got {n}")
-    angles = sectors.get("angles")
-    if angles is not None:
-        if not isinstance(angles, list) \
-                or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
-                           for a in angles):
-            raise ConfigError("sectors.angles: expected a list of numbers")
-        angles = [float(a) for a in angles]
-        if len(angles) != 2 * n:
-            raise ConfigError(
-                f"sectors.angles: expected 2*n = {2 * n} angles, got {len(angles)}")
-
     grid = _expect_map(data, "grid", "")
     I = _expect(grid, "I", int, "grid", default=20)
-    J = _expect(grid, "J", int, "grid", default=I)
-    u_max = _expect(grid, "u_max", float, "grid", default=1.0)
-    v_max = _expect(grid, "v_max", float, "grid", default=1.0)
-    if I < 1 or J < 1:
-        raise ConfigError(f"grid: sizes must be at least 1, got I={I}, J={J}")
-    if u_max <= 0 or v_max <= 0:
-        raise ConfigError("grid: u_max and v_max must be positive")
-
     iteration = _expect_map(data, "iteration", "")
-    tol = _expect(iteration, "tol", float, "iteration", default=1e-4)
-    max_iters = _expect(iteration, "max_iters", int, "iteration", default=100)
-    if tol <= 0:
-        raise ConfigError(f"iteration.tol: must be positive, got {tol!r}")
-    if max_iters < 1:
-        raise ConfigError(f"iteration.max_iters: must be at least 1, got {max_iters}")
-
-    surgery_list = data.get("surgery", [])
-    if surgery_list is None:
-        surgery_list = []
-    if not isinstance(surgery_list, list):
-        raise ConfigError("surgery: expected a list of cut specifications")
-    cuts = []
-    from .surgery import SurgerySpec
-    for idx, entry in enumerate(surgery_list):
-        path = f"surgery[{idx}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected a mapping")
-        sector = _expect(entry, "sector", int, path, default=0)
-        b = _expect(entry, "b", int, path, required=True)
-        m = _expect(entry, "m", int, path, required=True)
-        spacing = _expect(entry, "spacing", float, path, default=None)
-        size = _expect(entry, "size", int, path, default=None)
-        try:
-            cuts.append(SurgerySpec(sector=sector, b=b, m=m, spacing=spacing, size=size))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
     output = _expect_map(data, "output", "")
-    out_mesh = _expect(output, "mesh", str, "output", default="surface.obj")
-    out_csv = _expect(output, "csv", str, "output", default="surface.csv")
-    out_report = _expect(output, "report", str, "output", default="report.txt")
-
-    cfg = RunConfig(
-        curvature=curv, schedule=schedule, n=n, angles=angles,
-        I=I, J=J, u_max=u_max, v_max=v_max,
-        tol=tol, max_iters=max_iters, surgery=cuts,
-        out_mesh=out_mesh, out_csv=out_csv, out_report=out_report,
+    return RunConfig(
+        curvature=curv,
+        schedule=_expect_numbers(curv_map, "schedule", "curvature"),
+        n=_expect(sectors, "n", int, "sectors", default=2),
+        angles=_expect_numbers(sectors, "angles", "sectors"),
+        I=I,
+        J=_expect(grid, "J", int, "grid", default=I),
+        u_max=_expect(grid, "u_max", float, "grid", default=1.0),
+        v_max=_expect(grid, "v_max", float, "grid", default=1.0),
+        tol=_expect(iteration, "tol", float, "iteration", default=1e-4),
+        max_iters=_expect(iteration, "max_iters", int, "iteration", default=100),
+        surgery=_parse_cuts(data.get("surgery")),
+        out_mesh=_expect(output, "mesh", str, "output", default="surface.obj"),
+        out_csv=_expect(output, "csv", str, "output", default="surface.csv"),
+        out_report=_expect(output, "report", str, "output", default="report.txt"),
     )
-    cfg.check_surgery()
-    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -283,7 +288,7 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
     """Write the OBJ mesh and the per-node CSV sidecar. Returns both paths."""
     obj_path = str(obj_path)
     if csv_path is None:
-        csv_path = obj_path.rsplit(".", 1)[0] + ".csv"
+        csv_path = Path(obj_path).with_suffix(".csv")
     csv_path = str(csv_path)
 
     ids, n_verts, back_refs = global_vertex_ids(cx)

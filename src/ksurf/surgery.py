@@ -73,8 +73,8 @@ class SurgerySpec:
             raise ValueError("cut index b must be at least 1")
         if self.m < 3:
             raise ValueError(f"need at least 3 new sectors, got m={self.m}")
-        if self.spacing is not None and self.spacing <= 0.0:
-            raise ValueError("axis spacing must be positive")
+        if self.spacing is not None and not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"axis spacing must be positive and finite, got {self.spacing!r}")
         if self.size is not None and self.size < 1:
             raise ValueError("axis grid size must be at least 1")
 

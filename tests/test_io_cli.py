@@ -100,6 +100,13 @@ def test_parse_config_full():
     ("grid: {I: true}", "expected int"),
     ("- a\n- b", "mapping"),
     ("curvature: {family: [1,2}", "cannot parse"),
+    ("sectors: {n: 2, angles: [1, 1, 1, 1]}", "sectors.angles: .*sum to 2"),
+    ("curvature: {epsilon: .nan}", "curvature: epsilon .* got nan"),
+    ("curvature: {epsilon: 1.0, schedule: [-1.0, 1.0]}", "curvature.schedule: .*got -1.0"),
+    ("grid: {u_max: .nan}", "grid: .*u_max=nan"),
+    ("iteration: {tol: .nan}", "iteration: tol .* got nan"),
+    ("curvature: {params: {ring_radius: .nan}}", "curvature: .*ring_radius=nan"),
+    ("surgery: [{b: 2, m: 3, spacing: .nan}]", r"surgery\[0\]: .*got nan"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -357,6 +364,34 @@ def test_cli_rejects_bad_cut_before_generating(tmp_path, caplog, monkeypatch, cu
     code, errors = _cli_error(caplog, ["surgery", "--config", str(cfg), "--quiet"])
     assert code == 1 and len(errors) == 1 and fragment in errors[0]
     assert generated == []
+
+
+@pytest.mark.parametrize("flags,fragment", [
+    (["--tol", "nan"], "iteration: tol"),
+    (["--epsilon", "nan"], "curvature: epsilon"),
+    (["--epsilon", "inf"], "curvature: epsilon"),
+    (["--sectors", "1"], "sectors.n: "),
+    (["--grid", "0"], "grid: "),
+])
+def test_cli_rejects_bad_flag_before_generating(tmp_path, caplog, monkeypatch, flags, fragment):
+    generated = []
+    monkeypatch.setattr(ksurf.cli, "patch_sectors", lambda *a, **k: generated.append(a))
+    code, errors = _cli_error(caplog, ["generate", "--config", str(_write_cfg(tmp_path)),
+                                       "--quiet", *flags])
+    assert code == 1 and len(errors) == 1 and fragment in errors[0]
+    assert generated == []
+
+
+def test_out_without_extension_keeps_siblings_beside_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    assert main(["generate", "--config", str(_write_cfg(tmp_path)), "--out",
+                 "run.v2/surface", "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == [
+        "surface", "surface.csv", "surface.report.json", "surface.report.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2", "run.yaml"]
+    cx = import_mesh("run.v2/surface", "run.v2/surface.csv")
+    assert export_mesh(cx, "run.v2/copy") == ("run.v2/copy", "run.v2/copy.csv")
 
 
 def test_cli_rechecks_cuts_against_grid_override(tmp_path, caplog):
