@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .geodesic import MarchResult, TriMesh, fast_march, triangulate_complex
-from .lelieuvre import sweep_sector
+from .lelieuvre import sweep_sector, sweep_sectors
 from .mesh import (
     BranchPoint,
     GluingMap,
@@ -240,6 +240,10 @@ class RaySpec:
 
     source = None
 
+    @property
+    def dst_sectors(self) -> tuple:
+        return tuple(sid for sid, _ in self.sides)
+
     def write(self, cx: SurfaceComplex, curv: CurvatureSpec) -> None:
         data = ray_boundary_data(vec(0, 0, 0), vec(*self.direction), Z_AXIS, self.spacing,
                                  self.count, curv, 0.0, self.kind)
@@ -257,6 +261,35 @@ def refresh_boundaries(cx: SurfaceComplex, curv: CurvatureSpec, swept: int | Non
     for record in cx.boundaries:
         if record.source == swept:
             record.write(cx, curv)
+
+
+def sweep_runs(cx: SurfaceComplex) -> list:
+    """Sector ids in index order, split into runs that are swept as one group.
+
+    A new run starts at any sector that a boundary record of an earlier
+    sector of the current run writes into, so within a run no sweep makes
+    the input of another stale. A complex without surgery is one run; each
+    cut starts a run at its first fan.
+    """
+    runs, stale = [], set()
+    for sid in range(len(cx.sectors)):
+        if not runs or sid in stale:
+            runs.append([])
+            stale = set()
+        runs[-1].append(sid)
+        for record in cx.boundaries:
+            if record.source == sid:
+                stale.update(record.dst_sectors)
+    return runs
+
+
+def _rho_field(s: SectorGrid, curv: CurvatureSpec) -> np.ndarray:
+    """rho of the current D at every valid node, the stored rho on the boundary."""
+    rho_field = np.full_like(s.rho, np.nan)
+    rho_field[s.valid] = eval_rho(curv, s.geo_dist[s.valid])
+    boundary = s.boundary_mask()
+    rho_field[boundary] = s.rho[boundary]
+    return rho_field
 
 
 def init_boundary(spec: SectorSpec, curv: CurvatureSpec, sector_id: int = 0) -> SectorGrid:
@@ -291,7 +324,7 @@ def geodesic_provider(cx: SurfaceComplex) -> ProviderResult:
     mesh = triangulate_complex(cx)
     src = origin_vertex(cx, mesh)
     march = fast_march(mesh, [(src, 0.0)])
-    per_sector = mesh.node_values(cx, march.d, math.inf)
+    per_sector = mesh.node_values(march.d, math.inf)
     return ProviderResult(per_sector=per_sector, march=march, mesh=mesh)
 
 
@@ -318,7 +351,11 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     Optionally seeds the listed sectors with a constant-curvature sweep,
     then alternates fast-marched distance fields with re-sweeps until the
     maximum vertex displacement drops below cfg.tol. Every sweep, seeding
-    included, is followed by the boundary records it made stale. A
+    included, is followed by the boundary records it made stale. The
+    re-sweeps go by ``sweep_runs``: each run's rho fields are built after
+    the records of the runs before it were written, its sectors are swept
+    as one group, and then its records are written in sector order, which
+    gives the bits of sweeping and refreshing one sector at a time. A
     non-finite interior distance or swept position raises
     NonConvergenceError, since NaN would otherwise drop out of the
     displacement maximum and read as converged.
@@ -330,6 +367,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             cx.sectors[sid] = sweep_sector(s, np.ones_like(s.rho))
             refresh_boundaries(cx, curv, sid)
 
+    runs = sweep_runs(cx)
     changes = []
     # interior positions of the last three iterates, to tell a cycle
     recent = collections.deque(maxlen=3)
@@ -341,20 +379,19 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             s.geo_dist[interior] = prov.per_sector[sid][interior]
 
         change = 0.0
-        for sid in range(len(cx.sectors)):
-            s = cx.sectors[sid]
-            rho_field = np.full_like(s.rho, np.nan)
-            rho_field[s.valid] = eval_rho(curv, s.geo_dist[s.valid])
-            boundary = s.boundary_mask()
-            rho_field[boundary] = s.rho[boundary]
-            swept = sweep_sector(s, rho_field)
-            interior = s.valid & ~boundary
-            _require_finite(swept.positions, interior, "position", sid, curv, changes)
-            if interior.any():
-                disp = np.linalg.norm(swept.positions[interior] - s.positions[interior], axis=-1)
-                change = max(change, float(disp.max()))
-            cx.sectors[sid] = swept
-            refresh_boundaries(cx, curv, sid)
+        for run in runs:
+            before = [cx.sectors[sid] for sid in run]
+            swept = sweep_sectors(before, [_rho_field(s, curv) for s in before])
+            for sid, s, new in zip(run, before, swept):
+                interior = s.valid & ~s.boundary_mask()
+                _require_finite(new.positions, interior, "position", sid, curv, changes)
+                if interior.any():
+                    disp = np.linalg.norm(new.positions[interior] - s.positions[interior],
+                                          axis=-1)
+                    change = max(change, float(disp.max()))
+                cx.sectors[sid] = new
+            for sid in run:
+                refresh_boundaries(cx, curv, sid)
         recent.append([s.positions[s.valid & ~s.boundary_mask()] for s in cx.sectors])
         changes.append(change)
         logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)

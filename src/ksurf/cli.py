@@ -101,7 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config file (or the defaults) with the flags applied, all checked alike."""
+    """The config file (or the defaults) with the flags applied, all checked alike.
+
+    The directories of the output files must exist, so that a bad path
+    fails before the generation instead of after it.
+    """
     if args.config:
         try:
             with open(args.config) as fh:
@@ -133,7 +137,14 @@ def _load_config(args) -> RunConfig:
         with config_key("--out"):
             overrides.update(out_mesh=args.out, out_csv=str(out.with_suffix(".csv")),
                              out_report=str(out.with_suffix(".report.txt")))
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    outputs = (("output.mesh", cfg.out_mesh), ("output.csv", cfg.out_csv),
+               ("output.report", cfg.out_report))
+    for key, path in outputs:
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ConfigError(f"{'--out' if args.out else key}: directory {parent} does not exist")
+    return cfg
 
 
 def _generate_complex(cfg):

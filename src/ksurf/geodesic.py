@@ -59,7 +59,8 @@ class TriMesh:
 
     ``tri_lengths[t, a]`` is the length of the edge of triangle t opposite
     its local vertex a. ``back_refs[v]`` lists the (sector, i, j) grid nodes
-    deduplicated into vertex v.
+    deduplicated into vertex v; for a mesh of a complex, ``node_ids`` holds
+    the same map per sector as (I+1, J+1) arrays, -1 on invalid nodes.
     """
 
     vertices: np.ndarray
@@ -67,6 +68,7 @@ class TriMesh:
     tri_lengths: np.ndarray
     back_refs: list
     obtuse_tris: list = field(default_factory=list)
+    node_ids: list | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -76,13 +78,17 @@ class TriMesh:
     def obtuse_count(self) -> int:
         return len(self.obtuse_tris)
 
-    def node_values(self, cx: SurfaceComplex, values, fill) -> list:
+    def node_values(self, values, fill) -> list:
         """Per-sector (I+1, J+1) arrays holding ``values[v]`` at every node of v."""
-        out = [np.full((s.I + 1, s.J + 1), fill, dtype=np.asarray(values).dtype)
-               for s in cx.sectors]
-        for v, refs in enumerate(self.back_refs):
-            for (sid, i, j) in refs:
-                out[sid][i, j] = values[v]
+        if self.node_ids is None:
+            raise ValueError("the mesh was not triangulated from a complex")
+        values = np.asarray(values)
+        out = []
+        for ids in self.node_ids:
+            per_node = np.full(ids.shape, fill, dtype=values.dtype)
+            valid = ids >= 0
+            per_node[valid] = values[ids[valid]]
+            out.append(per_node)
         return out
 
 
@@ -143,7 +149,9 @@ def triangulate_complex(cx: SurfaceComplex) -> TriMesh:
         ok = v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
         quads.append(np.stack([a[:-1, :-1][ok], a[1:, :-1][ok],
                                a[:-1, 1:][ok], a[1:, 1:][ok]], axis=1))
-    return trimesh_from_quads(vertices, np.concatenate(quads), back_refs=back_refs)
+    mesh = trimesh_from_quads(vertices, np.concatenate(quads), back_refs=back_refs)
+    mesh.node_ids = ids
+    return mesh
 
 
 def trimesh_from_quads(vertices: np.ndarray, quads, back_refs=None) -> TriMesh:
@@ -166,45 +174,21 @@ def trimesh_from_quads(vertices: np.ndarray, quads, back_refs=None) -> TriMesh:
     )
 
 
-def _unfold(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float):
-    """Candidate distance and a flag marking the edge-term fallback.
-
-    The two unfolded points are placed on opposite sides of the jk-axis
-    (source below, target above), which is the configuration giving the
-    largest straight-line suggestion; the result is clamped by the edge
-    paths through j and k.
-    """
-    edge_bound = min(Dj + Dij, Dk + Dik)
-    # Heron-style factored discriminants for the two circle intersections.
-    disc_o = (Djk - (Dj - Dk)) * (Djk + (Dj - Dk)) * ((Dj + Dk) - Djk) * ((Dj + Dk) + Djk)
-    disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) * ((Dij + Dik) + Djk)
-    scale = (Dj + Dk + Dij + Dik + Djk) ** 4
-    if disc_o < 0.0:
-        if disc_o < -1e-12 * scale:
-            return edge_bound, True
-        disc_o = 0.0
-    if disc_i < 0.0:
-        if disc_i < -1e-12 * scale:
-            return edge_bound, True
-        disc_i = 0.0
-    inv = 1.0 / (2.0 * Djk)
-    x_o = (Dk * Dk - Dj * Dj + Djk * Djk) * inv
-    y_o = -math.sqrt(disc_o) * inv
-    x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
-    y_i = math.sqrt(disc_i) * inv
-    through = math.hypot(x_i - x_o, y_i - y_o)
-    return min(through, edge_bound), False
-
-
 def unfold_candidate(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float) -> float:
     """Distance suggestion for a vertex from one triangle.
 
     Dj, Dk are accepted values at the far corners, Dij, Dik, Djk the
-    triangle edge lengths (j-k is the far edge).
+    triangle edge lengths (j-k is the far edge). The march loop computes
+    it: on the one triangle (i, j, k) with j already accepted, accepting k
+    evaluates the stencil of i once.
     """
     if Djk <= 0.0 or Dij <= 0.0 or Dik <= 0.0:
         raise ValueError("triangle edges must have positive length")
-    return _unfold(Dj, Dk, Dij, Dik, Djk)[0]
+    m = TriMesh(vertices=np.zeros((3, 3)), tris=np.array([[0, 1, 2]]),
+                tri_lengths=np.array([[Djk, Dik, Dij]]), back_refs=[[], [], []])
+    d = [math.inf, Dj, Dk]
+    _march(_stencil_table(m), d, bytearray(b"\0\1\0"), bytearray(b"\0\1\1"), [(Dk, 2)])
+    return d[0]
 
 
 @dataclass
@@ -233,10 +217,11 @@ def _stencil_table(m: TriMesh):
     lengths = m.tri_lengths[:, _STENCIL_LENGTHS].reshape(-1, 3)
     rows = np.concatenate([np.arange(len(corners))] * 2)
     key = np.concatenate([corners[:, 1], corners[:, 2]])
-    rows = rows[np.lexsort((corners[rows, 0], key))]
+    # a stable sort by far corner, then target
+    rows = rows[np.argsort(key * m.n_vertices + corners[rows, 0], kind="stable")]
     starts = np.zeros(m.n_vertices + 1, dtype=np.intp)
     np.cumsum(np.bincount(key, minlength=m.n_vertices), out=starts[1:])
-    return starts.tolist(), corners[rows], lengths[rows]
+    return starts.tolist(), np.take(corners, rows, axis=0), np.take(lengths, rows, axis=0)
 
 
 def fast_march(m: TriMesh, sources) -> MarchResult:
@@ -250,11 +235,7 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
     """
     n = m.n_vertices
     d = [math.inf] * n
-    accepted = bytearray(n)
     frozen = bytearray(n)  # accepted or a source: D never changes again
-    heap = []
-    result = MarchResult(d=None, order=[])
-
     for v, d0 in sources:
         v = int(v)
         if d0 < 0.0:
@@ -262,16 +243,33 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
         if d[v] > d0:
             d[v] = float(d0)
         frozen[v] = 1
+    heap = []
     for v in range(n):
         if frozen[v]:
             heapq.heappush(heap, (d[v], v))
-            result.pushes += 1
+    accepted = bytearray(n)
+    seeded = len(heap)
+    order, pops, pushes, fallbacks = _march(_stencil_table(m), d, accepted, frozen, heap)
+    return MarchResult(d=np.array(d), order=order, pops=pops, pushes=seeded + pushes,
+                       fallbacks=fallbacks,
+                       unreachable=[v for v in range(n) if not accepted[v]])
 
-    starts, corners, lengths = _stencil_table(m)
-    order = result.order
+
+def _march(table, d: list, accepted: bytearray, frozen: bytearray, heap: list) -> tuple:
+    """Pop the heap until it is empty, updating ``d`` and the flags in place.
+
+    Returns the acceptance order and the counts of pops, pushes and
+    edge-term fallbacks. The unfold is written out in the loop, which saves
+    a call per stencil; the order of its operations is fixed, since the bits
+    of D depend on it.
+    """
+    starts, corners, lengths = table
+    sqrt, hypot, heappop, heappush = math.sqrt, math.hypot, heapq.heappop, heapq.heappush
+    order = []
+    pops = pushes = fallbacks = 0
     while heap:
-        dv, v = heapq.heappop(heap)
-        result.pops += 1
+        dv, v = heappop(heap)
+        pops += 1
         if accepted[v] or dv != d[v]:
             continue
         accepted[v] = frozen[v] = 1
@@ -283,8 +281,33 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
             if frozen[i]:
                 continue
             if accepted[j] and accepted[k]:
-                cand, fell_back = _unfold(d[j], d[k], Dij, Dik, Djk)
-                result.fallbacks += fell_back
+                Dj, Dk = d[j], d[k]
+                # min() of the two edge paths, which keeps the first on a tie
+                a, b = Dj + Dij, Dk + Dik
+                cand = a if not b < a else b
+                # Heron-style factored discriminants of the source below the
+                # jk-axis and the target above it
+                disc_o = (Djk - (Dj - Dk)) * (Djk + (Dj - Dk)) * ((Dj + Dk) - Djk) \
+                    * ((Dj + Dk) + Djk)
+                disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) \
+                    * ((Dij + Dik) + Djk)
+                fell_back = False
+                if disc_o < 0.0 or disc_i < 0.0:
+                    # no unfolding past a tolerance scaled like the products
+                    tiny = -1e-12 * (Dj + Dk + Dij + Dik + Djk) ** 4
+                    fell_back = disc_o < tiny or disc_i < tiny
+                    disc_o = 0.0 if disc_o < 0.0 else disc_o
+                    disc_i = 0.0 if disc_i < 0.0 else disc_i
+                if fell_back:
+                    fallbacks += 1
+                else:
+                    inv = 1.0 / (2.0 * Djk)
+                    x_o = (Dk * Dk - Dj * Dj + Djk * Djk) * inv
+                    y_o = -sqrt(disc_o) * inv
+                    x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
+                    y_i = sqrt(disc_i) * inv
+                    through = hypot(x_i - x_o, y_i - y_o)
+                    cand = through if not cand < through else cand
             elif accepted[j]:
                 cand = d[j] + Dij
             else:
@@ -296,12 +319,9 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
                 if not improved or improved[-1] != i:
                     improved.append(i)
         for i in improved:
-            heapq.heappush(heap, (d[i], i))
-        result.pushes += len(improved)
-
-    result.d = np.array(d)
-    result.unreachable = [v for v in range(n) if not accepted[v]]
-    return result
+            heappush(heap, (d[i], i))
+        pushes += len(improved)
+    return order, pops, pushes, fallbacks
 
 
 def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:

@@ -44,7 +44,7 @@ from .mesh import (
     global_vertex_ids,
     gluing_gaps,
     quad_corner_arrays,
-    quad_corner_indices,
+    quad_corner_values,
     validate_complex,
 )
 from .vectors import cross
@@ -156,7 +156,7 @@ def _expect(mapping, key, types, path, default=None, required=False):
         return default
     val = mapping[key]
     if types is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        val = _as_float(val, f"{path}.{key}")
     if not isinstance(val, types if isinstance(types, tuple) else (types,)) \
             or isinstance(val, bool):
         raise ConfigError(f"{path}.{key}: expected {getattr(types, '__name__', types)}, "
@@ -181,7 +181,14 @@ def _expect_numbers(mapping, key, path):
     if not isinstance(val, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    return [float(x) for x in val]
+    return [_as_float(x, f"{path}.{key}") for x in val]
+
+
+def _as_float(val, path: str) -> float:
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
 
 
 def _parse_cuts(entries) -> list:
@@ -258,10 +265,6 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 def _meta_dict(cx: SurfaceComplex) -> dict:
     return {
         "version": 1,
@@ -284,6 +287,11 @@ def _meta_dict(cx: SurfaceComplex) -> dict:
     }
 
 
+def _format_rows(fmt: str, rows: np.ndarray) -> str:
+    """One line ``fmt % row`` per row of a 2-D array."""
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
     """Write the OBJ mesh and the per-node CSV sidecar. Returns both paths."""
     obj_path = str(obj_path)
@@ -291,42 +299,37 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
         csv_path = Path(obj_path).with_suffix(".csv")
     csv_path = str(csv_path)
 
-    ids, n_verts, back_refs = global_vertex_ids(cx)
+    ids, n_verts, _ = global_vertex_ids(cx)
+    node_ids = np.concatenate([a.ravel() for a in ids])
+    # vertex v is written from its first node, in flat order
+    _, first = np.unique(node_ids[node_ids >= 0], return_index=True)
+    first = np.flatnonzero(node_ids >= 0)[first]
+    xyz = " ".join([FLOAT_FMT] * 3)
 
     out = _io.StringIO()
     out.write("#meta " + json.dumps(_meta_dict(cx), sort_keys=True) + "\n")
-    for v in range(n_verts):
-        sid, i, j = back_refs[v][0]
-        p = cx.sectors[sid].positions[i, j]
-        out.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-    for v in range(n_verts):
-        sid, i, j = back_refs[v][0]
-        nrm = cx.sectors[sid].normals[i, j]
-        out.write(f"vn {_fmt(nrm[0])} {_fmt(nrm[1])} {_fmt(nrm[2])}\n")
-    for sid, s in enumerate(cx.sectors):
-        for (qi, qj) in s.quads():
-            f0, f1, f2, f12 = quad_corner_indices(s.parity, qi, qj)
-            cycle = [ids[sid][idx] + 1 for idx in (f0, f1, f12, f2)]
-            out.write("f " + " ".join(f"{c}//{c}" for c in cycle) + "\n")
+    out.write(_format_rows(f"v {xyz}\n", np.concatenate(
+        [s.positions.reshape(-1, 3) for s in cx.sectors])[first]))
+    out.write(_format_rows(f"vn {xyz}\n", np.concatenate(
+        [s.normals.reshape(-1, 3) for s in cx.sectors])[first]))
+    for a, s in zip(ids, cx.sectors):
+        f0, f1, f2, f12 = quad_corner_values(s, a) + 1
+        out.write(_format_rows("f %d//%d %d//%d %d//%d %d//%d\n",
+                               np.stack([f0, f1, f12, f2], axis=1).repeat(2, axis=1)))
     with open(obj_path, "w", newline="\n") as fh:
         fh.write(out.getvalue())
 
     rows = _io.StringIO()
     rows.write(",".join(CSV_COLUMNS) + "\n")
-    for sid, s in enumerate(cx.sectors):
-        for i in range(s.I + 1):
-            for j in range(s.J + 1):
-                if not s.valid[i, j]:
-                    continue
-                p = s.positions[i, j]
-                nrm = s.normals[i, j]
-                rho = float(s.rho[i, j])
-                K = -(rho ** -2.0)
-                vals = [str(sid), str(i), str(j), str(ids[sid][i, j]),
-                        _fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
-                        _fmt(nrm[0]), _fmt(nrm[1]), _fmt(nrm[2]),
-                        _fmt(float(s.geo_dist[i, j])), _fmt(K), _fmt(rho)]
-                rows.write(",".join(vals) + "\n")
+    row = "%d,%d,%d,%d," + ",".join([FLOAT_FMT] * 9) + "\n"
+    for sid, (a, s) in enumerate(zip(ids, cx.sectors)):
+        i, j = np.nonzero(s.valid)
+        rho = s.rho[i, j]
+        # Python's float power, as the per-node form computed K
+        K = [-(r ** -2.0) for r in rho.tolist()]
+        rows.write(_format_rows(row, np.column_stack([
+            np.full(len(i), sid), i, j, a[i, j], s.positions[i, j], s.normals[i, j],
+            s.geo_dist[i, j], K, rho])))
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(rows.getvalue())
     logger.info("exported %d vertices to %s / %s", n_verts, obj_path, csv_path)
@@ -532,7 +535,7 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
     pos_max, nrm_max = gluing_gaps(cx)
 
     mesh = triangulate_complex(cx)
-    ids = mesh.node_values(cx, np.arange(mesh.n_vertices), -1)
+    ids = mesh.node_values(np.arange(mesh.n_vertices), -1)
     try:
         origin_vid = origin_vertex(cx, mesh)
     except ValueError:

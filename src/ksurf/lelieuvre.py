@@ -19,12 +19,13 @@ The branch with "+" keeps continuity with the constant-curvature update
 rho == const specialization of the same formula.
 
 One array kernel, ``closure``, solves many quads at once; the scalar
-updates are that kernel on one row. A sector sweep visits anti-diagonals
-i + j = d in increasing d and solves every node of a diagonal in one call:
-a node reads only the three nodes of its quad, which lie on diagonals d - 1
-and d - 2. Norms and dots are ``np.vecdot`` (the BLAS ``ddot`` of the
-scalar form, where ``(a * b).sum(-1)`` rounds differently), so each node
-gets the same bits as a node-by-node sweep would give it.
+updates are that kernel on one row. A sweep visits anti-diagonals i + j = d
+in increasing d and solves every node of a diagonal, in all the sectors it
+was given, in one call: a node reads only the three nodes of its quad,
+which lie on diagonals d - 1 and d - 2 of its own sector. Norms and dots
+are ``np.vecdot`` (the BLAS ``ddot`` of the scalar form, where
+``(a * b).sum(-1)`` rounds differently), so each node gets the same bits as
+a node-by-node sweep would give it.
 
 Residuals of finished quads (``quad_residual_arrays``) are the second array
 kernel; the diagnostics report folds them over every quad of a complex.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -264,40 +265,67 @@ def quad_residuals(quad) -> QuadResiduals:
 def sweep_sector(s: SectorGrid, rho_field: np.ndarray) -> SectorGrid:
     """Fill the sector interior from its first row and column.
 
-    ``rho_field`` prescribes rho per node for this sweep; all four corner
-    rho values of a quad are read from it, so the field must agree with the
-    stored boundary rho on the first row/column. Interior nodes are solved
-    one anti-diagonal i + j = d at a time; each result depends only on
-    nodes of smaller diagonals, so the order does not affect the output.
-    Boundary nodes are left untouched.
-
-    A quad without a solution leaves NaN at its node and the sweep goes
-    on; then the failure of the lexicographically first such quad is
-    raised, annotated with the sector id and quad indices. Every node a
-    quad reads is lexicographically smaller than its own, so that is the
-    quad a sweep in i-major order would have stopped at.
+    The one-sector case of ``sweep_sectors``, which documents the sweep.
     """
-    if rho_field.shape != s.rho.shape:
-        raise ValueError("rho_field shape does not match the sector grid")
-    boundary = s.boundary_mask()
-    if not np.all(np.isfinite(s.positions[boundary])):
-        raise ValueError(f"sector {s.sector_id} boundary is not initialized")
-    if np.any(rho_field[s.valid] < 0.0):
-        raise ValueError(f"sector {s.sector_id}: rho_field must be nonnegative")
+    return sweep_sectors([s], [rho_field])[0]
 
-    out = s.copy()
-    width = s.J + 1
-    i, j = np.nonzero(s.valid[1:, 1:])
-    diag = i + j
+
+def sweep_sectors(grids: list, rho_fields: list) -> list:
+    """Fill the interiors of independent sectors from their first rows and columns.
+
+    ``rho_fields[k]`` prescribes rho per node of ``grids[k]`` for this
+    sweep; all four corner rho values of a quad are read from it, so the
+    field must agree with the stored boundary rho on the first row/column.
+    Returns new grids; boundary nodes are left untouched. The sectors may
+    differ in shape, parity and truncation, and none may read another's
+    nodes.
+
+    The flat node arrays of all sectors are laid end to end and every
+    interior node with i + j = d, over all sectors, is solved in one
+    ``closure`` call, in increasing d. A node reads only the three nodes of
+    its quad, which lie on diagonals d - 1 and d - 2 of its own sector, and
+    the kernel works row by row, so each node gets the bits a sweep of its
+    sector alone, node by node, would give it. Inputs of every sector are
+    checked before any is swept.
+
+    A quad without a solution leaves NaN at its node and the sweep goes on;
+    then the failure of the first failing sector in list order, at its
+    lexicographically first failing quad, is raised, annotated with the
+    sector id and quad indices. Every node a quad reads is lexicographically
+    smaller than its own, so that is the quad sector-by-sector sweeps in
+    i-major order would have stopped at.
+    """
+    for s, rho_field in zip(grids, rho_fields, strict=True):
+        if rho_field.shape != s.rho.shape:
+            raise ValueError("rho_field shape does not match the sector grid")
+        if not np.all(np.isfinite(s.positions[s.boundary_mask()])):
+            raise ValueError(f"sector {s.sector_id} boundary is not initialized")
+        if np.any(rho_field[s.valid] < 0.0):
+            raise ValueError(f"sector {s.sector_id}: rho_field must be nonnegative")
+
+    sizes = [s.rho.size for s in grids]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # interior nodes of every sector as flat indices into the joined arrays
+    n12, diag, n0, n1, n2 = [], [], [], [], []
+    for s, offset in zip(grids, offsets.tolist()):
+        width = s.J + 1
+        i, j = np.nonzero(s.valid[1:, 1:])
+        node = offset + (i + 1) * width + j + 1
+        u_step, v_step = (width, 1) if s.parity is Parity.ODD else (1, width)
+        n12.append(node)
+        diag.append(i + j)
+        n0.append(node - width - 1)
+        n1.append(node - width - 1 + u_step)
+        n2.append(node - width - 1 + v_step)
+    diag = np.concatenate(diag)
     order = np.argsort(diag, kind="stable")
-    n12 = ((i + 1) * width + j + 1)[order]
-    n0 = n12 - width - 1
-    u_step, v_step = (width, 1) if s.parity is Parity.ODD else (1, width)
-    n1, n2 = n0 + u_step, n0 + v_step
+    n12, n0, n1, n2 = (np.concatenate(a)[order] for a in (n12, n0, n1, n2))
     cuts = np.flatnonzero(np.diff(diag[order])) + 1
-    # flat views: positions and normals of earlier diagonals are read back
-    pos, nrm = out.positions.reshape(-1, 3), out.normals.reshape(-1, 3)
-    rho = rho_field.ravel()
+
+    # positions and normals of earlier diagonals are read back from these
+    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+    nrm = np.concatenate([s.normals.reshape(-1, 3) for s in grids])
+    rho = np.concatenate([f.ravel() for f in rho_fields])
     root = np.sqrt(rho)
     r0, r1, r2, r12 = root[n0], root[n1], root[n2], root[n12]
     rho0, rho12 = rho[n0], rho[n12]
@@ -312,9 +340,17 @@ def sweep_sector(s: SectorGrid, rho_field: np.ndarray) -> SectorGrid:
         if status.any():
             failures.extend((int(n12[a + k]), int(status[k]), float(alpha[k]))
                             for k in np.flatnonzero(status))
-    out.rho.ravel()[n12] = rho12
     if failures:
+        # flat indices grow with the sector, then i-major inside it
         node, status, alpha = min(failures)
-        i, j = divmod(node, width)
-        raise _quad_error(status, alpha, (s.sector_id, i - 1, j - 1))
-    return out
+        k = int(np.searchsorted(offsets, node, side="right")) - 1
+        i, j = divmod(node - int(offsets[k]), grids[k].J + 1)
+        raise _quad_error(status, alpha, (grids[k].sector_id, i - 1, j - 1))
+
+    rho_out = np.concatenate([s.rho.ravel() for s in grids])
+    rho_out[n12] = rho12
+    return [replace(s, positions=pos[a:b].reshape(s.positions.shape),
+                    normals=nrm[a:b].reshape(s.normals.shape),
+                    rho=rho_out[a:b].reshape(s.rho.shape), geo_dist=s.geo_dist.copy(),
+                    valid=s.valid.copy(), history=list(s.history))
+            for s, a, b in zip(grids, offsets[:-1].tolist(), offsets[1:].tolist())]

@@ -177,21 +177,22 @@ def quad_corner_indices(parity: Parity, i: int, j: int):
     return f0, f1, f2, f12
 
 
-def quad_corner_arrays(s: SectorGrid):
-    """Positions, normals and rho of all valid quads, as (4, n, ...) arrays.
+def quad_corner_values(s: SectorGrid, a: np.ndarray) -> np.ndarray:
+    """A per-node array of ``s`` at the corners of all valid quads, as (4, n, ...).
 
     Corners are ordered (f0, f1, f2, f12) as in ``quad_corner_indices`` and
     quads in the i-major order of ``SectorGrid.quads``.
     """
     v = s.valid
     ok = v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
+    c00, c10, c01, c11 = a[:-1, :-1][ok], a[1:, :-1][ok], a[:-1, 1:][ok], a[1:, 1:][ok]
+    f1, f2 = (c10, c01) if s.parity is Parity.ODD else (c01, c10)
+    return np.stack([c00, f1, f2, c11])
 
-    def corners(a: np.ndarray) -> np.ndarray:
-        c00, c10, c01, c11 = a[:-1, :-1][ok], a[1:, :-1][ok], a[:-1, 1:][ok], a[1:, 1:][ok]
-        f1, f2 = (c10, c01) if s.parity is Parity.ODD else (c01, c10)
-        return np.stack([c00, f1, f2, c11])
 
-    return corners(s.positions), corners(s.normals), corners(s.rho)
+def quad_corner_arrays(s: SectorGrid):
+    """Positions, normals and rho of all valid quads (see ``quad_corner_values``)."""
+    return tuple(quad_corner_values(s, a) for a in (s.positions, s.normals, s.rho))
 
 
 def quad_corners(s: SectorGrid, i: int, j: int):
@@ -241,6 +242,10 @@ class InheritLink:
     def source(self) -> int:
         return self.src_sector
 
+    @property
+    def dst_sectors(self) -> tuple:
+        return (self.dst_sector,)
+
     def write(self, cx: "SurfaceComplex", curv=None) -> None:
         src, dst = cx.sectors[self.src_sector], cx.sectors[self.dst_sector]
         si, sj = np.array(self.src_nodes, dtype=int).T
@@ -264,8 +269,9 @@ class SurfaceComplex:
 
     ``boundaries`` lists immutable records of prescribed boundary data in
     the order they are written. Each has ``source``, the sector whose sweep
-    makes it stale (None when it depends on the curvature alone), and
-    ``write(cx, curv)``; ``amsler.refresh_boundaries`` writes them.
+    makes it stale (None when it depends on the curvature alone),
+    ``dst_sectors``, the sectors it writes into, and ``write(cx, curv)``;
+    ``amsler.refresh_boundaries`` writes them.
     """
 
     sectors: list
@@ -345,8 +351,8 @@ def global_vertex_ids(cx: SurfaceComplex):
 def gluing_gaps(cx: SurfaceComplex) -> tuple:
     """Largest position and normal distances between glued nodes.
 
-    Both start from 0.0 and skip NaN distances, as a Python ``max`` fold
-    does (``np.fmax``).
+    Both start from 0.0 and are NaN when any glued distance is, so a
+    non-finite glued node never reads as coincident.
     """
     pos_max = nrm_max = 0.0
     for g in cx.gluings:
@@ -355,8 +361,8 @@ def gluing_gaps(cx: SurfaceComplex) -> tuple:
         ib, jb = np.array(g.nodes_b, dtype=int).reshape(-1, 2).T
         dp = sa.positions[ia, ja] - sb.positions[ib, jb]
         dn = sa.normals[ia, ja] - sb.normals[ib, jb]
-        pos_max = float(np.fmax.reduce(np.sqrt(np.vecdot(dp, dp)), initial=pos_max))
-        nrm_max = float(np.fmax.reduce(np.sqrt(np.vecdot(dn, dn)), initial=nrm_max))
+        pos_max = float(np.maximum.reduce(np.sqrt(np.vecdot(dp, dp)), initial=pos_max))
+        nrm_max = float(np.maximum.reduce(np.sqrt(np.vecdot(dn, dn)), initial=nrm_max))
     return pos_max, nrm_max
 
 

@@ -130,6 +130,10 @@ class FanAxes:
     def source(self) -> int:
         return self.target
 
+    @property
+    def dst_sectors(self) -> tuple:
+        return self.fans
+
     def write(self, cx: SurfaceComplex, curv: CurvatureSpec) -> None:
         t, b = cx.sectors[self.target], self.b
         axes = split_angle_axes(t, b, len(self.fans))

@@ -45,6 +45,22 @@ def build_surgery_m3():
         IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
 
 
+@functools.lru_cache(maxsize=None)
+def build_branch_chain():
+    """RING eps 2 on six 12x12 sectors, then two m=3 cuts as in the benchmark's
+    branch workload: one at the corner of sector 0, one into its first fan.
+
+    Returns the complex before, between and after the cuts.
+    """
+    curv = CurvatureSpec(CurvatureFamily.RING, 2.0)
+    cfg = IterationConfig(tol=1e-4, max_iters=100, epsilon_schedule=auto_schedule(2.0))
+    spec = SectorSpec(u_max=0.625, v_max=0.625, I=12, J=12)
+    chain = [patch_sectors(symmetric_angles(3), spec, curv, cfg)]
+    for cut in (SurgerySpec(sector=0, b=6, m=3), SurgerySpec(sector=6, b=3, m=3)):
+        chain.append(insert_branch_point(chain[-1], cut, curv, cfg))
+    return tuple(chain)
+
+
 @pytest.fixture(scope="session")
 def pseudosphere_n2():
     """Constant-curvature 4-sector complex, 12x12 per sector."""

@@ -1,19 +1,49 @@
 """Scalar reference implementations of triangulation and fast marching.
 
-These are the per-quad diagonal enumeration and the full-recompute march
-that ``ksurf.geodesic`` replaced with an array kernel and an incremental
-march. They are kept only as oracles: the library must reproduce their
-output bit for bit.
+These are the per-quad diagonal enumeration, the scalar unfold and the
+full-recompute march that ``ksurf.geodesic`` replaced with an array kernel
+and an incremental march that does the unfold inside its loop. They are
+kept only as oracles: the library must reproduce their output bit for bit.
 """
 import heapq
 import math
 
 import numpy as np
 
-from ksurf.geodesic import OBTUSE_TOL, _unfold
+from ksurf.geodesic import OBTUSE_TOL
 
 OPTION_A = ((0, 1, 3), (0, 3, 2))
 OPTION_B = ((0, 1, 2), (1, 3, 2))
+
+
+def _unfold(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float):
+    """Candidate distance and a flag marking the edge-term fallback.
+
+    The two unfolded points are placed on opposite sides of the jk-axis
+    (source below, target above), which is the configuration giving the
+    largest straight-line suggestion; the result is clamped by the edge
+    paths through j and k.
+    """
+    edge_bound = min(Dj + Dij, Dk + Dik)
+    # Heron-style factored discriminants for the two circle intersections.
+    disc_o = (Djk - (Dj - Dk)) * (Djk + (Dj - Dk)) * ((Dj + Dk) - Djk) * ((Dj + Dk) + Djk)
+    disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) * ((Dij + Dik) + Djk)
+    scale = (Dj + Dk + Dij + Dik + Djk) ** 4
+    if disc_o < 0.0:
+        if disc_o < -1e-12 * scale:
+            return edge_bound, True
+        disc_o = 0.0
+    if disc_i < 0.0:
+        if disc_i < -1e-12 * scale:
+            return edge_bound, True
+        disc_i = 0.0
+    inv = 1.0 / (2.0 * Djk)
+    x_o = (Dk * Dk - Dj * Dj + Djk * Djk) * inv
+    y_o = -math.sqrt(disc_o) * inv
+    x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
+    y_i = math.sqrt(disc_i) * inv
+    through = math.hypot(x_i - x_o, y_i - y_o)
+    return min(through, edge_bound), False
 
 
 def tri_angles(pa, pb, pc):

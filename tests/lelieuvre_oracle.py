@@ -113,17 +113,18 @@ def build_report(cx):
                                     b.position - center.position)
                 margin = min(margin, math.pi - ang)
 
+    # a NaN gap stays NaN: a non-finite glued node is not coincident
     pos_max = nrm_max = 0.0
     for g in cx.gluings:
         sa, sb = cx.sectors[g.sector_a], cx.sectors[g.sector_b]
         for (ia, ja), (ib, jb) in g.pairs():
-            pos_max = max(pos_max, float(np.linalg.norm(
+            pos_max = float(np.maximum(pos_max, np.linalg.norm(
                 sa.positions[ia, ja] - sb.positions[ib, jb])))
-            nrm_max = max(nrm_max, float(np.linalg.norm(
+            nrm_max = float(np.maximum(nrm_max, np.linalg.norm(
                 sa.normals[ia, ja] - sb.normals[ib, jb])))
 
     mesh = triangulate_complex(cx)
-    ids = mesh.node_values(cx, np.arange(mesh.n_vertices), -1)
+    ids = mesh.node_values(np.arange(mesh.n_vertices), -1)
     try:
         origin_vid = origin_vertex(cx, mesh)
     except ValueError:

@@ -40,7 +40,7 @@ from ksurf import (
 )
 from ksurf.mesh import incident_quad_count
 
-from conftest import build_patched, build_surgery_m3
+from conftest import build_branch_chain, build_patched, build_surgery_m3
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -261,6 +261,7 @@ GOLDEN_MATRIX = [(n, eps) for n in (2, 3, 4) for eps in (1.0, 10.0, 50.0)]
 GOLDEN_BUILDERS = {f"n{n}_eps{int(eps)}": functools.partial(build_patched, "LINEAR", eps, n, 0.5, 8)
                    for n, eps in GOLDEN_MATRIX}
 GOLDEN_BUILDERS["surgery_m3"] = build_surgery_m3
+GOLDEN_BUILDERS["branch_chain"] = lambda: build_branch_chain()[-1]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_BUILDERS))

@@ -26,7 +26,9 @@ from ksurf import (
     validate_complex,
 )
 
-from conftest import build_patched
+from ksurf.amsler import sweep_runs
+
+from conftest import build_branch_chain, build_patched, build_surgery_m3
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -253,3 +255,12 @@ def test_validate_patched_n3():
     cx = build_patched("CONSTANT", 0.0, 3, 1.0, 6)
     rep = validate_complex(cx)
     assert rep.passed, [c.detail for c in rep.checks if not c.passed]
+
+
+
+def test_sweep_runs_start_at_the_sectors_records_write_into():
+    assert sweep_runs(build_patched("LINEAR", 1.0, 2, 0.5, 8)) == [[0, 1, 2, 3]]
+    assert sweep_runs(build_surgery_m3()) == [[0, 1, 2, 3], [4, 5, 6]]
+    base = [0, 1, 2, 3, 4, 5]
+    assert [sweep_runs(cx) for cx in build_branch_chain()] == [
+        [base], [base, [6, 7, 8]], [base, [6, 7, 8], [9, 10, 11]]]

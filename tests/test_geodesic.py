@@ -148,8 +148,36 @@ def test_unfold_reconstructs_planar_distances(xo, yo, xi, yi, djk):
     Dij, Dik = np.linalg.norm(i - j), np.linalg.norm(i - k)
     assume(min(Dij, Dik) > 0.05)
     expected = min(float(np.linalg.norm(i - o)), Dj + Dij, Dk + Dik)
-    got = unfold_candidate(float(Dj), float(Dk), float(Dij), float(Dik), djk)
+    case = (float(Dj), float(Dk), float(Dij), float(Dik), djk)
+    got = unfold_candidate(*case)
     assert got == pytest.approx(expected, abs=1e-9)
+    assert got == oracle._unfold(*case)[0]
+
+
+UNFOLD_CASES = [
+    (1.0, 0.0, math.sqrt(0.5), math.sqrt(0.5), 1.0),   # source at corner k
+    (1.0, 1.0, 1.0, 1.0, 1.0),                         # equilateral, tied edge paths
+    (2.0, 1.0, 1.2, 0.8, 1.0),                         # collinear source, disc_o = 0
+    (3.0, 1.0, 1.0, 1.2, 1.0),                         # infeasible, edge fallback
+    # the nearer corner's edge path (1.87) is below Dk: a march seeded at j
+    # and k together would accept i from that edge before unfolding
+    (0.8511981163386722, 2.87778793714727, 1.0208049516751676, 2.454570562839132,
+     2.6055840936026575),
+]
+
+
+def _near_ties():
+    """Every case, and each of its five arguments moved by -1e-13 and +1e-13."""
+    for case in UNFOLD_CASES:
+        yield case
+        for k in range(5):
+            for step in (-1e-13, 1e-13):
+                yield case[:k] + (case[k] + step,) + case[k + 1:]
+
+
+def test_unfold_candidate_matches_scalar_oracle_on_near_ties():
+    for case in _near_ties():
+        assert unfold_candidate(*case) == oracle._unfold(*case)[0], case
 
 
 def test_flat_grid_march_is_euclidean():

@@ -107,6 +107,10 @@ def test_parse_config_full():
     ("iteration: {tol: .nan}", "iteration: tol .* got nan"),
     ("curvature: {params: {ring_radius: .nan}}", "curvature: .*ring_radius=nan"),
     ("surgery: [{b: 2, m: 3, spacing: .nan}]", r"surgery\[0\]: .*got nan"),
+    pytest.param(f"curvature: {{epsilon: {'9' * 400}}}",
+                 "curvature.epsilon: integer too large", id="epsilon-400-digits"),
+    pytest.param(f"curvature: {{epsilon: 1.0, schedule: [{'9' * 400}, 1.0]}}",
+                 "curvature.schedule: integer too large", id="schedule-400-digits"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -378,6 +382,25 @@ def test_cli_rejects_bad_flag_before_generating(tmp_path, caplog, monkeypatch, f
     monkeypatch.setattr(ksurf.cli, "patch_sectors", lambda *a, **k: generated.append(a))
     code, errors = _cli_error(caplog, ["generate", "--config", str(_write_cfg(tmp_path)),
                                        "--quiet", *flags])
+    assert code == 1 and len(errors) == 1 and fragment in errors[0]
+    assert generated == []
+
+
+@pytest.mark.parametrize("command,output,flags,fragment", [
+    ("generate", "", ["--out", "nodir/x.obj"], "--out: directory nodir does not exist"),
+    ("surgery", "", ["--out", "nodir/x.obj"], "--out: directory nodir does not exist"),
+    ("generate", "output: {csv: nodir/x.csv}\n", [], "output.csv: directory nodir"),
+    ("generate", "output: {report: nodir/r.txt}\n", [], "output.report: directory nodir"),
+    ("generate", "", ["--out", "run.yaml/x.obj"], "--out: directory run.yaml does not"),
+])
+def test_cli_rejects_missing_output_directory(tmp_path, caplog, monkeypatch, command, output,
+                                              flags, fragment):
+    monkeypatch.chdir(tmp_path)
+    generated = []
+    monkeypatch.setattr(ksurf.cli, "patch_sectors", lambda *a, **k: generated.append(a))
+    cfg = _write_cfg(tmp_path, BASE_CLI_CONFIG + "surgery:\n  - {sector: 0, b: 3, m: 3}\n"
+                     + output)
+    code, errors = _cli_error(caplog, [command, "--config", str(cfg), "--quiet", *flags])
     assert code == 1 and len(errors) == 1 and fragment in errors[0]
     assert generated == []
 

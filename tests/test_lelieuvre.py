@@ -26,6 +26,7 @@ from ksurf import (
     quad_update_variable,
     scale_normal,
     sweep_sector,
+    sweep_sectors,
 )
 
 import lelieuvre_oracle as oracle
@@ -364,6 +365,43 @@ def test_sweep_reports_lexicographically_first_failure():
     assert both.value.location == (3, 0, 4)
     err = _assert_sweep_matches_oracle(g, rho)
     assert str(err) == str(both.value)
+
+
+def _surgery_group():
+    """The truncated target of ``build_surgery_m3`` and its three fans, with rho fields."""
+    cx = build_surgery_m3()
+    group = [cx.sectors[sid] for sid in (0, 4, 5, 6)]
+    return group, [np.where(s.valid, s.rho, np.nan) for s in group]
+
+
+def test_group_sweep_matches_scalar_oracle_per_sector():
+    group, fields = _surgery_group()
+    odd, even = (_perturbed_sector(seed, parity, I=3 + seed, J=8 - seed)
+                 for seed, parity in ((1, Parity.ODD), (2, Parity.EVEN)))
+    group, fields = group + [odd[0], even[0]], fields + [odd[1], even[1]]
+    assert {s.parity for s in group} == {Parity.ODD, Parity.EVEN}
+    assert len({s.rho.shape for s in group}) == 4 and not group[0].valid.all()
+    for got, s, rho in zip(sweep_sectors(group, fields), group, fields, strict=True):
+        want = oracle.sweep_sector(s, rho)
+        for name in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.parity, got.sector_id) == (want.parity, want.sector_id)
+
+
+def test_group_sweep_raises_the_error_of_the_sequential_loop():
+    # fan 4 fails at quads (0, 3) and (1, 0), fan 6 at quad (0, 0), which
+    # a diagonal order over the whole group would meet first
+    group, fields = _surgery_group()
+    for k, nodes in ((1, ((1, 4), (2, 1))), (3, ((1, 1),))):
+        for node in nodes:
+            fields[k][node] = 1e-9
+    with pytest.raises(UnsolvableQuadError) as grouped:
+        sweep_sectors(group, fields)
+    with pytest.raises(UnsolvableQuadError) as sequential:
+        for s, rho in zip(group, fields):
+            oracle.sweep_sector(s, rho)
+    assert grouped.value.location == sequential.value.location == (4, 0, 3)
+    assert str(grouped.value) == str(sequential.value)
 
 
 def test_report_residuals_match_per_quad_oracle():

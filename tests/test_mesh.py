@@ -1,5 +1,6 @@
 """Grid containers, parity bookkeeping, vertex dedup and structural checks."""
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ksurf import (
     single_sector_complex,
     validate_complex,
 )
-from ksurf.mesh import incident_quad_count
+from ksurf.io import build_report
+from ksurf.mesh import gluing_gaps, incident_quad_count
 from ksurf import CurvatureFamily, CurvatureSpec, IterationConfig, SectorSpec, run_stage
 
 import mesh_oracle
@@ -106,14 +108,18 @@ def test_validate_detects_broken_normal(pseudosphere_n2):
 
 
 def test_validate_detects_non_finite_position():
-    # a NaN glued position drops out of the gluing gap, so vertex_states
-    # has to catch it
+    # node (0, 4) of sector 2 is glued to node (4, 0) of sector 3, so the
+    # NaN is also a gluing gap
     cx = build_patched("LINEAR", 1.0, 2, 0.5, 8).copy()
     cx.sectors[2].positions[0, 4] = np.nan
     rep = validate_complex(cx)
     assert not rep.passed
     assert not rep.check("vertex_states").passed
     assert "non-finite positions" in rep.check("vertex_states").detail
+    assert math.isnan(gluing_gaps(cx)[0])
+    assert not rep.check("gluing_coincidence").passed
+    assert "max position gap nan" in rep.check("gluing_coincidence").detail
+    assert math.isnan(build_report(cx).gluing_pos_max)
 
 
 def test_single_sector_quads_are_two_colorable():
