@@ -312,10 +312,12 @@ class ProviderResult:
 
 
 def origin_vertex(cx: SurfaceComplex, mesh: TriMesh) -> int:
-    target = tuple(cx.origin)
-    for v, refs in enumerate(mesh.back_refs):
-        if target in refs:
-            return v
+    """Vertex id of the origin node in a mesh triangulated from ``cx``."""
+    ids = mesh.node_ids or []
+    sid, i, j = cx.origin
+    if 0 <= sid < len(ids) and 0 <= i < ids[sid].shape[0] and 0 <= j < ids[sid].shape[1] \
+            and ids[sid][i, j] >= 0:
+        return int(ids[sid][i, j])
     raise ValueError(f"origin node {cx.origin} not found in the triangulation")
 
 
@@ -437,8 +439,12 @@ def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
                             cfg: IterationConfig, provider=None) -> SurfaceComplex:
     """Run the epsilon schedule on an initialized complex, warm-starting stages.
 
-    Each stage starts by rewriting the base rays for its epsilon.
+    Each stage starts by rewriting the base rays for its epsilon, so the
+    complex must carry their records (an imported complex has none).
     """
+    if not any(record.source is None for record in cx.boundaries):
+        raise ValueError("the complex has no base-ray boundary records to rewrite "
+                         "for each epsilon (an imported complex carries none)")
     schedule = _resolve_schedule(curv, cfg)
     for si, eps in enumerate(schedule):
         curv_s = curv.with_epsilon(eps)
@@ -543,7 +549,6 @@ def build_patched_complex(angles, spec: SectorSpec, curv: CurvatureSpec) -> Surf
             sector_b=k,
             nodes_a=[(0, t) for t in range(count)],
             nodes_b=[(t, 0) for t in range(count)],
-            label="u" if k % 2 == 0 else "v",
         ))
 
     if m != 4:

@@ -218,7 +218,7 @@ def cmd_distance(args) -> int:
 def cmd_validate(args) -> int:
     cx = import_mesh(args.mesh, args.csv)
     report = validate_complex(cx)
-    sys.stdout.write(str(report))
+    sys.stdout.write(f"{report}\n")
     if not report.passed:
         logger.error("structural validation failed")
         return EXIT_NUMERICAL

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import SurfaceComplex, global_vertex_ids
+from .mesh import SurfaceComplex, first_nodes, global_vertex_ids, quad_table
 
 logger = logging.getLogger(__name__)
 
@@ -135,21 +135,10 @@ def split_quad(p00, p10, p01, p11):
 
 def triangulate_complex(cx: SurfaceComplex) -> TriMesh:
     """Deduplicate glued nodes and split every quad into two triangles."""
-    ids, n_verts, back_refs = global_vertex_ids(cx)
-    node_ids = np.concatenate([a.ravel() for a in ids])
-    node_pos = np.concatenate([s.positions.reshape(-1, 3) for s in cx.sectors])
-    valid = node_ids >= 0
+    ids, _, back_refs = global_vertex_ids(cx)
     # vertex v takes the position of its first node, back_refs[v][0]
-    _, first = np.unique(node_ids[valid], return_index=True)
-    vertices = node_pos[valid][first]
-
-    quads = []
-    for a, s in zip(ids, cx.sectors):
-        v = s.valid
-        ok = v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
-        quads.append(np.stack([a[:-1, :-1][ok], a[1:, :-1][ok],
-                               a[:-1, 1:][ok], a[1:, 1:][ok]], axis=1))
-    mesh = trimesh_from_quads(vertices, np.concatenate(quads), back_refs=back_refs)
+    vertices = np.concatenate([s.positions.reshape(-1, 3) for s in cx.sectors])[first_nodes(ids)]
+    mesh = trimesh_from_quads(vertices, quad_table(cx, ids).corners, back_refs=back_refs)
     mesh.node_ids = ids
     return mesh
 

@@ -17,7 +17,7 @@ import io as _io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .mesh import (
     Parity,
     SectorGrid,
     SurfaceComplex,
+    first_nodes,
     global_vertex_ids,
     gluing_gaps,
     quad_corner_arrays,
@@ -273,17 +274,8 @@ def _meta_dict(cx: SurfaceComplex) -> dict:
             {"id": s.sector_id, "shape": [s.I, s.J], "parity": s.parity.value}
             for s in cx.sectors
         ],
-        "branch_points": [
-            {"sector": bp.sector, "i": bp.i, "j": bp.j,
-             "incident_sectors": bp.incident_sectors,
-             "expected_quads": bp.expected_quads}
-            for bp in cx.branch_points
-        ],
-        "history": [
-            {"epsilon": rec.epsilon, "iterations": rec.iterations,
-             "changes": list(rec.changes)}
-            for rec in cx.history
-        ],
+        "branch_points": [asdict(bp) for bp in cx.branch_points],
+        "history": [asdict(rec) for rec in cx.history],
     }
 
 
@@ -300,10 +292,7 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
     csv_path = str(csv_path)
 
     ids, n_verts, _ = global_vertex_ids(cx)
-    node_ids = np.concatenate([a.ravel() for a in ids])
-    # vertex v is written from its first node, in flat order
-    _, first = np.unique(node_ids[node_ids >= 0], return_index=True)
-    first = np.flatnonzero(node_ids >= 0)[first]
+    first = first_nodes(ids)  # vertex v is written from its first node
     xyz = " ".join([FLOAT_FMT] * 3)
 
     out = _io.StringIO()
@@ -449,20 +438,7 @@ class DiagnosticsReport:
     n_quads: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_compatibility": self.max_compatibility,
-            "max_tangency": self.max_tangency,
-            "max_edge_length": self.max_edge_length,
-            "max_unit_norm": self.max_unit_norm,
-            "gluing_pos_max": self.gluing_pos_max,
-            "gluing_normal_max": self.gluing_normal_max,
-            "boundary_arc_err": self.boundary_arc_err,
-            "obtuse_count": self.obtuse_count,
-            "singular_margin": self.singular_margin,
-            "change_history": self.change_history,
-            "n_vertices": self.n_vertices,
-            "n_quads": self.n_quads,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [
@@ -535,7 +511,7 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
     pos_max, nrm_max = gluing_gaps(cx)
 
     mesh = triangulate_complex(cx)
-    ids = mesh.node_values(np.arange(mesh.n_vertices), -1)
+    ids = mesh.node_ids
     try:
         origin_vid = origin_vertex(cx, mesh)
     except ValueError:
@@ -553,8 +529,6 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
                 arc = np.cumsum(np.sqrt(np.vecdot(step, step)))
                 arc_err = float(np.fmax.reduce(np.abs(march.d[vids] - arc), initial=arc_err))
 
-    history = [{"epsilon": rec.epsilon, "iterations": rec.iterations,
-                "changes": list(rec.changes)} for rec in cx.history]
     return DiagnosticsReport(
         max_compatibility=max_compat,
         max_tangency=max_tan,
@@ -565,7 +539,7 @@ def build_report(cx: SurfaceComplex) -> DiagnosticsReport:
         boundary_arc_err=arc_err,
         obtuse_count=mesh.obtuse_count,
         singular_margin=margin if margin < math.inf else math.nan,
-        change_history=history,
+        change_history=[asdict(rec) for rec in cx.history],
         n_vertices=mesh.n_vertices,
         n_quads=n_quads,
     )

@@ -17,7 +17,6 @@ when a branch vertex has an odd number of incident quads.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .vectors import Vec3
-
-logger = logging.getLogger(__name__)
 
 UNSET_DISTANCE = math.inf
 
@@ -143,16 +140,14 @@ class SectorGrid:
             history=list(self.history),
         )
 
-    def quad_valid(self, i: int, j: int) -> bool:
-        """True when the quad with lower corner (i, j) has all four nodes."""
-        return bool(self.valid[i:i + 2, j:j + 2].all())
+    def quad_mask(self) -> np.ndarray:
+        """(I, J) mask of the quads, by lower corner, that have all four nodes."""
+        v = self.valid
+        return v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
 
-    def quads(self):
-        """Yield (i, j) lower corners of all existing quads."""
-        for i in range(self.I):
-            for j in range(self.J):
-                if self.quad_valid(i, j):
-                    yield (i, j)
+    def quads(self) -> list:
+        """(i, j) lower corners of all existing quads, in i-major order."""
+        return [tuple(q) for q in np.argwhere(self.quad_mask()).tolist()]
 
     def boundary_mask(self) -> np.ndarray:
         """Nodes whose data is prescribed rather than swept (first row/column)."""
@@ -183,8 +178,7 @@ def quad_corner_values(s: SectorGrid, a: np.ndarray) -> np.ndarray:
     Corners are ordered (f0, f1, f2, f12) as in ``quad_corner_indices`` and
     quads in the i-major order of ``SectorGrid.quads``.
     """
-    v = s.valid
-    ok = v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
+    ok = s.quad_mask()
     c00, c10, c01, c11 = a[:-1, :-1][ok], a[1:, :-1][ok], a[:-1, 1:][ok], a[1:, 1:][ok]
     f1, f2 = (c10, c01) if s.parity is Parity.ODD else (c01, c10)
     return np.stack([c00, f1, f2, c11])
@@ -214,7 +208,6 @@ class GluingMap:
     sector_b: int
     nodes_a: list
     nodes_b: list
-    label: str = ""
 
     def __post_init__(self) -> None:
         if len(self.nodes_a) != len(self.nodes_b):
@@ -366,19 +359,54 @@ def gluing_gaps(cx: SurfaceComplex) -> tuple:
     return pos_max, nrm_max
 
 
+def first_nodes(ids) -> np.ndarray:
+    """Flat index of the first node of each vertex, in id order.
+
+    ``ids`` are the per-sector arrays of ``global_vertex_ids``; nodes are
+    numbered flat, sector by sector in i-major order.
+    """
+    flat = np.concatenate([a.ravel() for a in ids])
+    nodes = np.flatnonzero(flat >= 0)
+    _, first = np.unique(flat[nodes], return_index=True)
+    return nodes[first]
+
+
+@dataclass(frozen=True)
+class QuadTable:
+    """Every valid quad of a complex, sector by sector in ``SectorGrid.quads`` order.
+
+    ``corners[q]`` holds the vertex ids of quad q in grid order (00, 10, 01,
+    11); ``sector[q]``, ``i[q]`` and ``j[q]`` locate its lower corner.
+    """
+
+    corners: np.ndarray
+    sector: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+    def where(self, q: int) -> tuple:
+        """(sector, i, j) of quad q as Python ints."""
+        return int(self.sector[q]), int(self.i[q]), int(self.j[q])
+
+
+def quad_table(cx: SurfaceComplex, ids) -> QuadTable:
+    """The quads of ``cx``, given its vertex ids from ``global_vertex_ids``."""
+    at = [np.nonzero(s.quad_mask()) for s in cx.sectors]
+    corners = [np.stack([a[i, j], a[i + 1, j], a[i, j + 1], a[i + 1, j + 1]], axis=1)
+               for a, (i, j) in zip(ids, at)]
+    return QuadTable(corners=np.concatenate(corners),
+                     sector=np.repeat(np.arange(len(at)), [len(i) for i, _ in at]),
+                     i=np.concatenate([i for i, _ in at]),
+                     j=np.concatenate([j for _, j in at]))
+
+
 def incident_quad_count(cx: SurfaceComplex, sector: int, i: int, j: int) -> int:
     """Number of quads (over all sectors) meeting the given node."""
     ids, _, _ = global_vertex_ids(cx)
     target = ids[sector][i, j]
     if target < 0:
         raise ValueError(f"node ({sector},{i},{j}) is not a valid vertex")
-    count = 0
-    for sid, s in enumerate(cx.sectors):
-        for (qi, qj) in s.quads():
-            corners = [(qi, qj), (qi + 1, qj), (qi, qj + 1), (qi + 1, qj + 1)]
-            if any(ids[sid][a, b] == target for a, b in corners):
-                count += 1
-    return count
+    return int((quad_table(cx, ids).corners == target).any(axis=1).sum())
 
 
 @dataclass
@@ -412,11 +440,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _edge_label(parity: Parity, axis: str) -> str:
-    """Asymptotic label of a grid edge running along the given index axis."""
-    if parity is Parity.ODD:
-        return "u" if axis == "i" else "v"
-    return "v" if axis == "i" else "u"
+# the four edges of a quad as corner pairs in grid order (00, 10, 01, 11), and
+# whether each runs along index i; ODD sectors label i-edges u, EVEN ones v
+_QUAD_EDGES = np.array([(0, 1), (2, 3), (0, 2), (1, 3)])
+_ALONG_I = np.array([True, True, False, False])
 
 
 def validate_complex(cx: SurfaceComplex) -> ValidationReport:
@@ -460,104 +487,76 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
     ))
 
     ids, n_verts, back_refs = global_vertex_ids(cx)
+    quads = quad_table(cx, ids)
+    ends = np.sort(quads.corners[:, _QUAD_EDGES], axis=-1).reshape(-1, 2)
+    edge_keys, first, edge = np.unique(ends[:, 0] * n_verts + ends[:, 1],
+                                       return_index=True, return_inverse=True)
 
-    quads = []
-    edge_labels = {}
-    edge_quads = {}
+    odd = np.array([s.parity is Parity.ODD for s in cx.sectors])[quads.sector]
+    label = np.where((odd[:, None] == _ALONG_I).ravel(), "u", "v")
+    clash = np.flatnonzero(label != label[first][edge])
     label_conflict = ""
-    for sid, s in enumerate(cx.sectors):
-        for (qi, qj) in s.quads():
-            q = len(quads)
-            quads.append((sid, qi, qj))
-            c00 = ids[sid][qi, qj]
-            c10 = ids[sid][qi + 1, qj]
-            c01 = ids[sid][qi, qj + 1]
-            c11 = ids[sid][qi + 1, qj + 1]
-            edges = [
-                (c00, c10, "i"), (c01, c11, "i"),
-                (c00, c01, "j"), (c10, c11, "j"),
-            ]
-            for a, b, axis in edges:
-                key = (min(a, b), max(a, b))
-                lab = _edge_label(s.parity, axis)
-                prev = edge_labels.setdefault(key, lab)
-                if prev != lab and not label_conflict:
-                    label_conflict = (
-                        f"edge {key} labeled both {prev} and {lab} "
-                        f"(sector {sid} quad ({qi},{qj}))"
-                    )
-                edge_quads.setdefault(key, []).append(q)
+    if len(clash):
+        k = int(clash[0])
+        sid, qi, qj = quads.where(k // 4)
+        label_conflict = (f"edge {tuple(ends[k].tolist())} labeled both {label[first[edge[k]]]} "
+                          f"and {label[k]} (sector {sid} quad ({qi},{qj}))")
     checks.append(CheckResult(
         "edge_labels",
         passed=not label_conflict,
-        detail=label_conflict or f"{len(edge_labels)} edges labeled consistently",
+        detail=label_conflict or f"{len(edge_keys)} edges labeled consistently",
     ))
 
-    color = [-1] * len(quads)
+    # the quads on each edge in table order, which is the order the DFS meets them
+    uses = np.bincount(edge)
+    starts = np.concatenate([[0], np.cumsum(uses)]).tolist()
+    on_edge = (np.argsort(edge, kind="stable") // 4).tolist()
+    edge_quads = [on_edge[a:b] for a, b in zip(starts, starts[1:])]
+    quad_edges = edge.reshape(-1, 4).tolist()
+    color = [-1] * len(quad_edges)
     conflict = ""
-    for start in range(len(quads)):
+    for start in range(len(quad_edges)):
         if color[start] != -1:
             continue
         color[start] = 0
         stack = [start]
         while stack:
             q = stack.pop()
-            sid, qi, qj = quads[q]
-            s = cx.sectors[sid]
-            c00 = ids[sid][qi, qj]
-            c10 = ids[sid][qi + 1, qj]
-            c01 = ids[sid][qi, qj + 1]
-            c11 = ids[sid][qi + 1, qj + 1]
-            for a, b in ((c00, c10), (c01, c11), (c00, c01), (c10, c11)):
-                key = (min(a, b), max(a, b))
-                for nb in edge_quads[key]:
+            for e in quad_edges[q]:
+                for nb in edge_quads[e]:
                     if nb == q:
                         continue
                     if color[nb] == -1:
                         color[nb] = 1 - color[q]
                         stack.append(nb)
                     elif color[nb] == color[q] and not conflict:
-                        conflict = f"quads {quads[q]} and {quads[nb]} clash"
+                        conflict = f"quads {quads.where(q)} and {quads.where(nb)} clash"
     checks.append(CheckResult(
         "two_coloring",
         passed=not conflict,
         detail=conflict or "quad graph is 2-colorable",
     ))
 
-    vert_quads = [0] * n_verts
-    for sid, s in enumerate(cx.sectors):
-        for (qi, qj) in s.quads():
-            for a, b in ((qi, qj), (qi + 1, qj), (qi, qj + 1), (qi + 1, qj + 1)):
-                vert_quads[ids[sid][a, b]] += 1
-    boundary_vert = [False] * n_verts
-    for key, qs in edge_quads.items():
-        if len(qs) == 1:
-            boundary_vert[key[0]] = True
-            boundary_vert[key[1]] = True
-    branch_ids = {}
-    for bp in cx.branch_points:
-        branch_ids[ids[bp.sector][bp.i, bp.j]] = bp.expected_quads
+    vert_quads = np.bincount(quads.corners.ravel(), minlength=n_verts)
+    once = edge_keys[uses == 1]
+    checked = np.ones(n_verts, dtype=bool)
+    checked[once // n_verts] = checked[once % n_verts] = False
+    expected = np.full(n_verts, 4)
+    branch_ids = {int(ids[bp.sector][bp.i, bp.j]): bp.expected_quads
+                  for bp in cx.branch_points}
+    for v, count in branch_ids.items():
+        if v >= 0:
+            checked[v], expected[v] = True, count
+    bad = np.flatnonzero(checked & (vert_quads != expected))
     incidence_fail = ""
-    for v in range(n_verts):
-        if v in branch_ids:
-            if vert_quads[v] != branch_ids[v]:
-                incidence_fail = (
-                    f"branch vertex {back_refs[v][0]} has {vert_quads[v]} quads, "
-                    f"expected {branch_ids[v]}"
-                )
-                break
-        elif not boundary_vert[v] and vert_quads[v] != 4:
-            incidence_fail = (
-                f"interior vertex {back_refs[v][0]} has {vert_quads[v]} quads"
-            )
-            break
+    if len(bad):
+        v = int(bad[0])
+        has = f"{back_refs[v][0]} has {int(vert_quads[v])} quads"
+        incidence_fail = (f"branch vertex {has}, expected {branch_ids[v]}" if v in branch_ids
+                          else f"interior vertex {has}")
     checks.append(CheckResult(
         "quad_incidence",
         passed=not incidence_fail,
         detail=incidence_fail or "interior vertices regular, branch counts match",
     ))
-
-    report = ValidationReport(checks)
-    if not report.passed:
-        logger.warning("complex validation failed:\n%s", report)
-    return report
+    return ValidationReport(checks)

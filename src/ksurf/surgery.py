@@ -200,8 +200,6 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     col_nodes = tuple((b, b + c) for c in range(m_u + 1))
     fan_row = tuple((a, 0) for a in range(m_u + 1))
     fan_col = tuple((0, c) for c in range(m_u + 1))
-    row_label = "u" if target.parity is Parity.ODD else "v"
-    col_label = "v" if target.parity is Parity.ODD else "u"
 
     new_ids = []
     for k in range(1, m + 1):
@@ -222,19 +220,14 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
         InheritLink(spec.sector, col_nodes, fan_last, fan_col),
     ]
     cx.gluings.append(GluingMap(
-        sector_a=spec.sector, sector_b=fan_first,
-        nodes_a=row_nodes, nodes_b=fan_row, label=row_label,
-    ))
+        sector_a=spec.sector, sector_b=fan_first, nodes_a=row_nodes, nodes_b=fan_row))
     cx.gluings.append(GluingMap(
-        sector_a=spec.sector, sector_b=fan_last,
-        nodes_a=col_nodes, nodes_b=fan_col, label=col_label,
-    ))
+        sector_a=spec.sector, sector_b=fan_last, nodes_a=col_nodes, nodes_b=fan_col))
     for k in range(1, m):
         cx.gluings.append(GluingMap(
             sector_a=new_ids[k - 1], sector_b=new_ids[k],
             nodes_a=[(0, t) for t in range(m_ax + 1)],
             nodes_b=[(t, 0) for t in range(m_ax + 1)],
-            label="v" if parities[k] is Parity.ODD else "u",
         ))
 
     cx.branch_points.append(BranchPoint(

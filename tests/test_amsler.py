@@ -13,10 +13,13 @@ from ksurf import (
     SectorSpec,
     auto_schedule,
     continuation,
+    continuation_on_complex,
     eval_curvature,
     eval_rho,
+    export_mesh,
     generate_sector,
     geodesic_provider,
+    import_mesh,
     init_boundary,
     patch_sectors,
     ray_boundary_data,
@@ -264,3 +267,13 @@ def test_sweep_runs_start_at_the_sectors_records_write_into():
     base = [0, 1, 2, 3, 4, 5]
     assert [sweep_runs(cx) for cx in build_branch_chain()] == [
         [base], [base, [6, 7, 8]], [base, [6, 7, 8], [9, 10, 11]]]
+
+
+def test_continuation_rejects_complex_without_base_rays(tmp_path):
+    # an imported complex carries no boundary records, so nothing would
+    # rewrite its base rays for a new epsilon
+    export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), tmp_path / "c.obj", tmp_path / "c.csv")
+    back = import_mesh(tmp_path / "c.obj", tmp_path / "c.csv")
+    with pytest.raises(ValueError, match="no base-ray boundary records"):
+        continuation_on_complex(back, CurvatureSpec(CurvatureFamily.LINEAR, 2.0),
+                                IterationConfig(epsilon_schedule=[2.0]))

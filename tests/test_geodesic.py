@@ -396,3 +396,17 @@ def test_triangulation_logs_no_warning(caplog):
     assert m.obtuse_count > 0
     geodesic = [r for r in caplog.records if r.name == "ksurf.geodesic"]
     assert geodesic and all(r.levelno < logging.WARNING for r in geodesic)
+
+
+def test_origin_vertex_rejects_a_missing_origin():
+    cx = build_surgery_m3().copy()
+    m = triangulate_complex(cx)
+    assert origin_vertex(cx, m) == m.node_ids[0][0, 0]
+    # no such sector, outside the grid, negative, excised by the cut
+    for origin in ((len(cx.sectors), 0, 0), (0, 9, 0), (0, 0, -1), (0, 6, 6)):
+        cx.origin = origin
+        with pytest.raises(ValueError, match="origin node"):
+            origin_vertex(cx, m)
+    cx.origin = (0, 0, 0)
+    with pytest.raises(ValueError, match="origin node"):
+        origin_vertex(cx, trimesh_from_quads(m.vertices, [(0, 1, 2, 3)]))

@@ -450,3 +450,12 @@ def test_cli_validate_on_degenerate_geometry(tmp_path, caplog):
     code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv",
                                        str(csv_path), "--quiet"])
     assert code == 2 and len(errors) == 1 and "degenerate triangle" in errors[0]
+
+
+def test_cli_validate_ends_each_report_with_a_newline(tmp_path, capsys):
+    obj, csv_path = tmp_path / "n.obj", tmp_path / "n.csv"
+    export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), obj, csv_path)
+    assert main(["validate", "--mesh", str(obj), "--csv", str(csv_path), "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "branch counts match)\ndiagnostics report\n" in out
+    assert out.endswith("\n") and out.count("quad_incidence:") == 1

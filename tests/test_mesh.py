@@ -1,14 +1,22 @@
 """Grid containers, parity bookkeeping, vertex dedup and structural checks."""
 import copy
+import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ksurf import (
+    GluingMap,
     Parity,
     SectorGrid,
+    SurgerySpec,
+    export_mesh,
     global_vertex_ids,
+    import_mesh,
+    insert_branch_point,
     quad_corner_indices,
     quad_corners,
     single_sector_complex,
@@ -19,7 +27,7 @@ from ksurf.mesh import gluing_gaps, incident_quad_count
 from ksurf import CurvatureFamily, CurvatureSpec, IterationConfig, SectorSpec, run_stage
 
 import mesh_oracle
-from conftest import build_patched, build_surgery_m3
+from conftest import build_branch_chain, build_patched, build_surgery_m3
 
 
 def test_parity_flip_roundtrip():
@@ -142,3 +150,66 @@ def test_vertex_ids_match_scalar_oracle():
         for got, want in zip(ids, want_ids):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert all(type(x) is int for refs in back_refs for ref in refs for x in ref)
+
+
+def _oracle_cases(tmp_path):
+    """Complexes whose checks pass and fail in every way the quad table can."""
+    forced = insert_branch_point(
+        build_patched("CONSTANT", 0.0, 2, 1.0, 8, tol=1e-8), SurgerySpec(sector=0, b=4, m=4),
+        CurvatureSpec(CurvatureFamily.CONSTANT),
+        IterationConfig(tol=1e-8, max_iters=100, epsilon_schedule=[0.0]), _skip_checks=True)
+    m3 = build_surgery_m3()
+    wrong_count = m3.copy()
+    wrong_count.branch_points[-1] = dataclasses.replace(m3.branch_points[-1], expected_quads=7)
+    hole = m3.copy()
+    hole.sectors[1].valid[3, 3] = False
+    unglued = m3.copy()
+    del unglued.gluings[1]
+    overglued = m3.copy()  # one interior vertex shared by two sectors: 8 quads
+    overglued.gluings.append(GluingMap(sector_a=1, sector_b=2, nodes_a=[(3, 3)], nodes_b=[(3, 3)]))
+    export_mesh(m3, tmp_path / "m3.obj", tmp_path / "m3.csv")
+    imported = import_mesh(tmp_path / "m3.obj", tmp_path / "m3.csv")
+    return {"forced_m4": forced, "surgery_m3": m3, "wrong_expected_quads": wrong_count,
+            "invalid_interior_node": hole, "gluing_dropped": unglued,
+            "interior_node_glued": overglued,
+            **{f"branch_chain_{k}": cx for k, cx in enumerate(build_branch_chain())},
+            "imported_m3": imported}
+
+
+def test_validate_matches_loop_oracle(tmp_path):
+    outcomes = set()
+    for name, cx in _oracle_cases(tmp_path).items():
+        got, want = validate_complex(cx), mesh_oracle.validate_complex(cx)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks], name
+        for g, w in zip(got.checks, want.checks):
+            # the loop prints the edge key as numpy scalars, the table as ints
+            detail = re.sub(r"np\.int64\((-?\d+)\)", r"\1", w.detail)
+            assert (g.passed, g.value, g.detail) == (w.passed, w.value, detail), (name, g.name)
+            outcomes.add((g.name, g.passed))
+    # every structural check is seen both passing and failing
+    for check in ("edge_labels", "two_coloring", "quad_incidence"):
+        assert {(check, True), (check, False)} <= outcomes
+
+
+def test_incident_quad_count_matches_loop_oracle():
+    cx = build_surgery_m3()
+    for sid, s in enumerate(cx.sectors):
+        for i, j in np.argwhere(s.valid).tolist():
+            assert incident_quad_count(cx, sid, i, j) == \
+                mesh_oracle.incident_quad_count(cx, sid, i, j), (sid, i, j)
+
+
+def test_quads_follow_the_valid_nodes():
+    s = SectorGrid.empty(3, 2, Parity.ODD)
+    s.valid[3, 2] = False
+    assert s.quads() == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]  # i-major lower corners
+    assert s.quad_mask().tolist() == [[True, True], [True, True], [True, False]]
+
+
+def test_failing_validation_logs_no_warning(pseudosphere_n2, caplog):
+    # the report is the result: callers print it or raise with it
+    cx = pseudosphere_n2.copy()
+    cx.sectors[0].normals[4, 4] *= 1.5
+    with caplog.at_level(logging.DEBUG, logger="ksurf"):
+        assert not validate_complex(cx).passed
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
