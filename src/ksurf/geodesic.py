@@ -24,6 +24,13 @@ changes only when one of its two far corners is accepted, so accepting v
 evaluates just the stencils that have v as a far corner. Every other
 candidate is already folded into the current D of its target, so the
 result equals a full re-evaluation of each neighbour bit for bit.
+
+The stencil table, grouped by far corner, depends on the triangles alone:
+its rows hold vertex ids and flat indices into ``tri_lengths``, never the
+lengths themselves. It is memoised for the last ``(n_vertices, tris)``
+marched, compared by content, so the outer loop, whose lengths change every
+iteration but whose triangles rarely do, and the queries on one mesh sort
+it once.
 """
 from __future__ import annotations
 
@@ -173,10 +180,9 @@ def unfold_candidate(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float) -
     """
     if Djk <= 0.0 or Dij <= 0.0 or Dik <= 0.0:
         raise ValueError("triangle edges must have positive length")
-    m = TriMesh(vertices=np.zeros((3, 3)), tris=np.array([[0, 1, 2]]),
-                tri_lengths=np.array([[Djk, Dik, Dij]]), back_refs=[[], [], []])
     d = [math.inf, Dj, Dk]
-    _march(_stencil_table(m), d, bytearray(b"\0\1\0"), bytearray(b"\0\1\1"), [(Dk, 2)])
+    _march(_ONE_TRIANGLE, [Djk, Dik, Dij], d, bytearray(b"\0\1\0"), bytearray(b"\0\1\1"),
+           [(Dk, 2)])
     return d[0]
 
 
@@ -196,21 +202,46 @@ _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 _STENCIL_LENGTHS = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
 
 
-def _stencil_table(m: TriMesh):
-    """Stencils grouped by far corner: (starts, corners, lengths).
+def _stencils(tris: np.ndarray, n_vertices: int) -> tuple:
+    """Stencils grouped by far corner: (starts, rows).
 
     Rows starts[v]:starts[v+1] are the stencils with v as j or k, sorted by
-    target; corners holds (i, j, k) and lengths (Dij, Dik, Djk).
+    target. A row holds (i, j, k) and the flat indices into ``tri_lengths``
+    of (Dij, Dik, Djk) as int32; the table is read-only and ``starts`` a tuple.
     """
-    corners = m.tris[:, _ROTATIONS].reshape(-1, 3)
-    lengths = m.tri_lengths[:, _STENCIL_LENGTHS].reshape(-1, 3)
+    corners = tris[:, _ROTATIONS].reshape(-1, 3)
+    lengths = (3 * np.arange(len(tris))[:, None, None] + _STENCIL_LENGTHS).reshape(-1, 3)
     rows = np.concatenate([np.arange(len(corners))] * 2)
     key = np.concatenate([corners[:, 1], corners[:, 2]])
     # a stable sort by far corner, then target
-    rows = rows[np.argsort(key * m.n_vertices + corners[rows, 0], kind="stable")]
-    starts = np.zeros(m.n_vertices + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=m.n_vertices), out=starts[1:])
-    return starts.tolist(), np.take(corners, rows, axis=0), np.take(lengths, rows, axis=0)
+    rows = rows[np.argsort(key * n_vertices + corners[rows, 0], kind="stable")]
+    starts = np.zeros(n_vertices + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n_vertices), out=starts[1:])
+    table = np.concatenate([corners, lengths], axis=1).astype(np.int32)[rows]
+    table.setflags(write=False)
+    return tuple(starts.tolist()), table
+
+
+# the one triangle of unfold_candidate, kept apart from the memo of the marches
+_ONE_TRIANGLE = _stencils(np.array([[0, 1, 2]]), 3)
+
+# (n_vertices, tris, starts, rows) of the last mesh marched, swapped as a whole:
+# racing callers may build a table twice, but each uses the one it checked
+_stencil_memo = None
+
+
+def _stencil_table(m: TriMesh) -> tuple:
+    """``_stencils`` of the mesh's triangles, memoised on their content."""
+    global _stencil_memo
+    memo = _stencil_memo
+    if memo is None or memo[0] != m.n_vertices or not np.array_equal(memo[1], m.tris):
+        # drop the old table before the new one is built
+        _stencil_memo = memo = None
+        tris = np.array(m.tris, dtype=np.intp)
+        tris.setflags(write=False)
+        memo = (m.n_vertices, tris, *_stencils(tris, m.n_vertices))
+        _stencil_memo = memo
+    return memo[2], memo[3]
 
 
 def fast_march(m: TriMesh, sources) -> MarchResult:
@@ -238,21 +269,24 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
             heapq.heappush(heap, (d[v], v))
     accepted = bytearray(n)
     seeded = len(heap)
-    order, pops, pushes, fallbacks = _march(_stencil_table(m), d, accepted, frozen, heap)
+    order, pops, pushes, fallbacks = _march(_stencil_table(m), m.tri_lengths.ravel().tolist(),
+                                            d, accepted, frozen, heap)
     return MarchResult(d=np.array(d), order=order, pops=pops, pushes=seeded + pushes,
                        fallbacks=fallbacks,
                        unreachable=[v for v in range(n) if not accepted[v]])
 
 
-def _march(table, d: list, accepted: bytearray, frozen: bytearray, heap: list) -> tuple:
+def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray,
+           heap: list) -> tuple:
     """Pop the heap until it is empty, updating ``d`` and the flags in place.
 
-    Returns the acceptance order and the counts of pops, pushes and
-    edge-term fallbacks. The unfold is written out in the loop, which saves
-    a call per stencil; the order of its operations is fixed, since the bits
-    of D depend on it.
+    ``table`` is a ``_stencils`` table and ``lengths`` the flat
+    ``tri_lengths`` its rows index. Returns the acceptance order and the
+    counts of pops, pushes and edge-term fallbacks. The unfold is written
+    out in the loop, which saves a call per stencil; the order of its
+    operations is fixed, since the bits of D depend on it.
     """
-    starts, corners, lengths = table
+    starts, rows = table
     sqrt, hypot, heappop, heappush = math.sqrt, math.hypot, heapq.heappop, heapq.heappush
     order = []
     pops = pushes = fallbacks = 0
@@ -265,12 +299,12 @@ def _march(table, d: list, accepted: bytearray, frozen: bytearray, heap: list) -
         order.append(v)
         lo, hi = starts[v], starts[v + 1]
         improved = []
-        for (i, j, k), (Dij, Dik, Djk) in zip(corners[lo:hi].tolist(),
-                                              lengths[lo:hi].tolist()):
+        for i, j, k, ij, ik, jk in rows[lo:hi].tolist():
             if frozen[i]:
                 continue
             if accepted[j] and accepted[k]:
                 Dj, Dk = d[j], d[k]
+                Dij, Dik, Djk = lengths[ij], lengths[ik], lengths[jk]
                 # min() of the two edge paths, which keeps the first on a tie
                 a, b = Dj + Dij, Dk + Dik
                 cand = a if not b < a else b
@@ -298,9 +332,9 @@ def _march(table, d: list, accepted: bytearray, frozen: bytearray, heap: list) -
                     through = hypot(x_i - x_o, y_i - y_o)
                     cand = through if not cand < through else cand
             elif accepted[j]:
-                cand = d[j] + Dij
+                cand = d[j] + lengths[ij]
             else:
-                cand = d[k] + Dik
+                cand = d[k] + lengths[ik]
             # no stencil reads its own target's D, so lowering d[i] at once
             # ends where the best candidate of the group would
             if cand < d[i]:

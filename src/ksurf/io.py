@@ -325,6 +325,14 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
     return obj_path, csv_path
 
 
+def _open_input(path, **kwargs):
+    """Open an input file for reading; a missing or unreadable one is a ConfigError."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def import_mesh(obj_path, csv_path) -> SurfaceComplex:
     """Rebuild a SurfaceComplex from an exported OBJ + CSV pair.
 
@@ -332,7 +340,7 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
     index; grid data comes from the CSV, structure from the #meta comment.
     """
     meta = None
-    with open(obj_path) as fh:
+    with _open_input(obj_path) as fh:
         for line in fh:
             if line.startswith("#meta "):
                 meta = json.loads(line[len("#meta "):])
@@ -359,7 +367,7 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
                                       changes=list(rec["changes"])))
 
     by_vid = {}
-    with open(csv_path, newline="") as fh:
+    with _open_input(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ConfigError(f"{csv_path}: unexpected CSV columns {reader.fieldnames}")
@@ -396,28 +404,38 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
 
 
 def trimesh_from_obj(path) -> TriMesh:
-    """Triangulate the quads of an exported OBJ for distance queries."""
+    """Triangulate the quads of an exported OBJ for distance queries.
+
+    Every face index must name one of the file's vertices (1..N).
+    """
     vertices = []
     faces = []
-    with open(path) as fh:
-        for line in fh:
+    face_lines = []
+    with _open_input(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             try:
                 if line.startswith("v "):
                     vertices.append([float(x) for x in line.split()[1:4]])
                 elif line.startswith("f "):
-                    idx = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
-                    if len(idx) != 4:
+                    face = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
+                    if len(face) != 4:
                         raise ConfigError(
-                            f"{path}: expected quad faces, got {len(idx)} vertices")
-                    faces.append(idx)
+                            f"{path}: expected quad faces, got {len(face)} vertices")
+                    faces.append(face)
+                    face_lines.append(lineno)
             except ValueError as exc:
                 raise ConfigError(f"{path}: cannot parse {line.strip()!r}") from exc
     if not vertices or not faces:
         raise ConfigError(f"{path}: no mesh data found")
     verts = np.asarray(vertices, dtype=float)
+    idx = np.asarray(faces)
+    bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
+    if len(bad):
+        f = int(bad[0])
+        raise ConfigError(f"{path}: line {face_lines[f]}: face {(idx[f] + 1).tolist()} "
+                          f"has an index outside 1..{len(verts)}")
     # Face cycles are (f0, f1, f12, f2); quad corner order is (f0, f1, f2, f12).
-    quads = [(a, b, d, c) for (a, b, c, d) in faces]
-    return trimesh_from_quads(verts, quads)
+    return trimesh_from_quads(verts, idx[:, [0, 1, 3, 2]])
 
 
 @dataclass

@@ -286,18 +286,51 @@ class SurfaceComplex:
         )
 
 
+# (topology key, ids, count, back_refs) of the last complex numbered, swapped as a
+# whole: racing callers may number twice, but each uses the entry it checked
+_vertex_ids_memo = None
+
+
+def _topology_key(cx: SurfaceComplex) -> tuple:
+    """What vertex ids depend on: sector shapes, valid masks and glued node runs.
+
+    Compared by content, never by identity: surgery edits ``valid`` in place
+    and a gluing's node lists are mutable.
+    """
+    return (tuple(s.valid.shape for s in cx.sectors),
+            b"".join(s.valid.tobytes() for s in cx.sectors),
+            tuple((g.sector_a, g.sector_b, tuple(map(tuple, g.nodes_a)),
+                   tuple(map(tuple, g.nodes_b))) for g in cx.gluings))
+
+
 def global_vertex_ids(cx: SurfaceComplex):
     """Deduplicate glued nodes into global vertex ids.
 
-    Returns (ids, count, back_refs) where ids is a list of (I+1, J+1) int
-    arrays per sector (-1 on invalid nodes), count the number of distinct
-    vertices and back_refs a list mapping each vertex id to its (sector, i, j)
-    occurrences in deterministic order.
+    Returns (ids, count, back_refs) where ids is a list of read-only
+    (I+1, J+1) int arrays per sector (-1 on invalid nodes), count the number
+    of distinct vertices and back_refs a list mapping each vertex id to its
+    (sector, i, j) occurrences in deterministic order.
 
     Nodes are numbered flat, sector by sector in i-major order. Union-find
     runs over the glued pairs only and names each set by its smallest flat
     index; vertex ids then number the sets in order of their first valid node.
+    The numbering of the last topology is memoised (see ``_topology_key``);
+    each call gets its own lists.
     """
+    global _vertex_ids_memo
+    key = _topology_key(cx)
+    memo = _vertex_ids_memo
+    if memo is None or memo[0] != key:
+        # drop the old numbering before the new one is built
+        _vertex_ids_memo = memo = None
+        memo = (key, *_number_vertices(cx))
+        _vertex_ids_memo = memo
+    _, ids, count, back_refs = memo
+    return list(ids), count, list(map(list, back_refs))
+
+
+def _number_vertices(cx: SurfaceComplex) -> tuple:
+    """``global_vertex_ids`` without the memo; back_refs as tuples."""
     shapes = [(s.I + 1, s.J + 1) for s in cx.sectors]
     sizes = [a * b for a, b in shapes]
     offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
@@ -326,8 +359,9 @@ def global_vertex_ids(cx: SurfaceComplex):
     vid = rank[inverse]
     flat_ids = np.full(offsets[-1], -1, dtype=int)
     flat_ids[nodes] = vid
-    ids = [flat_ids[offsets[k]:offsets[k + 1]].reshape(shape)
-           for k, shape in enumerate(shapes)]
+    flat_ids.setflags(write=False)
+    ids = tuple(flat_ids[offsets[k]:offsets[k + 1]].reshape(shape)
+                for k, shape in enumerate(shapes))
 
     sector = np.repeat(np.arange(len(shapes)), sizes)[nodes]
     i, j = divmod(nodes - offsets[sector], np.array([w for _, w in shapes], dtype=int)[sector])
@@ -338,7 +372,7 @@ def global_vertex_ids(cx: SurfaceComplex):
     copies[first] = False
     for k in np.flatnonzero(copies).tolist():
         back_refs[vid[k]].append(refs[k])
-    return ids, len(back_refs), back_refs
+    return ids, len(back_refs), tuple(map(tuple, back_refs))
 
 
 def gluing_gaps(cx: SurfaceComplex) -> tuple:

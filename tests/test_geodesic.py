@@ -24,6 +24,7 @@ from ksurf import (
     unfold_candidate,
 )
 
+import ksurf.geodesic
 import geodesic_oracle as oracle
 from conftest import build_patched, build_surgery_m3
 
@@ -410,3 +411,47 @@ def test_origin_vertex_rejects_a_missing_origin():
     cx.origin = (0, 0, 0)
     with pytest.raises(ValueError, match="origin node"):
         origin_vertex(cx, trimesh_from_quads(m.vertices, [(0, 1, 2, 3)]))
+
+
+def _march_key(r):
+    return r.d.tobytes(), r.order, r.pops, r.pushes, r.fallbacks
+
+
+def _cold_march(m, sources):
+    ksurf.geodesic._stencil_memo = None
+    return fast_march(m, sources)
+
+
+def test_stencil_memo_follows_the_triangles():
+    verts, quads = _perturbed_grid(2)
+    a = trimesh_from_quads(verts, quads)
+    # the same quads from another corner: the same vertices, other triangles
+    b = trimesh_from_quads(verts, np.asarray(quads)[:, [1, 3, 0, 2]])
+    assert a.n_vertices == b.n_vertices and a.tris.shape == b.tris.shape
+    assert not np.array_equal(a.tris, b.tris)
+    sources = [(0, 0.0), (a.n_vertices // 2, 0.1)]
+    want = {name: _march_key(_cold_march(m, sources)) for name, m in (("a", a), ("b", b))}
+    assert want["a"][0] != want["b"][0]
+    for name, m in (("a", a), ("b", b), ("a", a)):
+        assert _march_key(fast_march(m, sources)) == want[name], name
+
+    # the triangles of one array rewritten in place
+    c = trimesh_from_quads(verts, quads)
+    assert _march_key(fast_march(c, sources)) == want["a"]
+    c.tris[:] = b.tris
+    c.tri_lengths[:] = b.tri_lengths
+    assert _march_key(fast_march(c, sources)) == want["b"]
+
+
+def test_stencil_table_is_shared_and_read_only():
+    verts, quads = _perturbed_grid(3)
+    a = trimesh_from_quads(verts, quads)
+    starts, rows = ksurf.geodesic._stencil_table(a)
+    # equal triangles share the table; unfold_candidate keeps it
+    assert unfold_candidate(1.0, 1.0, 1.0, 1.0, 1.0) == oracle._unfold(1.0, 1.0, 1.0, 1.0, 1.0)[0]
+    again = trimesh_from_quads(verts.copy(), np.array(quads))
+    assert ksurf.geodesic._stencil_table(again)[1] is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
+    with pytest.raises(TypeError):
+        starts[0] = 1

@@ -459,3 +459,46 @@ def test_cli_validate_ends_each_report_with_a_newline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "branch counts match)\ndiagnostics report\n" in out
     assert out.endswith("\n") and out.count("quad_incidence:") == 1
+
+
+SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+
+
+@pytest.mark.parametrize("faces,line,face", [
+    ("f 1 2 4 0\n", 5, "[1, 2, 4, 0]"),
+    ("f 1 2 4 3\nf 1 2 5 3\n", 6, "[1, 2, 5, 3]"),
+    ("f 1//1 2//2 4//4 -1//1\n", 5, "[1, 2, 4, -1]"),
+])
+def test_cli_distance_rejects_face_index_outside_the_vertices(tmp_path, caplog, monkeypatch,
+                                                              faces, line, face):
+    marched = []
+    monkeypatch.setattr(ksurf.cli, "fast_march", lambda *a: marched.append(a))
+    obj = tmp_path / "bad.obj"
+    obj.write_text(SQUARE_VERTICES + faces)
+    with pytest.raises(ConfigError, match=f"line {line}: face"):
+        trimesh_from_obj(obj)
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(obj), "--quiet"])
+    assert code == 1 and errors == [f"{obj}: line {line}: face {face} has an index "
+                                    "outside 1..4"]
+    assert marched == []
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_cli_distance_on_unreadable_mesh(tmp_path, caplog, what):
+    path = tmp_path / "m.obj"
+    if what == "directory":
+        path.mkdir()
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(path), "--quiet"])
+    assert code == 1 and len(errors) == 1
+    assert errors[0].startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("missing", ["mesh", "csv"])
+def test_cli_validate_on_missing_file(tmp_path, caplog, missing):
+    obj, csv_path = tmp_path / "v.obj", tmp_path / "v.csv"
+    export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), obj, csv_path)
+    gone = {"mesh": obj, "csv": csv_path}[missing]
+    gone.unlink()
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [f"cannot read {gone}: No such file or directory"]

@@ -152,6 +152,51 @@ def test_vertex_ids_match_scalar_oracle():
         assert all(type(x) is int for refs in back_refs for ref in refs for x in ref)
 
 
+def _assert_ids_match_oracle(cx):
+    ids, count, back_refs = global_vertex_ids(cx)
+    want_ids, want_count, want_refs = mesh_oracle.global_vertex_ids(cx)
+    assert (count, back_refs) == (want_count, want_refs)
+    assert len(ids) == len(want_ids)
+    assert all(np.array_equal(got, want) for got, want in zip(ids, want_ids))
+    return ids
+
+
+def test_vertex_id_memo_follows_the_topology():
+    cx = build_surgery_m3().copy()
+    cx.gluings = [GluingMap(g.sector_a, g.sector_b, list(g.nodes_a), list(g.nodes_b))
+                  for g in cx.gluings]
+    before = _assert_ids_match_oracle(cx)
+    # what a caller does to its own lists stays out of the next call
+    ids, _, back_refs = global_vertex_ids(cx)
+    ids.clear()
+    back_refs[0].append((9, 9, 9))
+    _assert_ids_match_oracle(cx)
+
+    cx.gluings[1].nodes_a.reverse()  # in place: same objects, other glued pairs
+    edited = _assert_ids_match_oracle(cx)
+    assert not all(np.array_equal(a, b) for a, b in zip(before, edited))
+
+    cx.sectors[1].valid[3, 3] = False  # one node flipped, same shapes
+    flipped = _assert_ids_match_oracle(cx)
+    assert flipped[1][3, 3] == -1 != edited[1][3, 3]
+
+    base = build_patched("LINEAR", 1.0, 2, 0.5, 8, tol=1e-6)
+    _assert_ids_match_oracle(base)
+    cut = insert_branch_point(base, SurgerySpec(sector=0, b=4, m=3),
+                              CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
+                              IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
+    _assert_ids_match_oracle(cut)
+    _assert_ids_match_oracle(base)
+
+
+def test_vertex_ids_are_read_only():
+    ids, _, _ = global_vertex_ids(build_surgery_m3())
+    for a in ids:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 7
+    _assert_ids_match_oracle(build_surgery_m3())
+
+
 def _oracle_cases(tmp_path):
     """Complexes whose checks pass and fail in every way the quad table can."""
     forced = insert_branch_point(
