@@ -1,0 +1,213 @@
+#!/usr/bin/env python3
+"""Convergence map: the automatic schedule against the doubling schedule.
+
+Every cell (family, eps, n, grid, extent) is generated three ways with
+tol 1e-4 and at most 100 iterations per stage:
+
+- automatic: ``epsilon_schedule=None``, which first tries the target
+  epsilon alone and walks the doubling schedule only when that fails;
+- doubling: the explicit ``auto_schedule(eps)``, walked stage by stage;
+- sqrt2: a schedule with ratio sqrt(2), the baseline of how much the
+  converged surface depends on the path taken to it.
+
+Outer iterations are counted as distance marches, so an abandoned direct
+attempt counts too. A cell falls back when the INFO line of an abandoned
+attempt is logged; its result must then be bitwise the doubling one (or
+the same error). The deviation of a path is
+the largest vertex distance between its surface and the doubling one.
+Writes ``demos/convergence_map.md``; ``--map second`` runs the second grid
+of cells instead and ``--cells N`` only its first N cells.
+"""
+import argparse
+import itertools
+import logging
+import os
+
+import numpy as np
+
+from ksurf import (
+    CurvatureFamily,
+    CurvatureSpec,
+    GridTooCoarseError,
+    IterationConfig,
+    NonConvergenceError,
+    QuadError,
+    SectorSpec,
+    auto_schedule,
+    geodesic_provider,
+    patch_sectors,
+    symmetric_angles,
+)
+
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "convergence_map.md")
+DEVIATION = 3e-4  # a surface further than this from the doubling one counts as moved
+
+MAPS = {
+    "first": ({"LINEAR": (2.5, 5.0, 10.0, 20.0, 50.0), "RING": (2.0, 4.0, 8.0)},
+              (2, 3, 4), (6, 8, 12, 16), (0.5, 1.0)),
+    "second": ({"LINEAR": (2.9, 8.9, 26.0), "RING": (2.9, 3.0, 8.9)},
+               (2, 3, 4), (8, 12, 16, 24), (0.5, 0.625, 0.75)),
+}
+
+
+def sqrt2_schedule(target: float) -> list:
+    """Ratio sqrt(2) from the first doubling stage up to the target."""
+    halvings = len(auto_schedule(target)) - 1
+    return [target / 2.0 ** (e / 2.0) for e in range(2 * halvings, -1, -1)]
+
+
+class AbandonedAttempts(logging.Handler):
+    """Counts the INFO lines of abandoned direct attempts."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += record.getMessage().startswith("direct attempt")
+
+
+ATTEMPTS = AbandonedAttempts()
+
+
+def run(family, eps, n, grid, extent, schedule):
+    """(complex or None, outcome, outer iterations) of one generation."""
+    marches = 0
+
+    def counted(cx):
+        nonlocal marches
+        marches += 1
+        return geodesic_provider(cx)
+
+    try:
+        cx = patch_sectors(symmetric_angles(n),
+                           SectorSpec(u_max=extent, v_max=extent, I=grid, J=grid),
+                           CurvatureSpec(CurvatureFamily[family], eps),
+                           IterationConfig(epsilon_schedule=schedule), counted)
+    except NonConvergenceError as exc:
+        return None, f"{exc.kind} at {exc.epsilon:g}: {exc}", marches
+    except (QuadError, GridTooCoarseError) as exc:
+        return None, f"{type(exc).__name__}: {exc}", marches
+    return cx, "converged", marches
+
+
+def deviation(a, b) -> float:
+    return max(float(np.linalg.norm(sa.positions[sa.valid] - sb.positions[sb.valid],
+                                    axis=-1).max(initial=0.0))
+               for sa, sb in zip(a.sectors, b.sectors))
+
+
+def bitwise_equal(a, b) -> bool:
+    return a.history == b.history and all(
+        getattr(sa, f).tobytes() == getattr(sb, f).tobytes()
+        for sa, sb in zip(a.sectors, b.sectors)
+        for f in ("positions", "normals", "rho", "geo_dist", "valid"))
+
+
+def map_cell(family, eps, n, grid, extent) -> dict:
+    before = ATTEMPTS.count
+    auto, auto_out, auto_it = run(family, eps, n, grid, extent, None)
+    fell_back = ATTEMPTS.count > before
+    dbl, dbl_out, dbl_it = run(family, eps, n, grid, extent, auto_schedule(eps))
+    sq, sq_out, sq_it = run(family, eps, n, grid, extent, sqrt2_schedule(eps))
+    if auto is not None and dbl is not None:
+        same = bitwise_equal(auto, dbl)
+    else:
+        same = auto is None and dbl is None and auto_out == dbl_out
+    return {
+        "cell": (family, eps, n, grid, extent),
+        "outcomes": (auto_out, dbl_out, sq_out),
+        "iters": (auto_it, dbl_it, sq_it),
+        "fallback_same": fell_back and same,
+        "fell_back": fell_back,
+        "dev_auto": deviation(auto, dbl) if auto is not None and dbl is not None else None,
+        "dev_sqrt2": deviation(sq, dbl) if sq is not None and dbl is not None else None,
+    }
+
+
+def short(outcome: str) -> str:
+    return outcome if outcome == "converged" else outcome.split(":")[0]
+
+
+def fmt_dev(dev) -> str:
+    return "" if dev is None else f"{dev:.1e}"
+
+
+def report(rows, name) -> str:
+    conv = [[r["outcomes"][k] == "converged" for r in rows] for k in range(3)]
+    both = [r for r, a, d in zip(rows, conv[0], conv[1]) if a and d]
+    fell = [r for r in rows if r["fell_back"]]
+    dev_auto = [r["dev_auto"] for r in rows if r["dev_auto"] is not None]
+    dev_sq = [r["dev_sqrt2"] for r in rows if r["dev_sqrt2"] is not None]
+    lines = [
+        f"# Convergence map ({name} grid of cells)",
+        "",
+        "Written by `demos/05_convergence_map.py`: each cell is generated with the",
+        "automatic schedule (the target epsilon first, the doubling schedule only",
+        "when that attempt fails), with the explicit doubling schedule",
+        "`auto_schedule(eps)` and with a sqrt(2) schedule; tol 1e-4, at most 100",
+        "iterations per stage. Outer iterations count every distance march,",
+        "abandoned attempts included. Deviations are the largest vertex distance",
+        "from the doubling surface.",
+        "",
+        f"- cells: {len(rows)}; converged: doubling {sum(conv[1])}, automatic "
+        f"{sum(conv[0])}, sqrt2 {sum(conv[2])}",
+        f"- converged with doubling but not automatic: "
+        f"{sum(d and not a for a, d in zip(conv[0], conv[1]))}; with automatic but not "
+        f"doubling: {sum(a and not d for a, d in zip(conv[0], conv[1]))}",
+        f"- outer iterations on the {len(both)} cells that converge both ways: doubling "
+        f"{sum(r['iters'][1] for r in both)}, automatic {sum(r['iters'][0] for r in both)}",
+        f"- fallback cells (direct attempt abandoned): {len(fell)}, of which bitwise "
+        f"equal to the doubling result (or the same error): "
+        f"{sum(r['fallback_same'] for r in fell)}",
+        f"- deviation above {DEVIATION:g}: automatic {sum(d > DEVIATION for d in dev_auto)} "
+        f"of {len(dev_auto)} common cells; sqrt2 (path-dependence baseline) "
+        f"{sum(d > DEVIATION for d in dev_sq)} of {len(dev_sq)}",
+        "",
+        "| family | eps | n | grid | extent | automatic | doubling | sqrt2 "
+        "| iters auto | iters doubling | iters sqrt2 | dev auto | dev sqrt2 |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+    ]
+    for r in rows:
+        family, eps, n, grid, extent = r["cell"]
+        auto = short(r["outcomes"][0]) + (" (fallback)" if r["fell_back"] else "")
+        lines.append(
+            f"| {family} | {eps:g} | {n} | {grid} | {extent:g} | {auto} | "
+            f"{short(r['outcomes'][1])} | {short(r['outcomes'][2])} | "
+            + " | ".join(str(i) for i in r["iters"])
+            + f" | {fmt_dev(r['dev_auto'])} | {fmt_dev(r['dev_sqrt2'])} |")
+    return "\n".join(lines) + "\n"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--map", choices=sorted(MAPS), default="first")
+    ap.add_argument("--cells", type=int, default=None, help="run only the first N cells")
+    ap.add_argument("--out", default=OUT)
+    args = ap.parse_args()
+
+    amsler_log = logging.getLogger("ksurf.amsler")
+    amsler_log.setLevel(logging.INFO)
+    amsler_log.addHandler(ATTEMPTS)
+    amsler_log.propagate = False
+    eps_by_family, ns, grids, extents = MAPS[args.map]
+    cells = [(fam, eps, n, grid, ext)
+             for fam, eps_list in eps_by_family.items()
+             for eps, n, grid, ext in itertools.product(eps_list, ns, grids, extents)]
+    cells = cells[:args.cells]
+    rows = []
+    for k, cell in enumerate(cells, 1):
+        rows.append(map_cell(*cell))
+        r = rows[-1]
+        print(f"[{k}/{len(cells)}] {cell}: {[short(o) for o in r['outcomes']]} "
+              f"iters {r['iters']}", flush=True)
+    text = report(rows, args.map)
+    with open(args.out, "w", newline="\n") as fh:
+        fh.write(text)
+    print(text.split("\n\n")[2])
+    print("wrote", args.out)
+
+
+if __name__ == "__main__":
+    main()

@@ -8,6 +8,10 @@ tolerance. The seed surface is always the constant-curvature (K = -1)
 sweep of the same boundary data. Large epsilon targets are reached by
 continuation: each stage re-initializes the boundary normals for its
 epsilon and reuses the previous stage's surface as the starting iterate.
+An automatic schedule first tries the target epsilon alone, on a copy of
+the complex, and walks its doubling stages only when that attempt fails
+(an unsolvable quad, a failed stage, or a change that stops reaching new
+minima); an explicit schedule is walked exactly as given.
 
 Boundary data along a straight ray with direction s and spacing h:
 positions march evenly, D is exact arc length, and normals follow
@@ -28,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .geodesic import MarchResult, TriMesh, fast_march, triangulate_complex
-from .lelieuvre import sweep_sector, sweep_sectors
+from .lelieuvre import QuadError, sweep_sector, sweep_sectors
 from .mesh import (
     BranchPoint,
     GluingMap,
@@ -347,7 +351,7 @@ def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
 
 
 def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
-              provider=None, seed_sectors=None) -> StageRecord:
+              provider=None, seed_sectors=None, *, _stall_window=None) -> StageRecord:
     """One outer iteration stage at fixed epsilon.
 
     Optionally seeds the listed sectors with a constant-curvature sweep,
@@ -360,7 +364,9 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     gives the bits of sweeping and refreshing one sector at a time. A
     non-finite interior distance or swept position raises
     NonConvergenceError, since NaN would otherwise drop out of the
-    displacement maximum and read as converged.
+    displacement maximum and read as converged. With ``_stall_window`` set,
+    a change that reaches no new minimum for that many iterations in a row
+    ends the stage as a stall.
     """
     provider = provider or geodesic_provider
     if seed_sectors:
@@ -373,6 +379,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     changes = []
     # interior positions of the last three iterates, to tell a cycle
     recent = collections.deque(maxlen=3)
+    best, since_best = math.inf, 0
     for iteration in range(1, cfg.max_iters + 1):
         prov = provider(cx)
         for sid, s in enumerate(cx.sectors):
@@ -399,6 +406,18 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
         logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
         if change < cfg.tol:
             return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes)
+        if change < best:
+            best, since_best = change, 0
+        else:
+            since_best += 1
+        if since_best == _stall_window:
+            raise NonConvergenceError(
+                f"stall: no new minimum of the change in {since_best} iterations at epsilon "
+                f"{curv.epsilon:g} (last change {change:.3e}, best {best:.3e})",
+                epsilon=curv.epsilon,
+                changes=changes,
+                kind="stall",
+            )
     kind, detail = _classify_failure(changes, recent, cfg.tol)
     raise NonConvergenceError(
         f"{kind}: no convergence after {cfg.max_iters} iterations at epsilon "
@@ -409,7 +428,9 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     )
 
 
-DIVERGENCE_WINDOW = 3  # changes that must grow in a row to call it divergence
+# changes that must grow in a row to call it divergence, and iterations without
+# a new minimum of the change that end a direct attempt at the target epsilon
+DIVERGENCE_WINDOW = 3
 
 
 def _classify_failure(changes: list, recent, tol: float) -> tuple:
@@ -435,17 +456,59 @@ def _resolve_schedule(curv: CurvatureSpec, cfg: IterationConfig) -> list:
     return auto_schedule(curv.epsilon)
 
 
+def _direct_attempt(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
+                    provider):
+    """Converge a copy of ``cx`` cold at the target epsilon, as a one-entry schedule.
+
+    Returns the converged copy and its StageRecord, or None after one INFO
+    line when the stage fails or its change stops reaching new minima for
+    DIVERGENCE_WINDOW iterations; ``cx`` itself is never written.
+    """
+    provider = provider or geodesic_provider
+    trial = cx.copy()
+    marches = 0
+
+    def counted(c):
+        nonlocal marches
+        marches += 1
+        return provider(c)
+
+    try:
+        refresh_boundaries(trial, curv)
+        rec = run_stage(trial, curv, cfg, counted, seed_sectors=list(range(len(trial.sectors))),
+                        _stall_window=DIVERGENCE_WINDOW)
+    except (QuadError, NonConvergenceError) as exc:
+        logger.info("direct attempt at epsilon %g abandoned after %d iterations (%s); "
+                    "walking the schedule", curv.epsilon, marches,
+                    getattr(exc, "kind", type(exc).__name__))
+        return None
+    return trial, rec
+
+
 def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
                             cfg: IterationConfig, provider=None) -> SurfaceComplex:
     """Run the epsilon schedule on an initialized complex, warm-starting stages.
 
     Each stage starts by rewriting the base rays for its epsilon, so the
-    complex must carry their records (an imported complex has none).
+    complex must carry their records (an imported complex has none). An
+    automatic schedule (``cfg.epsilon_schedule`` None) of several stages is
+    tried as one stage at the target first; only when that attempt fails
+    are the stages walked, on the untouched complex, so the result is then
+    that of the schedule alone. An abandoned attempt leaves no StageRecord.
     """
     if not any(record.source is None for record in cx.boundaries):
         raise ValueError("the complex has no base-ray boundary records to rewrite "
                          "for each epsilon (an imported complex carries none)")
     schedule = _resolve_schedule(curv, cfg)
+    if cfg.epsilon_schedule is None and len(schedule) > 1:
+        attempt = _direct_attempt(cx, curv, cfg, provider)
+        if attempt is not None:
+            trial, rec = attempt
+            cx.sectors[:] = trial.sectors
+            cx.history.append(rec)
+            logger.info("stage epsilon %g converged in %d iterations", curv.epsilon,
+                        rec.iterations)
+            return cx
     for si, eps in enumerate(schedule):
         curv_s = curv.with_epsilon(eps)
         refresh_boundaries(cx, curv_s)

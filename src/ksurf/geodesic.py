@@ -151,9 +151,16 @@ def triangulate_complex(cx: SurfaceComplex) -> TriMesh:
 
 
 def trimesh_from_quads(vertices: np.ndarray, quads, back_refs=None) -> TriMesh:
-    """Split quads (corner order 00, 10, 01, 11) into a marchable TriMesh."""
+    """Split quads (corner order 00, 10, 01, 11) into a marchable TriMesh.
+
+    Every quad index must name a vertex (0..N-1); a negative one would wrap.
+    """
     n_verts = vertices.shape[0]
     quads = np.asarray(quads, dtype=np.intp).reshape(-1, 4)
+    bad = np.flatnonzero(((quads < 0) | (quads >= n_verts)).any(axis=1))
+    if len(bad):
+        q = int(bad[0])
+        raise ValueError(f"quad {q} {quads[q].tolist()} has an index outside 0..{n_verts - 1}")
     use_b, worst, lengths = _split_quads(np.asarray(vertices, dtype=float)[quads])
     local = np.array(_SPLITS)[use_b.astype(np.intp)]  # (Q, 2, 3) corner slots
     tris = np.take_along_axis(quads, local.reshape(len(quads), 6), axis=1).reshape(-1, 3)

@@ -75,7 +75,8 @@ def config_key(path: str):
 class RunConfig:
     """A validated run: building one (or ``replace``-ing a field) checks every value.
 
-    A ``schedule`` of None becomes the automatic schedule for the epsilon.
+    A ``schedule`` of None stays None and means the automatic schedule: the
+    target epsilon first, the doubling stages only if that fails.
     """
 
     curvature: CurvatureSpec
@@ -97,7 +98,8 @@ class RunConfig:
         with config_key("curvature.schedule"):
             schedule = _resolve_schedule(
                 self.curvature, IterationConfig(epsilon_schedule=self.schedule))
-        object.__setattr__(self, "schedule", schedule)
+        if self.schedule is not None:
+            object.__setattr__(self, "schedule", schedule)
         with config_key("sectors.n"):
             symmetric_angles(self.n)
         if self.angles is not None:
@@ -338,12 +340,18 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
 
     Gluings are reconstructed from nodes sharing a deduplicated vertex
     index; grid data comes from the CSV, structure from the #meta comment.
+    A malformed #meta line, or a CSV row naming a sector or node the #meta
+    line does not have, is a ConfigError naming the file and the line.
     """
     meta = None
     with _open_input(obj_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.startswith("#meta "):
-                meta = json.loads(line[len("#meta "):])
+                try:
+                    meta = json.loads(line[len("#meta "):])
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{obj_path}: line {lineno}: malformed #meta JSON: {exc}") from exc
                 break
     if meta is None:
         raise ConfigError(f"{obj_path}: missing #meta line, not a ksurf export")
@@ -373,7 +381,13 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
             raise ConfigError(f"{csv_path}: unexpected CSV columns {reader.fieldnames}")
         for row in reader:
             sid, i, j = int(row["sector_id"]), int(row["i"]), int(row["j"])
+            if not 0 <= sid < len(cx.sectors):
+                raise ConfigError(f"{csv_path}: line {reader.line_num}: sector_id {sid} is not "
+                                  f"a sector of the #meta line (0..{len(cx.sectors) - 1})")
             s = cx.sectors[sid]
+            if not (0 <= i < s.valid.shape[0] and 0 <= j < s.valid.shape[1]):
+                raise ConfigError(f"{csv_path}: line {reader.line_num}: node ({i}, {j}) lies "
+                                  f"outside sector {sid}, whose nodes are (0..{s.I}, 0..{s.J})")
             s.valid[i, j] = True
             s.positions[i, j] = (float(row["x"]), float(row["y"]), float(row["z"]))
             s.normals[i, j] = (float(row["nx"]), float(row["ny"]), float(row["nz"]))

@@ -1,4 +1,5 @@
 """Curvature families, boundary rays, the outer iteration and patching."""
+import logging
 import math
 
 import numpy as np
@@ -152,6 +153,49 @@ def test_continuation_walks_the_schedule():
     assert all(r.changes[-1] < 1e-4 for r in g.history)
 
 
+
+def _patched(family, eps, grid, extent, schedule=None):
+    return patch_sectors(symmetric_angles(2),
+                         SectorSpec(u_max=extent, v_max=extent, I=grid, J=grid),
+                         CurvatureSpec(CurvatureFamily[family], eps),
+                         IterationConfig(epsilon_schedule=schedule))
+
+
+def _assert_same_result(a, b, tmp_path):
+    """Bitwise equal sector arrays, history and OBJ export."""
+    for sa, sb in zip(a.sectors, b.sectors, strict=True):
+        for field in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+    assert a.history == b.history
+    export_mesh(a, tmp_path / "a.obj")
+    export_mesh(b, tmp_path / "b.obj")
+    assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+
+
+def test_automatic_schedule_converges_at_the_target_directly(tmp_path):
+    auto = _patched("LINEAR", 10.0, 8, 0.5)
+    assert [(rec.epsilon, rec.iterations) for rec in auto.history] == [(10.0, 5)]
+    walked = _patched("LINEAR", 10.0, 8, 0.5, auto_schedule(10.0))
+    assert [rec.epsilon for rec in walked.history] == auto_schedule(10.0)
+    assert sum(rec.iterations for rec in walked.history) == 16
+    # the direct attempt is the one-stage schedule at the target, run on a copy
+    _assert_same_result(auto, _patched("LINEAR", 10.0, 8, 0.5, [10.0]), tmp_path)
+
+
+@pytest.mark.parametrize("eps,grid,iterations,kind", [
+    (3.0, 16, 1, "UnsolvableQuadError"),  # the first sweep meets an unsolvable quad
+    (2.9, 24, 14, "stall"),  # no new minimum of the change in iterations 12-14
+])
+def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, eps, grid,
+                                                          iterations, kind):
+    caplog.set_level(logging.INFO, logger="ksurf.amsler")
+    auto = _patched("RING", eps, grid, 0.625)
+    attempts = [r.getMessage() for r in caplog.records if "direct attempt" in r.getMessage()]
+    assert attempts == [f"direct attempt at epsilon {eps:g} abandoned after {iterations} "
+                        f"iterations ({kind}); walking the schedule"]
+    assert [rec.epsilon for rec in auto.history] == auto_schedule(eps)
+    _assert_same_result(auto, _patched("RING", eps, grid, 0.625, auto_schedule(eps)), tmp_path)
+
 def test_run_stage_raises_on_stall():
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
@@ -161,11 +205,13 @@ def test_run_stage_raises_on_stall():
 
 
 def test_two_cycle_is_reported_as_cycle():
-    # The eps 5 stage settles into a period-2 orbit: every step moves the
-    # surface by 2.6e-3 while x_k and x_{k-2} agree to about 1e-14.
+    # The eps 5 stage of the doubling schedule settles into a period-2 orbit:
+    # every step moves the surface by 2.6e-3 while x_k and x_{k-2} agree to
+    # about 1e-14. (The automatic schedule converges here at eps 10 directly.)
     with pytest.raises(NonConvergenceError, match="^cycle: .*two-step change") as err:
         patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
-                      CurvatureSpec(CurvatureFamily.LINEAR, 10.0), IterationConfig())
+                      CurvatureSpec(CurvatureFamily.LINEAR, 10.0),
+                      IterationConfig(epsilon_schedule=auto_schedule(10.0)))
     assert err.value.kind == "cycle"
     assert err.value.epsilon == 5.0
     assert min(err.value.changes[-10:]) > 1e-3

@@ -1,6 +1,7 @@
 """Triangulation, the unfold update and fast marching."""
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,16 @@ def test_dijkstra_on_single_quad():
     assert d[1] == pytest.approx(1.0)
     assert d[2] == pytest.approx(1.0)
     assert d[3] == pytest.approx(math.sqrt(2.0))  # grid diagonal edge
+
+
+@pytest.mark.parametrize("quad,bad", [((0, 1, 2, -1), "[0, 1, 2, -1]"),
+                                      ((0, 1, 2, 4), "[0, 1, 2, 4]")])
+def test_trimesh_from_quads_rejects_index_outside_the_vertices(quad, bad):
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    message = f"quad 1 {bad} has an index outside 0..3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trimesh_from_quads(verts, [(0, 1, 2, 3), quad])
 
 
 def test_triangulated_complex_counts(pseudosphere_n2):

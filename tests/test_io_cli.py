@@ -32,7 +32,7 @@ def test_parse_config_defaults():
     cfg = parse_config("")
     assert cfg.curvature.family is CurvatureFamily.CONSTANT
     assert cfg.curvature.epsilon == 0.0
-    assert cfg.schedule == [0.0]
+    assert cfg.schedule is None
     assert (cfg.n, cfg.I, cfg.J) == (2, 20, 20)
     assert cfg.angles is None
     assert cfg.surgery == []
@@ -502,3 +502,56 @@ def test_cli_validate_on_missing_file(tmp_path, caplog, missing):
     code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
                                        "--quiet"])
     assert code == 1 and errors == [f"cannot read {gone}: No such file or directory"]
+
+
+def _damaged_export(tmp_path, damage):
+    """Export a small complex, apply ``damage`` to (obj lines, csv lines), write both back."""
+    obj, csv_path = tmp_path / "x.obj", tmp_path / "x.csv"
+    export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), obj, csv_path)
+    obj_lines, csv_lines = obj.read_text().splitlines(), csv_path.read_text().splitlines()
+    damage(obj_lines, csv_lines)
+    obj.write_text("\n".join(obj_lines) + "\n")
+    csv_path.write_text("\n".join(csv_lines) + "\n")
+    return obj, csv_path
+
+
+def _set_csv_field(lines, lineno, column, value):
+    parts = lines[lineno - 1].split(",")
+    parts[column] = value
+    lines[lineno - 1] = ",".join(parts)
+
+
+def test_cli_validate_on_malformed_meta(tmp_path, caplog):
+    def damage(obj_lines, _):
+        obj_lines[0] = obj_lines[0].replace("#meta {", "#meta {{", 1)
+
+    obj, csv_path = _damaged_export(tmp_path, damage)
+    with pytest.raises(ConfigError, match="line 1: malformed #meta JSON"):
+        import_mesh(obj, csv_path)
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and len(errors) == 1
+    assert errors[0].startswith(f"{obj}: line 1: malformed #meta JSON: ")
+
+
+@pytest.mark.parametrize("sid", ["9", "-1"])
+def test_cli_validate_on_unknown_sector(tmp_path, caplog, sid):
+    obj, csv_path = _damaged_export(tmp_path, lambda _, rows: _set_csv_field(rows, 3, 0, sid))
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [
+        f"{csv_path}: line 3: sector_id {sid} is not a sector of the #meta line (0..3)"]
+
+
+@pytest.mark.parametrize("column,value,node", [(1, "7", "(7, 2)"), (2, "-1", "(0, -1)")])
+def test_cli_validate_on_node_outside_its_sector(tmp_path, caplog, column, value, node):
+    def damage(_, rows):
+        _set_csv_field(rows, 4, 1, "0")
+        _set_csv_field(rows, 4, 2, "2")
+        _set_csv_field(rows, 4, column, value)
+
+    obj, csv_path = _damaged_export(tmp_path, damage)
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [
+        f"{csv_path}: line 4: node {node} lies outside sector 0, whose nodes are (0..6, 0..6)"]
