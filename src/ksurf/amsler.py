@@ -296,18 +296,6 @@ def _rho_field(s: SectorGrid, curv: CurvatureSpec) -> np.ndarray:
     return rho_field
 
 
-def init_boundary(spec: SectorSpec, curv: CurvatureSpec, sector_id: int = 0) -> SectorGrid:
-    """Fresh ODD-parity sector with its two boundary rays initialized.
-
-    Row (i, 0) runs along the u-ray s_a, column (0, j) along the v-ray s_b,
-    both starting at the origin with normal (0, 0, 1). Boundary D is exact
-    arc length. Interior nodes are left unset.
-    """
-    grid = single_sector_complex(spec, curv).sectors[0]
-    grid.sector_id = sector_id
-    return grid
-
-
 @dataclass
 class ProviderResult:
     per_sector: list
@@ -520,7 +508,11 @@ def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
 
 
 def single_sector_complex(spec: SectorSpec, curv: CurvatureSpec) -> SurfaceComplex:
-    """One ODD sector whose row and column are the rays s_a (u) and s_b (v)."""
+    """One ODD sector whose row and column are the rays s_a (u) and s_b (v).
+
+    Both rays start at the origin with normal (0, 0, 1) and carry exact arc
+    length as D; interior nodes are left unset.
+    """
     s_a, s_b = spec.directions()
     cx = SurfaceComplex(
         sectors=[SectorGrid.empty(spec.I, spec.J, Parity.ODD, 0)],
@@ -529,29 +521,6 @@ def single_sector_complex(spec: SectorSpec, curv: CurvatureSpec) -> SurfaceCompl
     )
     refresh_boundaries(cx, curv)
     return cx
-
-
-def generate_sector(spec: SectorSpec, curv: CurvatureSpec,
-                    cfg: IterationConfig | None = None,
-                    distance_provider=None) -> SectorGrid:
-    """Converged single sector at curv.epsilon (no continuation)."""
-    cfg = cfg or IterationConfig()
-    cx = single_sector_complex(spec, curv)
-    rec = run_stage(cx, curv, cfg, distance_provider, seed_sectors=[0])
-    cx.history.append(rec)
-    grid = cx.sectors[0]
-    grid.history = list(cx.history)
-    return grid
-
-
-def continuation(spec: SectorSpec, curv: CurvatureSpec, cfg: IterationConfig,
-                 distance_provider=None) -> SectorGrid:
-    """Single sector driven through the epsilon schedule."""
-    cx = single_sector_complex(spec, curv)
-    continuation_on_complex(cx, curv, cfg, distance_provider)
-    grid = cx.sectors[0]
-    grid.history = list(cx.history)
-    return grid
 
 
 def symmetric_angles(n: int) -> list:

@@ -340,8 +340,9 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
 
     Gluings are reconstructed from nodes sharing a deduplicated vertex
     index; grid data comes from the CSV, structure from the #meta comment.
-    A malformed #meta line, or a CSV row naming a sector or node the #meta
-    line does not have, is a ConfigError naming the file and the line.
+    A malformed #meta line, one of the wrong shape, or a CSV row naming a
+    sector or node the #meta line does not have, is a ConfigError naming
+    the file and the line.
     """
     meta = None
     with _open_input(obj_path) as fh:
@@ -356,23 +357,28 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
     if meta is None:
         raise ConfigError(f"{obj_path}: missing #meta line, not a ksurf export")
 
-    sectors = []
-    for entry in meta["sectors"]:
-        I, J = entry["shape"]
-        grid = SectorGrid.empty(I, J, Parity(entry["parity"]), entry["id"])
-        grid.valid[:, :] = False
-        sectors.append(grid)
-    cx = SurfaceComplex(sectors=sectors, origin=tuple(meta["origin"]))
-    for bp in meta.get("branch_points", []):
-        cx.branch_points.append(BranchPoint(
-            sector=bp["sector"], i=bp["i"], j=bp["j"],
-            incident_sectors=bp["incident_sectors"],
-            expected_quads=bp["expected_quads"]))
     from .amsler import StageRecord
-    for rec in meta.get("history", []):
-        cx.history.append(StageRecord(epsilon=rec["epsilon"],
-                                      iterations=rec["iterations"],
-                                      changes=list(rec["changes"])))
+    try:
+        sectors = []
+        for entry in meta["sectors"]:
+            I, J = entry["shape"]
+            grid = SectorGrid.empty(I, J, Parity(entry["parity"]), entry["id"])
+            grid.valid[:, :] = False
+            sectors.append(grid)
+        cx = SurfaceComplex(sectors=sectors, origin=tuple(meta["origin"]))
+        for bp in meta.get("branch_points", []):
+            cx.branch_points.append(BranchPoint(
+                sector=bp["sector"], i=bp["i"], j=bp["j"],
+                incident_sectors=bp["incident_sectors"],
+                expected_quads=bp["expected_quads"]))
+        for rec in meta.get("history", []):
+            cx.history.append(StageRecord(epsilon=rec["epsilon"],
+                                          iterations=rec["iterations"],
+                                          changes=list(rec["changes"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(
+            f"{obj_path}: line {lineno}: #meta JSON of the wrong shape: {what}") from exc
 
     by_vid = {}
     with _open_input(csv_path, newline="") as fh:

@@ -18,12 +18,13 @@ The branch with "+" keeps continuity with the constant-curvature update
 (a Householder reflection of N0 across span(N1 + N2)), which is the
 rho == const specialization of the same formula.
 
-One array kernel, ``closure``, solves many quads at once; the scalar
-updates are that kernel on one row. A sweep visits anti-diagonals i + j = d
-in increasing d and solves every node of a diagonal, in all the sectors it
-was given, in one call: a node reads only the three nodes of its quad,
-which lie on diagonals d - 1 and d - 2 of its own sector. Norms and dots
-are ``np.vecdot`` (the BLAS ``ddot`` of the scalar form, where
+One array kernel, ``closure``, solves many quads at once, and the sweeps
+are its only callers; a single quad is a one-row call, or the sweep of a
+1 x 1 sector. A sweep visits anti-diagonals i + j = d in increasing d and
+solves every node of a diagonal, in all the sectors it was given, in one
+call: a node reads only the three nodes of its quad, which lie on
+diagonals d - 1 and d - 2 of its own sector. Norms and dots are
+``np.vecdot`` (the BLAS ``ddot`` of a scalar form, where
 ``(a * b).sum(-1)`` rounds differently), so each node gets the same bits as
 a node-by-node sweep would give it.
 
@@ -32,17 +33,14 @@ kernel; the diagnostics report folds them over every quad of a complex.
 """
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .mesh import Parity, SectorGrid
-from .vectors import Vec3, cross
+from .vectors import cross
 
 DEGENERATE_TOL = 1e-12
-FLAT_QUAD_TOL = 1e-12
 
 # closure status per row: solved, or why the quad has no solution
 SOLVED, DEGENERATE, STEEP, PERPENDICULAR = 0, 1, 2, 3
@@ -75,13 +73,6 @@ def scaled_normals(N: np.ndarray, rho) -> np.ndarray:
     return np.sqrt(rho)[..., None] * N
 
 
-def scale_normal(N: Vec3, K: float) -> Vec3:
-    """Lelieuvre normal nu = (-K)^(-1/4) N = sqrt(rho) N for K < 0."""
-    if not K < 0.0:
-        raise ValueError(f"curvature must be negative, got {K!r}")
-    return scaled_normals(N, np.float64(-K) ** -0.5)
-
-
 def closure(nu0: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
             rho0: np.ndarray, rho12: np.ndarray):
     """Solve nu12 = C (nu1 + nu2) - nu0 with |nu12|^2 = rho12, row by row.
@@ -91,7 +82,7 @@ def closure(nu0: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
     quadratic collapses to C^2 |w|^2 = rho12 - rho0. Rows that have no
     solution get a nonzero status (DEGENERATE, STEEP or PERPENDICULAR) and
     NaN in nu12. A NaN input propagates to nu12 and never sets a status by
-    itself, as in the scalar form, where every comparison with NaN fails.
+    itself, as in a scalar solve, where every comparison with NaN fails.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         w = nu1 + nu2
@@ -112,7 +103,7 @@ def closure(nu0: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
     return nu12, C, alpha, status
 
 
-def _quad_error(status: int, alpha: float, location: tuple | None) -> QuadError:
+def _quad_error(status: int, alpha: float, location: tuple) -> QuadError:
     if status == DEGENERATE:
         return DegenerateQuadError("degenerate quad: nu1 + nu2 vanishes", location)
     if status == STEEP:
@@ -126,79 +117,6 @@ def _quad_error(status: int, alpha: float, location: tuple | None) -> QuadError:
     )
 
 
-def _close_one(nu0: Vec3, nu1: Vec3, nu2: Vec3, rho0: float, rho12: float):
-    """The closure kernel on one row; raises on an unsolvable quad."""
-    nu12, C, alpha, status = closure(nu0[None], nu1[None], nu2[None],
-                                     np.array([rho0]), np.array([rho12]))
-    if status[0] != SOLVED:
-        raise _quad_error(int(status[0]), float(alpha[0]), None)
-    return nu12[0], float(C[0]), float(alpha[0])
-
-
-@dataclass
-class QuadSolveInputs:
-    """Known data of a quad: corners f0, f1 (u-neighbor), f2 (v-neighbor).
-
-    rho12 is the prescribed rescaled curvature at the unknown corner f12.
-    """
-
-    r0: Vec3
-    r1: Vec3
-    r2: Vec3
-    N0: Vec3
-    N1: Vec3
-    N2: Vec3
-    rho0: float = 1.0
-    rho1: float = 1.0
-    rho2: float = 1.0
-    rho12: float = 1.0
-
-    def validate(self) -> None:
-        for name in ("N0", "N1", "N2"):
-            N = getattr(self, name)
-            if abs(math.sqrt(float(N @ N)) - 1.0) > 1e-12:
-                raise ValueError(f"{name} is not unit length")
-        for name in ("rho0", "rho1", "rho2", "rho12"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class QuadSolveOutputs:
-    N12: Vec3
-    r12: Vec3
-    C: float
-    alpha: float
-
-
-def quad_update_constant(q: QuadSolveInputs) -> QuadSolveOutputs:
-    """Fourth corner of a pseudospherical (K = -1) quad.
-
-    N12 is the Householder reflection of N0 across span(N1 + N2):
-    N12 = (2 <N1 + N2, N0> / |N1 + N2|^2) (N1 + N2) - N0, and
-    r12 = r2 + N12 x N2. All rho values are treated as 1.
-    """
-    q.validate()
-    if (np.linalg.norm(q.N1 - q.N0) < FLAT_QUAD_TOL
-            and np.linalg.norm(q.N2 - q.N0) < FLAT_QUAD_TOL):
-        warnings.warn("flat quad: coincident normals give zero edge vectors",
-                      RuntimeWarning, stacklevel=2)
-    nu12, C, alpha = _close_one(q.N0, q.N1, q.N2, 1.0, 1.0)
-    r12 = q.r2 + np.cross(nu12, q.N2)
-    return QuadSolveOutputs(N12=nu12, r12=r12, C=C, alpha=alpha)
-
-
-def quad_update_variable(q: QuadSolveInputs) -> QuadSolveOutputs:
-    """Fourth corner of a quad with prescribed rho at all corners."""
-    q.validate()
-    nu0, nu1, nu2 = scaled_normals(np.array([q.N0, q.N1, q.N2]),
-                                   np.array([q.rho0, q.rho1, q.rho2]))
-    nu12, C, alpha = _close_one(nu0, nu1, nu2, q.rho0, q.rho12)
-    N12 = nu12 / math.sqrt(q.rho12)
-    r12 = q.r2 + np.cross(nu12, nu2)
-    return QuadSolveOutputs(N12=N12, r12=r12, C=C, alpha=alpha)
-
-
 # corner pairs (a, b) of the four quad edges, corners ordered (f0, f1, f2, f12)
 EDGE_A = (0, 0, 1, 2)
 EDGE_B = (1, 2, 3, 3)
@@ -207,12 +125,17 @@ EDGE_B = (1, 2, 3, 3)
 def quad_residual_arrays(pos: np.ndarray, nrm: np.ndarray, rho: np.ndarray):
     """Residuals of n quads from corner arrays ordered (f0, f1, f2, f12).
 
-    ``pos`` and ``nrm`` have shape (4, n, 3), ``rho`` shape (4, n). Returns
-    (compatibility, tangency, edge_length, unit_norm), each of shape (n,);
-    see ``compatibility_residual`` and ``quad_residuals``. The maxima over
-    a quad's edges and corners skip NaN, as Python's ``max`` fold from 0.0
-    did (``np.fmax``); unit_norm is NaN when corner f0's is, since that
-    fold started from f0.
+    ``pos`` and ``nrm`` have shape (4, n, 3), ``rho`` shape (4, n). Returns,
+    each of shape (n,):
+
+    compatibility: | (nu12 + nu0) x (nu1 + nu2) | with nu = sqrt(rho) N;
+    tangency: max |<edge, N_endpoint>| over the four edges and both endpoints;
+    edge_length: max | |edge| - sqrt(rho_a rho_b) |Na x Nb| | over the edges;
+    unit_norm: max | |N| - 1 | over the corners.
+
+    The maxima over a quad's edges and corners skip NaN, as Python's ``max``
+    fold from 0.0 does (``np.fmax``); unit_norm is NaN when corner f0's is,
+    as a fold that starts from f0 gives.
     """
     nu = scaled_normals(nrm, rho)
     compatibility = _norm(cross(nu[3] + nu[0], nu[1] + nu[2]))
@@ -225,41 +148,6 @@ def quad_residual_arrays(pos: np.ndarray, nrm: np.ndarray, rho: np.ndarray):
     unit = np.abs(_norm(nrm) - 1.0)
     unit_norm = np.where(np.isnan(unit[0]), np.nan, np.fmax.reduce(unit, axis=0))
     return compatibility, tangency, edge_length, unit_norm
-
-
-def _quad_arrays(quad):
-    """Corner arrays of one quad of VertexStates, shaped for the kernel."""
-    pos = np.array([v.position for v in quad])[:, None]
-    nrm = np.array([v.normal for v in quad])[:, None]
-    rho = np.array([[v.rho] for v in quad], dtype=float)
-    return quad_residual_arrays(pos, nrm, rho)
-
-
-def compatibility_residual(quad) -> float:
-    """| (nu12 + nu0) x (nu1 + nu2) | for a quad of VertexStates (f0, f1, f2, f12)."""
-    return float(_quad_arrays(quad)[0][0])
-
-
-@dataclass
-class QuadResiduals:
-    tangency: float
-    edge_length: float
-    unit_norm: float
-
-    def max(self) -> float:
-        return max(self.tangency, self.edge_length, self.unit_norm)
-
-
-def quad_residuals(quad) -> QuadResiduals:
-    """Asymptotic-quad residuals from stored data only.
-
-    tangency: max |<edge, N_endpoint>| over the four edges and both endpoints.
-    edge_length: max | |edge| - sqrt(rho_a rho_b) |Na x Nb| |.
-    unit_norm: max | |N| - 1 | over the corners.
-    """
-    _, tangency, edge_length, unit_norm = _quad_arrays(quad)
-    return QuadResiduals(tangency=float(tangency[0]), edge_length=float(edge_length[0]),
-                         unit_norm=float(unit_norm[0]))
 
 
 def sweep_sector(s: SectorGrid, rho_field: np.ndarray) -> SectorGrid:
@@ -352,5 +240,5 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
     return [replace(s, positions=pos[a:b].reshape(s.positions.shape),
                     normals=nrm[a:b].reshape(s.normals.shape),
                     rho=rho_out[a:b].reshape(s.rho.shape), geo_dist=s.geo_dist.copy(),
-                    valid=s.valid.copy(), history=list(s.history))
+                    valid=s.valid.copy())
             for s, a, b in zip(grids, offsets[:-1].tolist(), offsets[1:].tolist())]

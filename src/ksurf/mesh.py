@@ -23,8 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .vectors import Vec3
-
 UNSET_DISTANCE = math.inf
 
 COINCIDENCE_TOL = 1e-10
@@ -37,27 +35,6 @@ class Parity(Enum):
 
     def flipped(self) -> "Parity":
         return Parity.EVEN if self is Parity.ODD else Parity.ODD
-
-
-@dataclass(frozen=True)
-class VertexState:
-    """Immutable view of one grid node."""
-
-    position: Vec3
-    normal: Vec3
-    rho: float
-    geo_dist: float
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.position)):
-            raise ValueError("vertex position is not finite")
-        n = float(self.normal @ self.normal)
-        if abs(math.sqrt(n) - 1.0) > UNIT_NORMAL_TOL:
-            raise ValueError(f"normal is not unit length: |N| = {math.sqrt(n)!r}")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
-        if self.geo_dist < 0.0:
-            raise ValueError(f"geodesic distance must be nonnegative, got {self.geo_dist!r}")
 
 
 @dataclass
@@ -76,7 +53,6 @@ class SectorGrid:
     valid: np.ndarray
     parity: Parity
     sector_id: int = 0
-    history: list = field(default_factory=list)
 
     @classmethod
     def empty(cls, I: int, J: int, parity: Parity, sector_id: int = 0) -> "SectorGrid":
@@ -100,16 +76,6 @@ class SectorGrid:
     @property
     def J(self) -> int:
         return self.positions.shape[1] - 1
-
-    def state(self, i: int, j: int) -> VertexState:
-        if not (0 <= i <= self.I and 0 <= j <= self.J):
-            raise IndexError(f"node ({i},{j}) outside grid {self.I}x{self.J}")
-        return VertexState(
-            position=self.positions[i, j].copy(),
-            normal=self.normals[i, j].copy(),
-            rho=float(self.rho[i, j]),
-            geo_dist=float(self.geo_dist[i, j]),
-        )
 
     def write_side(self, side: str, data) -> None:
         """Write boundary data along the first row or column.
@@ -137,17 +103,12 @@ class SectorGrid:
             valid=self.valid.copy(),
             parity=self.parity,
             sector_id=self.sector_id,
-            history=list(self.history),
         )
 
     def quad_mask(self) -> np.ndarray:
         """(I, J) mask of the quads, by lower corner, that have all four nodes."""
         v = self.valid
         return v[:-1, :-1] & v[1:, :-1] & v[:-1, 1:] & v[1:, 1:]
-
-    def quads(self) -> list:
-        """(i, j) lower corners of all existing quads, in i-major order."""
-        return [tuple(q) for q in np.argwhere(self.quad_mask()).tolist()]
 
     def boundary_mask(self) -> np.ndarray:
         """Nodes whose data is prescribed rather than swept (first row/column)."""
@@ -157,26 +118,13 @@ class SectorGrid:
         return m & self.valid
 
 
-def quad_corner_indices(parity: Parity, i: int, j: int):
-    """Grid indices (f0, f1, f2, f12) of the quad with lower corner (i, j).
-
-    f1 is the u-neighbor of f0 and f2 the v-neighbor, so the roles of the
-    two adjacent corners swap with sector parity. f12 is always (i+1, j+1).
-    """
-    f0 = (i, j)
-    f12 = (i + 1, j + 1)
-    if parity is Parity.ODD:
-        f1, f2 = (i + 1, j), (i, j + 1)
-    else:
-        f1, f2 = (i, j + 1), (i + 1, j)
-    return f0, f1, f2, f12
-
-
 def quad_corner_values(s: SectorGrid, a: np.ndarray) -> np.ndarray:
     """A per-node array of ``s`` at the corners of all valid quads, as (4, n, ...).
 
-    Corners are ordered (f0, f1, f2, f12) as in ``quad_corner_indices`` and
-    quads in the i-major order of ``SectorGrid.quads``.
+    Corners are ordered (f0, f1, f2, f12): f0 is the lower corner (i, j),
+    f12 is (i+1, j+1), f1 the u-neighbor and f2 the v-neighbor of f0, so
+    the roles of (i+1, j) and (i, j+1) swap with sector parity. Quads come
+    in the i-major order of their lower corners in ``quad_mask``.
     """
     ok = s.quad_mask()
     c00, c10, c01, c11 = a[:-1, :-1][ok], a[1:, :-1][ok], a[:-1, 1:][ok], a[1:, 1:][ok]
@@ -187,13 +135,6 @@ def quad_corner_values(s: SectorGrid, a: np.ndarray) -> np.ndarray:
 def quad_corner_arrays(s: SectorGrid):
     """Positions, normals and rho of all valid quads (see ``quad_corner_values``)."""
     return tuple(quad_corner_values(s, a) for a in (s.positions, s.normals, s.rho))
-
-
-def quad_corners(s: SectorGrid, i: int, j: int):
-    """VertexStates (f0, f1, f2, f12) of quad (i, j), parity-aware."""
-    if not (0 <= i < s.I and 0 <= j < s.J):
-        raise IndexError(f"quad ({i},{j}) outside grid with {s.I}x{s.J} quads")
-    return tuple(s.state(*idx) for idx in quad_corner_indices(s.parity, i, j))
 
 
 @dataclass
@@ -407,7 +348,7 @@ def first_nodes(ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadTable:
-    """Every valid quad of a complex, sector by sector in ``SectorGrid.quads`` order.
+    """Every valid quad of a complex, sector by sector, i-major inside each.
 
     ``corners[q]`` holds the vertex ids of quad q in grid order (00, 10, 01,
     11); ``sector[q]``, ``i[q]`` and ``j[q]`` locate its lower corner.

@@ -3,23 +3,61 @@
 These are the per-node sweep and the per-quad diagnostics loop that
 ``ksurf.lelieuvre`` and ``ksurf.io.build_report`` replaced with array
 kernels. They are kept only as oracles: the library must reproduce their
-output bit for bit, and raise the same error for the same quad.
+output bit for bit, and raise the same error for the same quad. They read
+a quad through its corner indices (``quad_corner_indices``), which
+``ksurf.mesh.quad_corner_values`` gathers for all quads at once.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ksurf.amsler import origin_vertex
 from ksurf.geodesic import fast_march, triangulate_complex
 from ksurf.io import DiagnosticsReport
-from ksurf.lelieuvre import (
-    DEGENERATE_TOL,
-    DegenerateQuadError,
-    QuadResiduals,
-    UnsolvableQuadError,
-)
-from ksurf.mesh import quad_corner_indices, quad_corners
+from ksurf.lelieuvre import DEGENERATE_TOL, DegenerateQuadError, UnsolvableQuadError
+from ksurf.mesh import Parity
 from ksurf.vectors import angle_between
+
+
+class Corner(NamedTuple):
+    """Copies of one node's data."""
+
+    position: np.ndarray
+    normal: np.ndarray
+    rho: float
+
+
+class Residuals(NamedTuple):
+    tangency: float
+    edge_length: float
+    unit_norm: float
+
+
+def quad_corner_indices(parity, i, j):
+    """Grid indices (f0, f1, f2, f12) of the quad with lower corner (i, j).
+
+    f1 is the u-neighbor of f0 and f2 the v-neighbor, so the roles of the
+    two adjacent corners swap with sector parity. f12 is always (i+1, j+1).
+    """
+    f0 = (i, j)
+    f12 = (i + 1, j + 1)
+    if parity is Parity.ODD:
+        f1, f2 = (i + 1, j), (i, j + 1)
+    else:
+        f1, f2 = (i, j + 1), (i + 1, j)
+    return f0, f1, f2, f12
+
+
+def quad_corners(s, i, j):
+    """Corners (f0, f1, f2, f12) of quad (i, j) of sector grid ``s``."""
+    return tuple(Corner(s.positions[f].copy(), s.normals[f].copy(), float(s.rho[f]))
+                 for f in quad_corner_indices(s.parity, i, j))
+
+
+def quads(s):
+    """(i, j) lower corners of the valid quads of ``s``, in i-major order."""
+    return [tuple(q) for q in np.argwhere(s.quad_mask()).tolist()]
 
 
 def closure(nu0, nu1, nu2, rho0, rho12, location=None):
@@ -90,7 +128,7 @@ def quad_residuals(quad):
         target = math.sqrt(a.rho * b.rho) * float(np.linalg.norm(np.cross(a.normal, b.normal)))
         edge_length = max(edge_length, abs(float(np.linalg.norm(e)) - target))
     unit_norm = max(abs(float(np.linalg.norm(v.normal)) - 1.0) for v in quad)
-    return QuadResiduals(tangency=tangency, edge_length=edge_length, unit_norm=unit_norm)
+    return Residuals(tangency=tangency, edge_length=edge_length, unit_norm=unit_norm)
 
 
 def build_report(cx):
@@ -99,7 +137,7 @@ def build_report(cx):
     margin = math.inf
     n_quads = 0
     for s in cx.sectors:
-        for (qi, qj) in s.quads():
+        for (qi, qj) in quads(s):
             n_quads += 1
             quad = quad_corners(s, qi, qj)
             max_compat = max(max_compat, compatibility_residual(quad))

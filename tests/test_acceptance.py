@@ -22,15 +22,12 @@ from ksurf import (
     SurgerySpec,
     auto_schedule,
     build_report,
-    compatibility_residual,
+    continuation_on_complex,
     dijkstra_bound,
     export_mesh,
     fast_march,
-    generate_sector,
     insert_branch_point,
     patch_sectors,
-    quad_corners,
-    quad_residuals,
     run_stage,
     single_sector_complex,
     symmetric_angles,
@@ -38,7 +35,8 @@ from ksurf import (
     trimesh_from_quads,
     validate_complex,
 )
-from ksurf.mesh import incident_quad_count
+from ksurf.lelieuvre import quad_residual_arrays
+from ksurf.mesh import incident_quad_count, quad_corner_arrays, quad_corner_values
 
 from conftest import build_branch_chain, build_patched, build_surgery_m3
 
@@ -47,24 +45,20 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _sector_residuals(grid_or_cx):
     """Max residuals over every quad of a sector grid or a complex."""
-    sectors = getattr(grid_or_cx, "sectors", [grid_or_cx])
-    compat = tan = edge = 0.0
-    for s in sectors:
-        for (i, j) in s.quads():
-            quad = quad_corners(s, i, j)
-            compat = max(compat, compatibility_residual(quad))
-            res = quad_residuals(quad)
-            tan = max(tan, res.tangency)
-            edge = max(edge, res.edge_length)
-    return compat, tan, edge
+    worst = np.zeros(3)
+    for s in getattr(grid_or_cx, "sectors", [grid_or_cx]):
+        compat, tan, edge, _ = quad_residual_arrays(*quad_corner_arrays(s))
+        worst = np.maximum(worst, [r.max(initial=0.0) for r in (compat, tan, edge)])
+    return tuple(worst.tolist())
 
 
 def test_constant_curvature_converges_in_one_pass():
     spec = SectorSpec(u_max=1.0, v_max=1.0, I=40, J=40)
-    g = generate_sector(spec, CurvatureSpec(CurvatureFamily.CONSTANT),
-                        IterationConfig(tol=1e-4, max_iters=50))
-    rec = g.history[-1]
-    compat, tan, edge = _sector_residuals(g)
+    curv = CurvatureSpec(CurvatureFamily.CONSTANT)
+    cx = continuation_on_complex(single_sector_complex(spec, curv), curv, IterationConfig(
+        tol=1e-4, max_iters=50, epsilon_schedule=[curv.epsilon]))
+    rec = cx.history[-1]
+    compat, tan, edge = _sector_residuals(cx)
     print(f"iterations={rec.iterations} changes={rec.changes} "
           f"residuals=({compat:.3e}, {tan:.3e}, {edge:.3e}) vs 1e-10")
     assert rec.iterations == 1
@@ -101,14 +95,13 @@ def test_quad_invariants_across_the_matrix():
     for eps, n in itertools.product((0.0, 1.0, 10.0), (2, 3)):
         cx = build_patched("LINEAR", eps, n, 0.75, 12)
         for s in cx.sectors:
-            nu = s.normals * np.sqrt(s.rho)[..., None]
-            for (i, j) in s.quads():
-                n0, n1, n2, n12 = nu[i, j], nu[i + 1, j], nu[i, j + 1], nu[i + 1, j + 1]
-                worst_norm = max(worst_norm, abs(float(n12 @ n12) - s.rho[i + 1, j + 1]))
-                via_1 = np.cross(n1, n0) - np.cross(n12, n1)
-                via_2 = -np.cross(n2, n0) + np.cross(n12, n2)
-                worst_route = max(worst_route, float(np.linalg.norm(via_1 - via_2)))
-                worst_tan = max(worst_tan, quad_residuals(quad_corners(s, i, j)).tangency)
+            n0, n1, n2, n12 = quad_corner_values(s, s.normals * np.sqrt(s.rho)[..., None])
+            rho12 = quad_corner_values(s, s.rho)[3]
+            worst_norm = max(worst_norm, np.abs(np.vecdot(n12, n12) - rho12).max())
+            via_1 = np.cross(n1, n0) - np.cross(n12, n1)
+            via_2 = -np.cross(n2, n0) + np.cross(n12, n2)
+            worst_route = max(worst_route, np.linalg.norm(via_1 - via_2, axis=-1).max())
+            worst_tan = max(worst_tan, quad_residual_arrays(*quad_corner_arrays(s))[1].max())
     print(f"norm={worst_norm:.3e} route={worst_route:.3e} tangency={worst_tan:.3e} "
           f"vs 1e-10")
     assert max(worst_norm, worst_route, worst_tan) < 1e-10

@@ -13,15 +13,12 @@ from ksurf import (
     NonConvergenceError,
     SectorSpec,
     auto_schedule,
-    continuation,
     continuation_on_complex,
     eval_curvature,
     eval_rho,
     export_mesh,
-    generate_sector,
     geodesic_provider,
     import_mesh,
-    init_boundary,
     patch_sectors,
     ray_boundary_data,
     run_stage,
@@ -116,14 +113,14 @@ def test_grid_too_coarse():
         ray_boundary_data(np.zeros(3), X, Z, 1.5, 2,
                           CurvatureSpec(CurvatureFamily.CONSTANT), 0.0, "u")
     with pytest.raises(GridTooCoarseError):
-        init_boundary(SectorSpec(u_max=3.0, v_max=0.5, I=2, J=2),
-                      CurvatureSpec(CurvatureFamily.CONSTANT))
+        single_sector_complex(SectorSpec(u_max=3.0, v_max=0.5, I=2, J=2),
+                              CurvatureSpec(CurvatureFamily.CONSTANT))
 
 
 def test_init_boundary_layout():
     spec = SectorSpec(phi1=math.pi / 3, u_max=0.4, v_max=0.6, I=4, J=6)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)
-    g = init_boundary(spec, curv)
+    g = single_sector_complex(spec, curv).sectors[0]
     s_a, s_b = spec.directions()
     assert float(s_a @ s_b) == pytest.approx(math.cos(math.pi / 3), abs=1e-15)
     for i in range(5):
@@ -137,20 +134,21 @@ def test_init_boundary_layout():
 def test_constant_curvature_stage_is_exact():
     spec = SectorSpec(u_max=1.0, v_max=1.0, I=10, J=10)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)
-    g = generate_sector(spec, curv, IterationConfig(tol=1e-8, max_iters=20))
-    rec = g.history[-1]
+    cfg = IterationConfig(tol=1e-8, max_iters=20, epsilon_schedule=[curv.epsilon])
+    cx = continuation_on_complex(single_sector_complex(spec, curv), curv, cfg)
+    rec = cx.history[-1]
     assert rec.iterations == 1
     assert rec.changes == [0.0]
-    assert np.isfinite(g.positions).all()
+    assert np.isfinite(cx.sectors[0].positions).all()
 
 
 def test_continuation_walks_the_schedule():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5)
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 4.0)
     cfg = IterationConfig(tol=1e-4, max_iters=100, epsilon_schedule=auto_schedule(4.0))
-    g = continuation(spec, curv, cfg)
-    assert [r.epsilon for r in g.history] == [1.0, 2.0, 4.0]
-    assert all(r.changes[-1] < 1e-4 for r in g.history)
+    cx = continuation_on_complex(single_sector_complex(spec, curv), curv, cfg)
+    assert [r.epsilon for r in cx.history] == [1.0, 2.0, 4.0]
+    assert all(r.changes[-1] < 1e-4 for r in cx.history)
 
 
 

@@ -328,7 +328,8 @@ def _scalar_quads(cx):
                       (refs[0] for refs in back_refs)])
     quads = [(ids[sid][qi, qj], ids[sid][qi + 1, qj],
               ids[sid][qi, qj + 1], ids[sid][qi + 1, qj + 1])
-             for sid, s in enumerate(cx.sectors) for (qi, qj) in s.quads()]
+             for sid, s in enumerate(cx.sectors)
+             for (qi, qj) in np.argwhere(s.quad_mask()).tolist()]
     return verts, quads
 
 

@@ -3,6 +3,7 @@ import copy
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,6 +533,43 @@ def test_cli_validate_on_malformed_meta(tmp_path, caplog):
                                        "--quiet"])
     assert code == 1 and len(errors) == 1
     assert errors[0].startswith(f"{obj}: line 1: malformed #meta JSON: ")
+
+
+def _edit_meta(edit):
+    """A damage for ``_damaged_export`` that rewrites the parsed #meta JSON with ``edit``."""
+    def damage(obj_lines, _):
+        meta = json.loads(obj_lines[0][len("#meta "):])
+        obj_lines[0] = "#meta " + json.dumps(edit(meta))
+    return damage
+
+
+def _without_sectors(meta):
+    return {"version": meta["version"]}
+
+
+def _bad_parity(meta):
+    meta["sectors"][2]["parity"] = "ODDISH"
+    return meta
+
+
+def _single_shape(meta):
+    meta["sectors"][1]["shape"] = [6]
+    return meta
+
+
+def test_cli_validate_on_meta_of_wrong_shape(tmp_path, caplog):
+    for edit, detail in ((_without_sectors, "missing key 'sectors'"),
+                         (_bad_parity, "'ODDISH' is not a valid Parity"),
+                         (_single_shape, "not enough values to unpack")):
+        (tmp_path / edit.__name__).mkdir()
+        obj, csv_path = _damaged_export(tmp_path / edit.__name__, _edit_meta(edit))
+        message = f"{obj}: line 1: #meta JSON of the wrong shape: {detail}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            import_mesh(obj, csv_path)
+        code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj),
+                                           "--csv", str(csv_path), "--quiet"])
+        assert code == 1 and len(errors) == 1
+        assert errors[0].startswith(message)
 
 
 @pytest.mark.parametrize("sid", ["9", "-1"])

@@ -1,6 +1,5 @@
 """Quad closure solver: frozen root oracles, sign conventions, failure modes."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,32 +11,58 @@ from ksurf import (
     CurvatureSpec,
     DegenerateQuadError,
     Parity,
-    QuadSolveInputs,
     SectorGrid,
     SectorSpec,
     UnsolvableQuadError,
-    VertexState,
-    compatibility_residual,
-    init_boundary,
-    quad_corner_indices,
-    quad_corners,
-    quad_residuals,
-    quad_update_constant,
-    quad_update_variable,
-    scale_normal,
+    single_sector_complex,
     sweep_sector,
     sweep_sectors,
 )
+from ksurf.lelieuvre import (
+    DEGENERATE,
+    PERPENDICULAR,
+    SOLVED,
+    STEEP,
+    closure,
+    quad_residual_arrays,
+    scaled_normals,
+)
+from ksurf.mesh import quad_corner_arrays, quad_corner_values
 
 import lelieuvre_oracle as oracle
 from conftest import build_patched, build_surgery_m3
 
 Z = np.array([0.0, 0.0, 1.0])
+O = np.zeros(3)
 
 
 def unit(x, y, z):
     v = np.array([float(x), float(y), float(z)])
     return v / np.linalg.norm(v)
+
+
+def _close(N0, N1, N2, rho0=1.0, rho1=1.0, rho2=1.0, rho12=1.0):
+    """(nu12, C, alpha, status) of one quad, from a one-row ``closure`` call."""
+    nu = scaled_normals(np.array([N0, N1, N2]), np.array([rho0, rho1, rho2]))
+    nu12, C, alpha, status = closure(nu[:1], nu[1:2], nu[2:], np.array([rho0]),
+                                     np.array([rho12]))
+    return nu12[0], float(C[0]), float(alpha[0]), int(status[0])
+
+
+def _sweep_quad(r0, r1, r2, N0, N1, N2, rho0=1.0, rho1=1.0, rho2=1.0, rho12=1.0):
+    """The sweep of a 1 x 1 ODD sector: f1 = (1, 0) is the u-neighbor, f2 = (0, 1)."""
+    s = SectorGrid.empty(1, 1, Parity.ODD)
+    rho = np.array([[rho0, rho2], [rho1, rho12]])
+    for f, r, N in (((0, 0), r0, N0), ((1, 0), r1, N1), ((0, 1), r2, N2)):
+        s.positions[f], s.normals[f], s.rho[f] = r, N, rho[f]
+    return sweep_sector(s, rho)
+
+
+def _constant_sector(spec, sector_id=0):
+    """A K = -1 sector with its two boundary rays written and its interior unset."""
+    g = single_sector_complex(spec, CurvatureSpec(CurvatureFamily.CONSTANT)).sectors[0]
+    g.sector_id = sector_id
+    return g
 
 
 # The closure normal is nu12 = t (nu1 + nu2) - nu0 where t is the root of
@@ -71,13 +96,13 @@ def test_closure_matches_bisection_root(N0, N1, N2, rho0, rho1, rho2, rho12, t, 
     nu0 = math.sqrt(rho0) * N0
     nu1 = math.sqrt(rho1) * N1
     nu2 = math.sqrt(rho2) * N2
-    q = QuadSolveInputs(
-        r0=np.zeros(3), r1=np.cross(nu1, nu0), r2=-np.cross(nu2, nu0),
-        N0=N0, N1=N1, N2=N2, rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
-    out = quad_update_variable(q)
-    assert out.C == pytest.approx(t, rel=1e-12)
-    np.testing.assert_allclose(out.N12 * math.sqrt(rho12), np.array(nu12), atol=2e-14)
-    assert float(out.N12 @ out.N12) == pytest.approx(1.0, abs=1e-12)
+    rhos = dict(rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
+    _, C, _, _ = _close(N0, N1, N2, **rhos)
+    out = _sweep_quad(np.zeros(3), np.cross(nu1, nu0), -np.cross(nu2, nu0), N0, N1, N2, **rhos)
+    N12 = out.normals[1, 1]
+    assert C == pytest.approx(t, rel=1e-12)
+    np.testing.assert_allclose(N12 * math.sqrt(rho12), np.array(nu12), atol=2e-14)
+    assert float(N12 @ N12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_tilt_closed_form():
@@ -85,26 +110,23 @@ def test_symmetric_tilt_closed_form():
     # the closed form N12 = (2cs, 2cs, 3c^2 - 1) / (1 + c^2).
     a = 0.2
     c, s = math.cos(a), math.sin(a)
-    q = QuadSolveInputs(
-        r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-        N0=Z, N1=unit(s, 0, c), N2=unit(0, s, c))
-    out = quad_update_constant(q)
+    out = _sweep_quad(O, O, O, Z, unit(s, 0, c), unit(0, s, c))
     expected = np.array([2 * c * s, 2 * c * s, 3 * c * c - 1.0]) / (1.0 + c * c)
-    np.testing.assert_allclose(out.N12, expected, atol=1e-15)
+    np.testing.assert_allclose(out.normals[1, 1], expected, atol=1e-15)
 
 
 def test_constant_update_is_householder_reflection():
     N0, N1, N2 = Z, unit(0.2, -0.1, 1.0), unit(-0.15, 0.3, 1.0)
-    q = QuadSolveInputs(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                        N0=N0, N1=N1, N2=N2)
-    out = quad_update_constant(q)
+    out = _sweep_quad(O, O, O, N0, N1, N2)
+    N12, r12 = out.normals[1, 1], out.positions[1, 1]
     w = N1 + N2
     reflected = 2.0 * float(w @ N0) / float(w @ w) * w - N0
-    np.testing.assert_allclose(out.N12, reflected, atol=1e-15)
-    # the variable-rho solver reduces to the same answer when rho == 1
-    out_v = quad_update_variable(q)
-    np.testing.assert_allclose(out_v.N12, out.N12, atol=1e-15)
-    np.testing.assert_allclose(out_v.r12, out.r12, atol=1e-15)
+    np.testing.assert_allclose(N12, reflected, atol=1e-15)
+    # the one-row closure gives the sweep's normal when rho == 1, and
+    # r12 = r2 + N12 x N2
+    nu12, _, _, _ = _close(N0, N1, N2)
+    np.testing.assert_allclose(nu12, N12, atol=1e-15)
+    np.testing.assert_allclose(np.cross(nu12, N2), r12, atol=1e-15)
 
 
 @given(
@@ -121,15 +143,13 @@ def test_route_independence_random(x1, y1, x2, y2, rho0, rho1, rho2, factor):
     nu0 = math.sqrt(rho0) * Z
     nu1 = math.sqrt(rho1) * N1
     nu2 = math.sqrt(rho2) * N2
-    q = QuadSolveInputs(
-        r0=np.zeros(3), r1=np.cross(nu1, nu0), r2=-np.cross(nu2, nu0),
-        N0=Z, N1=N1, N2=N2, rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
-    out = quad_update_variable(q)
-    nu12 = math.sqrt(rho12) * out.N12
-    via_u_then_v = q.r1 - np.cross(nu12, nu1)
-    via_v_then_u = q.r2 + np.cross(nu12, nu2)
+    r1, r2 = np.cross(nu1, nu0), -np.cross(nu2, nu0)
+    out = _sweep_quad(O, r1, r2, Z, N1, N2, rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
+    nu12 = math.sqrt(rho12) * out.normals[1, 1]
+    via_u_then_v = r1 - np.cross(nu12, nu1)
+    via_v_then_u = r2 + np.cross(nu12, nu2)
     np.testing.assert_allclose(via_u_then_v, via_v_then_u, atol=1e-13)
-    np.testing.assert_allclose(out.r12, via_v_then_u, atol=1e-13)
+    np.testing.assert_allclose(out.positions[1, 1], via_v_then_u, atol=1e-13)
     assert abs(float(nu12 @ nu12) - rho12) < 1e-12
     assert float(np.linalg.norm(np.cross(nu12 + nu0, nu1 + nu2))) < 1e-12
 
@@ -140,18 +160,11 @@ def test_solved_quad_has_tiny_residuals():
     nu0 = math.sqrt(rho0) * N0
     nu1 = math.sqrt(rho1) * N1
     nu2 = math.sqrt(rho2) * N2
-    q = QuadSolveInputs(
-        r0=np.zeros(3), r1=np.cross(nu1, nu0), r2=-np.cross(nu2, nu0),
-        N0=N0, N1=N1, N2=N2, rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
-    out = quad_update_variable(q)
-    quad = (
-        VertexState(q.r0, N0, rho0, 0.0),
-        VertexState(q.r1, N1, rho1, 0.0),
-        VertexState(q.r2, N2, rho2, 0.0),
-        VertexState(out.r12, out.N12, rho12, 0.0),
-    )
-    assert quad_residuals(quad).max() < 1e-13
-    assert compatibility_residual(quad) < 1e-13
+    out = _sweep_quad(O, np.cross(nu1, nu0), -np.cross(nu2, nu0), N0, N1, N2,
+                      rho0=rho0, rho1=rho1, rho2=rho2, rho12=rho12)
+    compat, tangency, edge_length, unit_norm = quad_residual_arrays(*quad_corner_arrays(out))
+    assert max(tangency[0], edge_length[0], unit_norm[0]) < 1e-13
+    assert compat[0] < 1e-13
 
 
 def test_perpendicular_branch_solves_and_rejects():
@@ -160,74 +173,66 @@ def test_perpendicular_branch_solves_and_rejects():
     s, c = math.sin(0.3), math.cos(0.3)
     N0 = np.array([1.0, 0.0, 0.0])
     N1, N2 = unit(0.0, s, c), unit(0.0, -s, c)
-    q = QuadSolveInputs(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                        N0=N0, N1=N1, N2=N2, rho12=1.2)
-    out = quad_update_variable(q)
-    assert math.isnan(out.alpha)
-    assert abs(float(out.N12 @ out.N12) - 1.0) < 1e-12
-    nu12 = math.sqrt(1.2) * out.N12
+    _, _, alpha, status = _close(N0, N1, N2, rho12=1.2)
+    assert math.isnan(alpha) and status == SOLVED
+    N12 = _sweep_quad(O, O, O, N0, N1, N2, rho12=1.2).normals[1, 1]
+    assert abs(float(N12 @ N12) - 1.0) < 1e-12
+    nu12 = math.sqrt(1.2) * N12
     assert abs(float(nu12 @ nu12) - 1.2) < 1e-12
-    q_bad = QuadSolveInputs(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                            N0=N0, N1=N1, N2=N2, rho12=0.8)
+    assert _close(N0, N1, N2, rho12=0.8)[3] == PERPENDICULAR
     with pytest.raises(UnsolvableQuadError):
-        quad_update_variable(q_bad)
+        _sweep_quad(O, O, O, N0, N1, N2, rho12=0.8)
 
 
 def test_opposite_normals_are_degenerate():
     s, c = math.sin(0.4), math.cos(0.4)
-    q = QuadSolveInputs(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                        N0=Z, N1=unit(s, 0, c), N2=unit(-s, 0, -c))
+    normals = (Z, unit(s, 0, c), unit(-s, 0, -c))
+    assert _close(*normals)[3] == DEGENERATE
     with pytest.raises(DegenerateQuadError):
-        quad_update_variable(q)
+        _sweep_quad(O, O, O, *normals)
 
 
 def test_large_curvature_drop_is_unsolvable():
     a = math.radians(85.0)
-    q = QuadSolveInputs(
-        r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-        N0=Z, N1=unit(math.sin(a), 0, math.cos(a)), N2=unit(0, math.sin(a), math.cos(a)),
-        rho12=0.1)
+    normals = (Z, unit(math.sin(a), 0, math.cos(a)), unit(0, math.sin(a), math.cos(a)))
+    assert _close(*normals, rho12=0.1)[3] == STEEP
     with pytest.raises(UnsolvableQuadError, match="curvature variation"):
-        quad_update_variable(q)
+        _sweep_quad(O, O, O, *normals, rho12=0.1)
 
 
 def test_input_validation():
-    base = dict(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                N0=Z, N1=unit(0.1, 0, 1), N2=unit(0, 0.1, 1))
-    with pytest.raises(ValueError, match="unit length"):
-        quad_update_variable(QuadSolveInputs(**{**base, "N0": 1.1 * Z}))
-    with pytest.raises(ValueError, match="positive"):
-        quad_update_variable(QuadSolveInputs(**base, rho12=-1.0))
+    # unit normals and positive rho of finished complexes are checked by
+    # validate_complex; the sweep itself rejects a negative rho
+    with pytest.raises(ValueError, match="rho_field must be nonnegative"):
+        _sweep_quad(O, O, O, Z, unit(0.1, 0, 1), unit(0, 0.1, 1), rho12=-1.0)
 
 
 def test_scale_normal():
+    # nu = sqrt(rho) N with rho = (-K)^(-1/2): K = -1 keeps N, K = -4 halves rho
     N = unit(0.3, -0.2, 1.0)
-    np.testing.assert_allclose(scale_normal(N, -1.0), N, atol=0)
-    np.testing.assert_allclose(scale_normal(N, -4.0), N / math.sqrt(2.0), atol=1e-16)
-    for bad in (0.0, 2.5):
-        with pytest.raises(ValueError):
-            scale_normal(N, bad)
+    for K, want, atol in ((-1.0, N, 0), (-4.0, N / math.sqrt(2.0), 1e-16)):
+        rho = np.array([np.float64(-K) ** -0.5])
+        np.testing.assert_allclose(scaled_normals(N[None], rho)[0], want, atol=atol)
 
 
 def test_flat_quad_warns():
-    q = QuadSolveInputs(r0=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3),
-                        N0=Z, N1=Z.copy(), N2=Z.copy())
-    with pytest.warns(RuntimeWarning, match="flat quad"):
-        out = quad_update_constant(q)
-    np.testing.assert_allclose(out.N12, Z, atol=0)
+    # coincident normals close to N12 = N0 (and zero edge vectors)
+    out = _sweep_quad(O, O, O, Z, Z.copy(), Z.copy())
+    np.testing.assert_allclose(out.normals[1, 1], Z, atol=0)
 
 
 def test_sweep_fills_interior_and_keeps_boundary():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=5, J=4)
-    g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT))
+    g = _constant_sector(spec)
     before_row = g.positions[0, :].copy()
     before_col = g.positions[:, 0].copy()
     out = sweep_sector(g, np.ones_like(g.rho))
     assert np.isfinite(out.positions).all()
     assert np.array_equal(out.positions[0, :], before_row)
     assert np.array_equal(out.positions[:, 0], before_col)
-    worst = max(quad_residuals(quad_corners(out, i, j)).max()
-                for i in range(out.I) for j in range(out.J))
+    _, tangency, edge_length, unit_norm = quad_residual_arrays(*quad_corner_arrays(out))
+    assert len(tangency) == out.I * out.J
+    worst = max(tangency.max(), edge_length.max(), unit_norm.max())
     assert worst < 1e-12
     # input grid is untouched
     assert np.isnan(g.positions[1:, 1:]).all()
@@ -235,7 +240,7 @@ def test_sweep_fills_interior_and_keeps_boundary():
 
 def test_sweep_rejects_bad_inputs():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=3, J=3)
-    g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT))
+    g = _constant_sector(spec)
     with pytest.raises(ValueError, match="shape"):
         sweep_sector(g, np.ones((2, 2)))
     empty = SectorGrid.empty(3, 3, Parity.ODD)
@@ -245,7 +250,7 @@ def test_sweep_rejects_bad_inputs():
 
 def test_sweep_annotates_failure_location():
     spec = SectorSpec(u_max=0.25, v_max=0.25, I=2, J=2)
-    g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT), sector_id=7)
+    g = _constant_sector(spec, sector_id=7)
     rho = np.ones_like(g.rho)
     rho[1, 1] = 1e-9
     with pytest.raises(UnsolvableQuadError) as exc:
@@ -258,16 +263,14 @@ def test_edge_signs_on_converged_sectors(sector_id):
     """u-edges are +nu_next x nu, v-edges -nu_next x nu, in both parities."""
     cx = build_patched("LINEAR", 1.0, 2, 0.5, 6)
     s = cx.sectors[sector_id]
-    nu = np.sqrt(s.rho)[..., None] * s.normals
+    assert s.valid.all()
+    pos = quad_corner_values(s, s.positions)
+    nu = quad_corner_values(s, np.sqrt(s.rho)[..., None] * s.normals)
     worst = 0.0
-    for i in range(s.I):
-        for j in range(s.J):
-            f0, f1, f2, f12 = quad_corner_indices(s.parity, i, j)
-            for a, b, sign in ((f0, f1, 1.0), (f0, f2, -1.0),
-                               (f2, f12, 1.0), (f1, f12, -1.0)):
-                e = s.positions[b] - s.positions[a]
-                worst = max(worst, float(np.linalg.norm(
-                    e - sign * np.cross(nu[b], nu[a]))))
+    for a, b, sign in ((0, 1, 1.0), (0, 2, -1.0), (2, 3, 1.0), (1, 3, -1.0)):
+        e = pos[b] - pos[a]
+        worst = max(worst, float(np.linalg.norm(e - sign * np.cross(nu[b], nu[a]),
+                                                axis=-1).max()))
     assert worst < 1e-12
 
 
@@ -351,7 +354,7 @@ def test_sweep_reports_lexicographically_first_failure():
     # Quad (1, 0) lies on diagonal 1 + 0, quad (0, 4) on diagonal 0 + 4: a
     # diagonal sweep meets (1, 0) first, an i-major sweep meets (0, 4) first.
     spec = SectorSpec(u_max=0.75, v_max=0.75, I=6, J=6)
-    g = init_boundary(spec, CurvatureSpec(CurvatureFamily.CONSTANT), sector_id=3)
+    g = _constant_sector(spec, sector_id=3)
     rho = np.ones_like(g.rho)
     for i, j in ((1, 5), (2, 1)):
         one = np.ones_like(g.rho)
@@ -407,7 +410,10 @@ def test_group_sweep_raises_the_error_of_the_sequential_loop():
 def test_report_residuals_match_per_quad_oracle():
     cx = build_surgery_m3()
     for s in cx.sectors:
-        for i, j in s.quads():
-            quad = quad_corners(s, i, j)
-            assert compatibility_residual(quad) == oracle.compatibility_residual(quad)
-            assert quad_residuals(quad) == oracle.quad_residuals(quad)
+        compat, tangency, edge_length, unit_norm = quad_residual_arrays(*quad_corner_arrays(s))
+        corners = oracle.quads(s)
+        assert len(corners) == len(compat)
+        for k, (i, j) in enumerate(corners):
+            quad = oracle.quad_corners(s, i, j)
+            assert compat[k] == oracle.compatibility_residual(quad)
+            assert (tangency[k], edge_length[k], unit_norm[k]) == oracle.quad_residuals(quad)

@@ -12,20 +12,20 @@ from ksurf import (
     GluingMap,
     Parity,
     SectorGrid,
+    SurfaceComplex,
     SurgerySpec,
     export_mesh,
     global_vertex_ids,
     import_mesh,
     insert_branch_point,
-    quad_corner_indices,
-    quad_corners,
     single_sector_complex,
     validate_complex,
 )
 from ksurf.io import build_report
-from ksurf.mesh import gluing_gaps, incident_quad_count
+from ksurf.mesh import gluing_gaps, incident_quad_count, quad_corner_values, quad_table
 from ksurf import CurvatureFamily, CurvatureSpec, IterationConfig, SectorSpec, run_stage
 
+import lelieuvre_oracle
 import mesh_oracle
 from conftest import build_branch_chain, build_patched, build_surgery_m3
 
@@ -38,8 +38,16 @@ def test_parity_flip_roundtrip():
 def test_quad_corner_indices_by_parity():
     # f1 is the u-neighbor. In an odd sector u runs along the first index,
     # in an even sector along the second.
-    assert quad_corner_indices(Parity.ODD, 3, 5) == ((3, 5), (4, 5), (3, 6), (4, 6))
-    assert quad_corner_indices(Parity.EVEN, 3, 5) == ((3, 5), (3, 6), (4, 5), (4, 6))
+    corners = lelieuvre_oracle.quad_corner_indices
+    assert corners(Parity.ODD, 3, 5) == ((3, 5), (4, 5), (3, 6), (4, 6))
+    assert corners(Parity.EVEN, 3, 5) == ((3, 5), (3, 6), (4, 5), (4, 6))
+    # the library's corner gather orders every quad the same way
+    for parity in Parity:
+        s = SectorGrid.empty(4, 6, parity)
+        flat = np.arange(s.rho.size).reshape(s.rho.shape)
+        want = [[flat[f] for f in corners(parity, i, j)]
+                for i, j in lelieuvre_oracle.quads(s)]
+        assert quad_corner_values(s, flat).T.tolist() == want
 
 
 def test_empty_grid_shapes_and_boundary():
@@ -57,9 +65,10 @@ def test_empty_grid_shapes_and_boundary():
 
 
 def test_quad_corners_range_check():
+    # a 3 x 3 grid has the quads (0..2, 0..2): none has its lower corner on row 3
     s = SectorGrid.empty(3, 3, Parity.ODD)
-    with pytest.raises(IndexError):
-        quad_corners(s, 3, 0)
+    i, j = divmod(quad_corner_values(s, np.arange(16).reshape(4, 4))[0], 4)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(3) for b in range(3)]
 
 
 def test_single_sector_vertex_ids_are_dense():
@@ -247,7 +256,10 @@ def test_incident_quad_count_matches_loop_oracle():
 def test_quads_follow_the_valid_nodes():
     s = SectorGrid.empty(3, 2, Parity.ODD)
     s.valid[3, 2] = False
-    assert s.quads() == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]  # i-major lower corners
+    cx = SurfaceComplex([s])
+    quads = quad_table(cx, global_vertex_ids(cx)[0])
+    corners = list(zip(quads.i.tolist(), quads.j.tolist()))
+    assert corners == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]  # i-major lower corners
     assert s.quad_mask().tolist() == [[True, True], [True, True], [True, False]]
 
 

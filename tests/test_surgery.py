@@ -85,7 +85,7 @@ def test_even_m_forced_breaks_labeling():
 def _snapshot(cx):
     """Bytes of every sector array and the records of a complex."""
     sectors = [([a.tobytes() for a in (s.positions, s.normals, s.rho, s.geo_dist, s.valid)],
-                s.parity, s.sector_id, list(s.history)) for s in cx.sectors]
+                s.parity, s.sector_id) for s in cx.sectors]
     gluings = [(g.sector_a, g.sector_b, list(g.nodes_a), list(g.nodes_b)) for g in cx.gluings]
     return (sectors, gluings, list(cx.branch_points), list(cx.boundaries),
             list(cx.history), cx.origin)
