@@ -9,11 +9,22 @@ only then calls ``math.acos``, which gives the same worst angle as taking
 the largest of the six angles because acos is monotone.
 
 The marching update unfolds, for a vertex i of a triangle (i, j, k) with
-both j and k already accepted, the source point and the target into the
-plane of the edge (j, k) on opposite sides, takes the straight-line
-distance in that configuration, and clamps it by the two edge paths:
+both j and k already accepted, the source point o and the target into the
+plane of the edge (j, k) on opposite sides, k at the origin and j at
+(D_jk, 0), and takes the straight-line distance in that configuration
+where it is causal (Kimmel & Sethian 1998), else the two edge paths:
 
-    D_i = min( |(x_i, y_i+) - (x_o, y_o-)| , D_j + D_ij , D_k + D_ik ).
+    D_i = min( |(x_i, y_i+) - (x_o, y_o-)| , D_j + D_ij , D_k + D_ik ),
+
+where the first term counts only if the segment o-i meets the jk-axis
+inside [0, D_jk], ends included. The crossing lies at
+(x_o y_i - x_i y_o) / (y_i - y_o); the march tests
+0 <= x_o y_i - x_i y_o <= D_jk (y_i - y_o) instead of dividing, and only
+when the straight line would win. When y_i == y_o (both 0: a degenerate
+triangle and a source on the axis) the segment lies on the axis and must
+overlap [0, D_jk]. A line that misses the edge does not reach i through
+this triangle, and taking it can put D below the straight-line distance
+to the source.
 
 A negative discriminant (the accepted pair cannot be unfolded) falls back
 to the edge terms. Triangles with a single accepted vertex contribute edge
@@ -181,7 +192,8 @@ def unfold_candidate(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float) -
     """Distance suggestion for a vertex from one triangle.
 
     Dj, Dk are accepted values at the far corners, Dij, Dik, Djk the
-    triangle edge lengths (j-k is the far edge). The march loop computes
+    triangle edge lengths (j-k is the far edge). The result is the causal
+    unfold or the shorter edge path (module docstring). The march loop computes
     it: on the one triangle (i, j, k) with j already accepted, accepting k
     evaluates the stencil of i once.
     """
@@ -257,8 +269,10 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
     ``sources`` is an iterable of (vertex, D0) pairs; source values are
     fixed. Returns per-vertex distances along with the acceptance order and
     queue operation counters; ``fallbacks`` counts the (triangle, target)
-    unfolds that fell back to the edge terms. Vertices in components
-    without a source keep D = inf and are listed as unreachable.
+    unfolds that fell back to the edge terms because the accepted pair
+    cannot be unfolded (a line that misses the edge is not counted).
+    Vertices in components without a source keep D = inf and are listed
+    as unreachable.
     """
     n = m.n_vertices
     d = [math.inf] * n
@@ -337,7 +351,15 @@ def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray
                     x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
                     y_i = sqrt(disc_i) * inv
                     through = hypot(x_i - x_o, y_i - y_o)
-                    cand = through if not cand < through else cand
+                    if not cand < through:
+                        # causality: o->i crosses the jk-axis at x_o y_i - x_i y_o
+                        # over y_i - y_o, which must lie in [0, Djk]; with
+                        # y_i == y_o == 0 the segment lies on the axis
+                        dy = y_i - y_o
+                        cross = x_o * y_i - x_i * y_o
+                        if (0.0 <= cross <= Djk * dy if dy > 0.0 else
+                                (x_o <= Djk or x_i <= Djk) and (x_o >= 0.0 or x_i >= 0.0)):
+                            cand = through
             elif accepted[j]:
                 cand = d[j] + lengths[ij]
             else:

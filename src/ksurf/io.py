@@ -335,12 +335,26 @@ def _open_input(path, **kwargs):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _meta_node(value, sectors: list, obj_path, lineno: int, what: str) -> tuple:
+    """``value`` of the #meta line as a (sector, i, j) triple naming a grid node."""
+    if not (isinstance(value, list) and len(value) == 3
+            and all(type(x) is int for x in value)):
+        raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {value!r} is not a "
+                          "(sector, i, j) triple of integers")
+    sid, i, j = value
+    if not (0 <= sid < len(sectors) and 0 <= i <= sectors[sid].I and 0 <= j <= sectors[sid].J):
+        raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {value} names no node of "
+                          f"the {len(sectors)} sectors of the #meta line")
+    return sid, i, j
+
+
 def import_mesh(obj_path, csv_path) -> SurfaceComplex:
     """Rebuild a SurfaceComplex from an exported OBJ + CSV pair.
 
     Gluings are reconstructed from nodes sharing a deduplicated vertex
     index; grid data comes from the CSV, structure from the #meta comment.
-    A malformed #meta line, one of the wrong shape, or a CSV row naming a
+    A malformed #meta line, one of the wrong shape, an origin or branch
+    point that names no node listed in the CSV, or a CSV row naming a
     sector or node the #meta line does not have, is a ConfigError naming
     the file and the line.
     """
@@ -365,11 +379,13 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
             grid = SectorGrid.empty(I, J, Parity(entry["parity"]), entry["id"])
             grid.valid[:, :] = False
             sectors.append(grid)
-        cx = SurfaceComplex(sectors=sectors, origin=tuple(meta["origin"]))
+        origin = _meta_node(meta["origin"], sectors, obj_path, lineno, "origin")
+        cx = SurfaceComplex(sectors=sectors, origin=origin)
         for bp in meta.get("branch_points", []):
+            sid, i, j = _meta_node([bp["sector"], bp["i"], bp["j"]], sectors, obj_path, lineno,
+                                   "branch point")
             cx.branch_points.append(BranchPoint(
-                sector=bp["sector"], i=bp["i"], j=bp["j"],
-                incident_sectors=bp["incident_sectors"],
+                sector=sid, i=i, j=j, incident_sectors=bp["incident_sectors"],
                 expected_quads=bp["expected_quads"]))
         for rec in meta.get("history", []):
             cx.history.append(StageRecord(epsilon=rec["epsilon"],
@@ -401,6 +417,12 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
             s.geo_dist[i, j] = float(row["D"])
             by_vid.setdefault(int(row["vertex_index"]), []).append((sid, i, j))
 
+    named = [("origin", cx.origin)] + [("branch point", (bp.sector, bp.i, bp.j))
+                                       for bp in cx.branch_points]
+    for what, (sid, i, j) in named:
+        if not cx.sectors[sid].valid[i, j]:
+            raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {[sid, i, j]} is not "
+                              f"a node listed in {csv_path}")
     for s in cx.sectors:
         s.positions[~s.valid] = np.nan
         s.normals[~s.valid] = np.nan

@@ -61,6 +61,28 @@ def build_branch_chain():
     return tuple(chain)
 
 
+# (family, epsilon, n, grid, extent, surgery cuts (sector, b), all m = 3) of
+# the benchmark's three workloads
+WORKLOADS = {
+    "grow": ("LINEAR", 10.0, 2, 28, 1.0, ()),
+    "fine": ("LINEAR", 1.0, 2, 32, 1.0, ()),
+    "branch": ("RING", 2.0, 3, 18, 0.625, ((0, 9), (6, 4))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def build_workload(name: str):
+    """The final complex of a benchmark workload: automatic schedule, tol 1e-4."""
+    family, eps, n, grid, extent, cuts = WORKLOADS[name]
+    curv = CurvatureSpec(CurvatureFamily[family], eps)
+    cfg = IterationConfig(tol=1e-4, max_iters=100)
+    cx = patch_sectors(symmetric_angles(n), SectorSpec(u_max=extent, v_max=extent, I=grid, J=grid),
+                       curv, cfg)
+    for sector, b in cuts:
+        cx = insert_branch_point(cx, SurgerySpec(sector=sector, b=b, m=3), curv, cfg)
+    return cx
+
+
 @pytest.fixture(scope="session")
 def pseudosphere_n2():
     """Constant-curvature 4-sector complex, 12x12 per sector."""

@@ -1,7 +1,7 @@
 """Scalar reference implementations of triangulation and fast marching.
 
-These are the per-quad diagonal enumeration, the scalar unfold and the
-full-recompute march that ``ksurf.geodesic`` replaced with an array kernel
+These are the per-quad diagonal enumeration, the scalar causal unfold and
+the full-recompute march that ``ksurf.geodesic`` replaced with an array kernel
 and an incremental march that does the unfold inside its loop. They are
 kept only as oracles: the library must reproduce their output bit for bit.
 """
@@ -21,8 +21,9 @@ def _unfold(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float):
 
     The two unfolded points are placed on opposite sides of the jk-axis
     (source below, target above), which is the configuration giving the
-    largest straight-line suggestion; the result is clamped by the edge
-    paths through j and k.
+    largest straight-line suggestion. The straight line counts only where
+    it crosses the edge jk and beats the edge paths through j and k;
+    otherwise the shorter edge path is the result.
     """
     edge_bound = min(Dj + Dij, Dk + Dik)
     # Heron-style factored discriminants for the two circle intersections.
@@ -43,7 +44,24 @@ def _unfold(Dj: float, Dk: float, Dij: float, Dik: float, Djk: float):
     x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
     y_i = math.sqrt(disc_i) * inv
     through = math.hypot(x_i - x_o, y_i - y_o)
-    return min(through, edge_bound), False
+    if through <= edge_bound and _crosses_far_edge(x_o, y_o, x_i, y_i, Djk):
+        return through, False
+    return edge_bound, False
+
+
+def _crosses_far_edge(x_o, y_o, x_i, y_i, Djk):
+    """Whether the segment o-i meets the jk-axis (y = 0) inside [0, Djk].
+
+    The crossing abscissa is (x_o y_i - x_i y_o) / (y_i - y_o); both sides
+    of the bound are multiplied by y_i - y_o >= 0 instead of dividing. When
+    y_i == y_o both points lie on the axis, and the segment between them
+    must overlap [0, Djk].
+    """
+    dy = y_i - y_o
+    if dy == 0.0:
+        return min(x_o, x_i) <= Djk and max(x_o, x_i) >= 0.0
+    cross = x_o * y_i - x_i * y_o
+    return 0.0 <= cross and cross <= Djk * dy
 
 
 def tri_angles(pa, pb, pc):

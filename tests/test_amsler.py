@@ -152,8 +152,8 @@ def test_continuation_walks_the_schedule():
 
 
 
-def _patched(family, eps, grid, extent, schedule=None):
-    return patch_sectors(symmetric_angles(2),
+def _patched(family, eps, grid, extent, schedule=None, n=2):
+    return patch_sectors(symmetric_angles(n),
                          SectorSpec(u_max=extent, v_max=extent, I=grid, J=grid),
                          CurvatureSpec(CurvatureFamily[family], eps),
                          IterationConfig(epsilon_schedule=schedule))
@@ -180,19 +180,37 @@ def test_automatic_schedule_converges_at_the_target_directly(tmp_path):
     _assert_same_result(auto, _patched("LINEAR", 10.0, 8, 0.5, [10.0]), tmp_path)
 
 
-@pytest.mark.parametrize("eps,grid,iterations,kind", [
-    (3.0, 16, 1, "UnsolvableQuadError"),  # the first sweep meets an unsolvable quad
-    (2.9, 24, 14, "stall"),  # no new minimum of the change in iterations 12-14
+def _outcome(*args, **kwargs):
+    """The complex ``_patched`` builds, or the NonConvergenceError it raises."""
+    try:
+        return _patched(*args, **kwargs)
+    except NonConvergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("family,eps,n,grid,extent,iterations,kind", [
+    # the first sweep meets an unsolvable quad
+    pytest.param("RING", 3.0, 2, 16, 0.625, 1, "UnsolvableQuadError",
+                 id="3.0-16-1-UnsolvableQuadError"),
+    # no new minimum of the change in iterations 20-22; the walk then ends in
+    # a cycle at eps 26, the same error as the doubling schedule's
+    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 22, "stall", id="26.0-8-22-stall"),
 ])
-def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, eps, grid,
-                                                          iterations, kind):
+def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
+                                                          grid, extent, iterations, kind):
     caplog.set_level(logging.INFO, logger="ksurf.amsler")
-    auto = _patched("RING", eps, grid, 0.625)
+    auto = _outcome(family, eps, grid, extent, n=n)
     attempts = [r.getMessage() for r in caplog.records if "direct attempt" in r.getMessage()]
     assert attempts == [f"direct attempt at epsilon {eps:g} abandoned after {iterations} "
                         f"iterations ({kind}); walking the schedule"]
+    walked = _outcome(family, eps, grid, extent, auto_schedule(eps), n=n)
+    if isinstance(auto, NonConvergenceError):
+        assert isinstance(walked, NonConvergenceError)
+        assert (str(auto), auto.kind, auto.epsilon, auto.changes) == \
+            (str(walked), walked.kind, walked.epsilon, walked.changes)
+        return
     assert [rec.epsilon for rec in auto.history] == auto_schedule(eps)
-    _assert_same_result(auto, _patched("RING", eps, grid, 0.625, auto_schedule(eps)), tmp_path)
+    _assert_same_result(auto, walked, tmp_path)
 
 def test_run_stage_raises_on_stall():
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
@@ -203,16 +221,17 @@ def test_run_stage_raises_on_stall():
 
 
 def test_two_cycle_is_reported_as_cycle():
-    # The eps 5 stage of the doubling schedule settles into a period-2 orbit:
-    # every step moves the surface by 2.6e-3 while x_k and x_{k-2} agree to
-    # about 1e-14. (The automatic schedule converges here at eps 10 directly.)
+    # The middle stage of a sqrt(2) schedule settles into a period-2 orbit:
+    # every step moves the surface by 4.2e-4 while x_k and x_{k-2} agree
+    # exactly. (The doubling schedule and the automatic one both converge.)
+    schedule = [1.25, 2.5 / math.sqrt(2.0), 2.5]
     with pytest.raises(NonConvergenceError, match="^cycle: .*two-step change") as err:
-        patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
-                      CurvatureSpec(CurvatureFamily.LINEAR, 10.0),
-                      IterationConfig(epsilon_schedule=auto_schedule(10.0)))
+        patch_sectors(symmetric_angles(3), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
+                      CurvatureSpec(CurvatureFamily.LINEAR, 2.5),
+                      IterationConfig(epsilon_schedule=schedule))
     assert err.value.kind == "cycle"
-    assert err.value.epsilon == 5.0
-    assert min(err.value.changes[-10:]) > 1e-3
+    assert err.value.epsilon == schedule[1]
+    assert min(err.value.changes[-10:]) > 4e-4
 
 
 def test_growing_change_is_reported_as_divergence():

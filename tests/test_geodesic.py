@@ -27,7 +27,9 @@ from ksurf import (
 
 import ksurf.geodesic
 import geodesic_oracle as oracle
-from conftest import build_patched, build_surgery_m3
+from conftest import WORKLOADS, build_patched, build_surgery_m3, build_workload
+from ksurf.amsler import RaySpec
+from ksurf.surgery import FanAxes
 
 
 def _max_angle(p, q, r):
@@ -112,14 +114,17 @@ def test_unfold_equilateral_through_value():
 
 
 def test_unfold_collinear_source():
-    # source collinear with the far edge (Dj = Dk + Djk): reconstruction
-    # puts it on the line, still beating the edge detours
-    got = unfold_candidate(2.0, 1.0, 1.2, 0.8, 1.0)
-    xi = (1.2 ** 2 - 0.8 ** 2 + 1.0) / 2.0
-    yi = math.sqrt(1.2 ** 2 - xi ** 2)
-    expected = math.hypot(xi - 2.0, yi)
+    # source on the far edge itself (Dj + Dk = Djk): reconstruction puts it
+    # on the line, 0.6 from k, still beating the edge detours
+    got = unfold_candidate(0.4, 0.6, 1.2, 0.8, 1.0)
+    xi = (0.8 ** 2 - 1.2 ** 2 + 1.0) / 2.0
+    yi = math.sqrt(0.8 ** 2 - xi ** 2)
+    expected = math.hypot(xi - 0.6, yi)
     assert got == pytest.approx(expected, abs=1e-14)
-    assert got < min(2.0 + 1.2, 1.0 + 0.8)
+    assert got < min(0.4 + 1.2, 0.6 + 0.8)
+    # collinear beyond k (Dj = Dk + Djk): the line from the source meets the
+    # edge's axis at the source, outside the edge, so the detour through k wins
+    assert unfold_candidate(2.0, 1.0, 1.2, 0.8, 1.0) == 1.0 + 0.8
 
 
 def test_unfold_infeasible_falls_back_to_edges():
@@ -141,7 +146,7 @@ def test_unfold_rejects_bad_triangle():
 )
 @settings(max_examples=80, deadline=None)
 def test_unfold_reconstructs_planar_distances(xo, yo, xi, yi, djk):
-    """Feed distances measured in a plane; the candidate must match it."""
+    """Feed distances measured in a plane; the candidate must match the causal minimum."""
     j = np.array([0.0, 0.0])
     k = np.array([djk, 0.0])
     o = np.array([xo, yo])
@@ -149,7 +154,10 @@ def test_unfold_reconstructs_planar_distances(xo, yo, xi, yi, djk):
     Dj, Dk = np.linalg.norm(o - j), np.linalg.norm(o - k)
     Dij, Dik = np.linalg.norm(i - j), np.linalg.norm(i - k)
     assume(min(Dij, Dik) > 0.05)
-    expected = min(float(np.linalg.norm(i - o)), Dj + Dij, Dk + Dik)
+    # the straight line counts only where it crosses the edge jk
+    crossing = xo + (xi - xo) * yo / (yo - yi)
+    through = float(np.linalg.norm(i - o)) if 0.0 <= crossing <= djk else math.inf
+    expected = min(through, Dj + Dij, Dk + Dik)
     case = (float(Dj), float(Dk), float(Dij), float(Dik), djk)
     got = unfold_candidate(*case)
     assert got == pytest.approx(expected, abs=1e-9)
@@ -160,6 +168,11 @@ UNFOLD_CASES = [
     (1.0, 0.0, math.sqrt(0.5), math.sqrt(0.5), 1.0),   # source at corner k
     (1.0, 1.0, 1.0, 1.0, 1.0),                         # equilateral, tied edge paths
     (2.0, 1.0, 1.2, 0.8, 1.0),                         # collinear source, disc_o = 0
+    (0.4, 0.6, 1.2, 0.8, 1.0),                         # source on the edge jk
+    # the line from the source to i passes through k, then through j: the
+    # unfold ties the edge path there and the crossing sits on an end
+    (math.sqrt(1.85), 0.5, math.sqrt(0.8), 1.0, 1.0),
+    (0.5, math.sqrt(1.85), 1.0, math.sqrt(0.8), 1.0),
     (3.0, 1.0, 1.0, 1.2, 1.0),                         # infeasible, edge fallback
     # the nearer corner's edge path (1.87) is below Dk: a march seeded at j
     # and k together would accept i from that edge before unfolding
@@ -255,6 +268,68 @@ def test_dijkstra_bounds_march_from_above():
     assert (res.d <= upper + 1e-12).all()
     accepted = res.d[np.array(res.order)]
     assert (np.diff(accepted) >= -1e-12).all()
+
+
+def _straight_rays(cx, m):
+    """Vertex ids along every base ray and fan axis of ``cx``, each from its anchor."""
+    sides = [(sid, side) for rec in cx.boundaries if isinstance(rec, RaySpec)
+             for sid, side in rec.sides]
+    # fan k's column is axis k; the last fan's column is an inherited curve
+    sides += [(sid, "col") for rec in cx.boundaries if isinstance(rec, FanAxes)
+              for sid in rec.fans[:-1]]
+    return [m.node_ids[sid][:, 0] if side == "row" else m.node_ids[sid][0, :]
+            for sid, side in sides]
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_march_is_arc_length_along_straight_rays(name):
+    # a straight ray is the shortest path between its nodes, and the march
+    # from its anchor can follow its edges, so D is exactly its arc length
+    cx = build_workload(name)
+    m = triangulate_complex(cx)
+    rays = _straight_rays(cx, m)
+    marches = {}
+    for ids in rays:
+        assert (ids >= 0).all()
+        anchor = int(ids[0])
+        if anchor not in marches:
+            marches[anchor] = fast_march(m, [(anchor, 0.0)]).d
+        step = np.diff(m.vertices[ids], axis=0)
+        arc = np.concatenate([[0.0], np.cumsum(np.sqrt(np.vecdot(step, step)))])
+        assert np.abs(marches[anchor][ids] - arc).max() <= 1e-12
+    assert len(marches) == (3 if name == "branch" else 1)
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_march_never_goes_below_the_chord(name):
+    cx = build_workload(name)
+    m = triangulate_complex(cx)
+    rng = np.random.default_rng(5)
+    sources = [origin_vertex(cx, m), *rng.choice(m.n_vertices, 4, replace=False).tolist()]
+    for src in sources:
+        res = fast_march(m, [(src, 0.0)])
+        chord = np.linalg.norm(m.vertices - m.vertices[src], axis=1)
+        assert (res.d >= chord - 1e-12).all(), (name, src, float((chord - res.d).max()))
+        assert (res.d <= dijkstra_bound(m, [(src, 0.0)]) + 1e-12).all()
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.6, 1.5])
+def test_planar_march_is_bracketed_by_euclid_and_dijkstra(shift):
+    # Row i of the grid (the nodes at x = i h) moves by shift * i cells along
+    # x, and every node by up to 0.2 cell: about half the triangles are
+    # obtuse. The Euclidean distance from the centre is exact.
+    n, h = 40, 1.0 / 40
+    rng = np.random.default_rng(11)
+    verts, quads = _flat_grid(n, h)
+    verts[:, :2] += rng.uniform(-0.2 * h, 0.2 * h, (len(verts), 2))
+    verts[:, 0] += shift * h * np.repeat(np.arange(n + 1), n + 1)
+    m = trimesh_from_quads(verts, quads)
+    assert m.obtuse_count > 0.4 * len(m.tris)
+    centre = (n // 2) * (n + 1) + n // 2
+    res = fast_march(m, [(centre, 0.0)])
+    euclid = np.linalg.norm(verts - verts[centre], axis=1)
+    assert (res.d >= euclid - 1e-12).all(), float((euclid - res.d).max())
+    assert (res.d <= dijkstra_bound(m, [(centre, 0.0)]) + 1e-12).all()
 
 
 def test_dijkstra_on_single_quad():

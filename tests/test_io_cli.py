@@ -572,6 +572,52 @@ def test_cli_validate_on_meta_of_wrong_shape(tmp_path, caplog):
         assert errors[0].startswith(message)
 
 
+def _origin(value):
+    def edit(meta):
+        meta["origin"] = value
+        return meta
+    return edit
+
+
+def _branch_point(sector, i, j):
+    def edit(meta):
+        meta["branch_points"] = [{"sector": sector, "i": i, "j": j,
+                                  "incident_sectors": 3, "expected_quads": 3}]
+        return meta
+    return edit
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (_origin([0, 0]), "origin [0, 0] is not a (sector, i, j) triple of integers"),
+    (_origin([0, 0.0, 0]), "origin [0, 0.0, 0] is not a (sector, i, j) triple of integers"),
+    (_origin([7, 0, 0]), "origin [7, 0, 0] names no node of the 4 sectors of the #meta line"),
+    (_origin([0, 0, 7]), "origin [0, 0, 7] names no node of the 4 sectors of the #meta line"),
+    (_branch_point(9, 0, 0),
+     "branch point [9, 0, 0] names no node of the 4 sectors of the #meta line"),
+    (_branch_point(0, -1, 0),
+     "branch point [0, -1, 0] names no node of the 4 sectors of the #meta line"),
+])
+def test_cli_validate_on_meta_naming_no_node(tmp_path, caplog, edit, detail):
+    obj, csv_path = _damaged_export(tmp_path, _edit_meta(edit))
+    message = f"{obj}: line 1: #meta {detail}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        import_mesh(obj, csv_path)
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [message]
+
+
+def test_cli_validate_on_meta_origin_missing_from_the_csv(tmp_path, caplog):
+    def damage(_, rows):
+        rows.remove("0,0,0,0,0,0,0,0,0,1,0,-1,1")
+
+    obj, csv_path = _damaged_export(tmp_path, damage)
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [
+        f"{obj}: line 1: #meta origin [0, 0, 0] is not a node listed in {csv_path}"]
+
+
 @pytest.mark.parametrize("sid", ["9", "-1"])
 def test_cli_validate_on_unknown_sector(tmp_path, caplog, sid):
     obj, csv_path = _damaged_export(tmp_path, lambda _, rows: _set_csv_field(rows, 3, 0, sid))
