@@ -19,6 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .amsler import (
     GridTooCoarseError,
     NonConvergenceError,
@@ -30,6 +32,7 @@ from .geodesic import fast_march
 from .io import (
     ConfigError,
     RunConfig,
+    _format_rows,
     build_report,
     config_key,
     export_mesh,
@@ -198,10 +201,8 @@ def cmd_distance(args) -> int:
                 f"--source {s} out of range for {mesh.n_vertices} vertices")
         sources.append((s, 0.0))
     result = fast_march(mesh, sources)
-    lines = ["vertex_index,D"]
-    for v in range(mesh.n_vertices):
-        lines.append("%d,%.17g" % (v, result.d[v]))
-    text = "\n".join(lines) + "\n"
+    text = "vertex_index,D\n" + _format_rows(
+        "%d,%.17g\n", np.column_stack([np.arange(mesh.n_vertices), result.d]))
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)

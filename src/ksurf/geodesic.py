@@ -36,12 +36,14 @@ evaluates just the stencils that have v as a far corner. Every other
 candidate is already folded into the current D of its target, so the
 result equals a full re-evaluation of each neighbour bit for bit.
 
-The stencil table, grouped by far corner, depends on the triangles alone:
-its rows hold vertex ids and flat indices into ``tri_lengths``, never the
-lengths themselves. It is memoised for the last ``(n_vertices, tris)``
-marched, compared by content, so the outer loop, whose lengths change every
-iteration but whose triangles rarely do, and the queries on one mesh sort
-it once.
+Those stencils come from the fan table, one row per (corner, triangle),
+grouped by corner. The row of v in triangle (v, p, q), in the triangle's
+cyclic order, carries both stencils that have v as a far corner: target p
+over (j, k) = (q, v) and target q over (j, k) = (v, p). The table depends
+on the triangles alone: its rows hold vertex ids and flat indices into
+``tri_lengths``, never the lengths themselves. It is memoised for the last
+``(n_vertices, tris)`` marched, compared by content, so the queries on one
+mesh, and outer iterations that keep the triangles, sort it once.
 """
 from __future__ import annotations
 
@@ -215,30 +217,27 @@ class MarchResult:
     unreachable: list = field(default_factory=list)
 
 
-# stencil of corner a of a triangle: target i = a, far corners j = a+1,
-# k = a+2, and the lengths (Dij, Dik, Djk) stored opposite k, j and i
+# the fan row of corner a of a triangle has v = a, p = a+1 and q = a+2 (mod 3);
+# its lengths |pq|, |vq| and |vp| are the ones stored opposite a, a+1 and a+2
 _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-_STENCIL_LENGTHS = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
 
 
 def _stencils(tris: np.ndarray, n_vertices: int) -> tuple:
-    """Stencils grouped by far corner: (starts, rows).
+    """Fan table of the triangles, grouped by corner: (starts, rows).
 
-    Rows starts[v]:starts[v+1] are the stencils with v as j or k, sorted by
-    target. A row holds (i, j, k) and the flat indices into ``tri_lengths``
-    of (Dij, Dik, Djk) as int32; the table is read-only and ``starts`` a tuple.
+    Rows starts[v]:starts[v+1] hold one row per triangle (v, p, q) of v,
+    with p and q the next corners in the triangle's cyclic order: (p, q)
+    and the flat indices into ``tri_lengths`` of (|pq|, |vq|, |vp|), as
+    int32. The table is read-only and ``starts`` a tuple.
     """
     corners = tris[:, _ROTATIONS].reshape(-1, 3)
-    lengths = (3 * np.arange(len(tris))[:, None, None] + _STENCIL_LENGTHS).reshape(-1, 3)
-    rows = np.concatenate([np.arange(len(corners))] * 2)
-    key = np.concatenate([corners[:, 1], corners[:, 2]])
-    # a stable sort by far corner, then target
-    rows = rows[np.argsort(key * n_vertices + corners[rows, 0], kind="stable")]
+    lengths = 3 * np.arange(len(tris))[:, None, None] + _ROTATIONS
+    rows = np.concatenate([corners[:, 1:], lengths.reshape(-1, 3)], axis=1).astype(np.int32)
+    rows = rows[np.argsort(corners[:, 0], kind="stable")]
     starts = np.zeros(n_vertices + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=n_vertices), out=starts[1:])
-    table = np.concatenate([corners, lengths], axis=1).astype(np.int32)[rows]
-    table.setflags(write=False)
-    return tuple(starts.tolist()), table
+    np.cumsum(np.bincount(corners[:, 0], minlength=n_vertices), out=starts[1:])
+    rows.setflags(write=False)
+    return tuple(starts.tolist()), rows
 
 
 # the one triangle of unfold_candidate, kept apart from the memo of the marches
@@ -303,9 +302,18 @@ def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray
 
     ``table`` is a ``_stencils`` table and ``lengths`` the flat
     ``tri_lengths`` its rows index. Returns the acceptance order and the
-    counts of pops, pushes and edge-term fallbacks. The unfold is written
-    out in the loop, which saves a call per stencil; the order of its
-    operations is fixed, since the bits of D depend on it.
+    counts of pops, pushes and edge-term fallbacks.
+
+    Accepting v reads each of its fan rows (v, p, q) once. The row holds
+    the two stencils with v as a far corner, target p over (q, v) and
+    target q over (v, p), and an unfold needs both far corners accepted:
+    the row completes the unfold of p when q is accepted, or else that of q
+    when p is. With both accepted neither target is open, so a row completes
+    at most one unfold; with neither, v gives p and q their edge terms.
+    The unfold is written out once in the loop, which saves a call per
+    stencil; the order of its operations is fixed, since the bits of D
+    depend on it. Each improved target is pushed once, in ascending id
+    order.
     """
     starts, rows = table
     sqrt, hypot, heappop, heappush = math.sqrt, math.hypot, heapq.heappop, heapq.heappush
@@ -318,58 +326,72 @@ def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray
             continue
         accepted[v] = frozen[v] = 1
         order.append(v)
-        lo, hi = starts[v], starts[v + 1]
         improved = []
-        for i, j, k, ij, ik, jk in rows[lo:hi].tolist():
-            if frozen[i]:
-                continue
-            if accepted[j] and accepted[k]:
-                Dj, Dk = d[j], d[k]
-                Dij, Dik, Djk = lengths[ij], lengths[ik], lengths[jk]
-                # min() of the two edge paths, which keeps the first on a tie
-                a, b = Dj + Dij, Dk + Dik
-                cand = a if not b < a else b
-                # Heron-style factored discriminants of the source below the
-                # jk-axis and the target above it
-                disc_o = (Djk - (Dj - Dk)) * (Djk + (Dj - Dk)) * ((Dj + Dk) - Djk) \
-                    * ((Dj + Dk) + Djk)
-                disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) \
-                    * ((Dij + Dik) + Djk)
-                fell_back = False
-                if disc_o < 0.0 or disc_i < 0.0:
-                    # no unfolding past a tolerance scaled like the products
-                    tiny = -1e-12 * (Dj + Dk + Dij + Dik + Djk) ** 4
-                    fell_back = disc_o < tiny or disc_i < tiny
-                    disc_o = 0.0 if disc_o < 0.0 else disc_o
-                    disc_i = 0.0 if disc_i < 0.0 else disc_i
-                if fell_back:
-                    fallbacks += 1
-                else:
-                    inv = 1.0 / (2.0 * Djk)
-                    x_o = (Dk * Dk - Dj * Dj + Djk * Djk) * inv
-                    y_o = -sqrt(disc_o) * inv
-                    x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
-                    y_i = sqrt(disc_i) * inv
-                    through = hypot(x_i - x_o, y_i - y_o)
-                    if not cand < through:
-                        # causality: o->i crosses the jk-axis at x_o y_i - x_i y_o
-                        # over y_i - y_o, which must lie in [0, Djk]; with
-                        # y_i == y_o == 0 the segment lies on the axis
-                        dy = y_i - y_o
-                        cross = x_o * y_i - x_i * y_o
-                        if (0.0 <= cross <= Djk * dy if dy > 0.0 else
-                                (x_o <= Djk or x_i <= Djk) and (x_o >= 0.0 or x_i >= 0.0)):
-                            cand = through
-            elif accepted[j]:
-                cand = d[j] + lengths[ij]
+        # no stencil reads its own target's D, so lowering d[i] at once ends
+        # where the best candidate of the fan would
+        for p, q, pq, vq, vp in rows[starts[v]:starts[v + 1]].tolist():
+            # the unfold of target i over (j, k), the triangle's cyclic order (i, j, k)
+            if accepted[q]:
+                if frozen[p]:
+                    continue
+                i, Dj, Dk, Dij, Dik, Djk = p, d[q], dv, lengths[pq], lengths[vp], lengths[vq]
+            elif accepted[p]:
+                if frozen[q]:
+                    continue
+                i, Dj, Dk, Dij, Dik, Djk = q, dv, d[p], lengths[vq], lengths[pq], lengths[vp]
             else:
-                cand = d[k] + lengths[ik]
-            # no stencil reads its own target's D, so lowering d[i] at once
-            # ends where the best candidate of the group would
+                if not frozen[p]:
+                    cand = dv + lengths[vp]
+                    if cand < d[p]:
+                        d[p] = cand
+                        if p not in improved:
+                            improved.append(p)
+                if not frozen[q]:
+                    cand = dv + lengths[vq]
+                    if cand < d[q]:
+                        d[q] = cand
+                        if q not in improved:
+                            improved.append(q)
+                continue
+            # min() of the two edge paths, which keeps the first on a tie
+            a, b = Dj + Dij, Dk + Dik
+            cand = a if not b < a else b
+            # Heron-style factored discriminants of the source below the
+            # jk-axis and the target above it
+            disc_o = (Djk - (Dj - Dk)) * (Djk + (Dj - Dk)) * ((Dj + Dk) - Djk) \
+                * ((Dj + Dk) + Djk)
+            disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) \
+                * ((Dij + Dik) + Djk)
+            fell_back = False
+            if disc_o < 0.0 or disc_i < 0.0:
+                # no unfolding past a tolerance scaled like the products
+                tiny = -1e-12 * (Dj + Dk + Dij + Dik + Djk) ** 4
+                fell_back = disc_o < tiny or disc_i < tiny
+                disc_o = 0.0 if disc_o < 0.0 else disc_o
+                disc_i = 0.0 if disc_i < 0.0 else disc_i
+            if fell_back:
+                fallbacks += 1
+            else:
+                inv = 1.0 / (2.0 * Djk)
+                x_o = (Dk * Dk - Dj * Dj + Djk * Djk) * inv
+                y_o = -sqrt(disc_o) * inv
+                x_i = (Dik * Dik - Dij * Dij + Djk * Djk) * inv
+                y_i = sqrt(disc_i) * inv
+                through = hypot(x_i - x_o, y_i - y_o)
+                if not cand < through:
+                    # causality: o->i crosses the jk-axis at x_o y_i - x_i y_o
+                    # over y_i - y_o, which must lie in [0, Djk]; with
+                    # y_i == y_o == 0 the segment lies on the axis
+                    dy = y_i - y_o
+                    cross = x_o * y_i - x_i * y_o
+                    if (0.0 <= cross <= Djk * dy if dy > 0.0 else
+                            (x_o <= Djk or x_i <= Djk) and (x_o >= 0.0 or x_i >= 0.0)):
+                        cand = through
             if cand < d[i]:
                 d[i] = cand
-                if not improved or improved[-1] != i:
+                if i not in improved:
                     improved.append(i)
+        improved.sort()
         for i in improved:
             heappush(heap, (d[i], i))
         pushes += len(improved)

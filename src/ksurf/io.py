@@ -12,11 +12,12 @@ the complex can be reimported losslessly.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io as _io
 import json
 import logging
 import math
+import re
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,11 @@ FLOAT_FMT = "%.17g"
 
 CSV_COLUMNS = ["sector_id", "i", "j", "vertex_index",
                "x", "y", "z", "nx", "ny", "nz", "D", "K", "rho"]
+# a CSV row as np.loadtxt reads it: four integer columns, then nine floats
+CSV_ROW = np.dtype([(name, np.int64) for name in CSV_COLUMNS[:4]]
+                   + [(name, np.float64) for name in CSV_COLUMNS[4:]])
+# the /texture/normal part of a face vertex (a/b, a//c, a/b/c)
+FACE_SUFFIX = re.compile(r"/\S*")
 
 
 class ConfigError(Exception):
@@ -335,6 +341,36 @@ def _open_input(path, **kwargs):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _loadtxt(path, fh, what: str, select=None, width=None, first_line=1, **kwargs):
+    """``np.loadtxt`` of the rest of ``fh``; a line it cannot read is a ConfigError.
+
+    ``select`` maps each line to the text to read, "" to skip it, and rows
+    of a 2-D result must have ``width`` columns. ``first_line`` is the
+    number of the line ``fh`` stands at. When the read fails, the lines are
+    read again one at a time, by the same parser, to name the first that is
+    not ``what``. No line at all gives an empty array.
+    """
+    start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # np.loadtxt's "no data"
+        try:
+            rows = np.loadtxt(fh if select is None else map(select, fh), **kwargs)
+            if width is None or not len(rows) or rows.shape[1] == width:
+                return rows
+        except ValueError:
+            pass
+        fh.seek(start)
+        for lineno, line in enumerate(fh, first_line):
+            try:
+                row = np.loadtxt([line if select is None else select(line)], **kwargs)
+            except ValueError:
+                row = None
+            if row is None or width is not None and len(row) and row.shape[1] != width:
+                raise ConfigError(f"{path}: line {lineno}: cannot parse {line.strip()!r} "
+                                  f"as {what}")
+    raise ConfigError(f"{path}: cannot parse as {what}")
+
+
 def _meta_node(value, sectors: list, obj_path, lineno: int, what: str) -> tuple:
     """``value`` of the #meta line as a (sector, i, j) triple naming a grid node."""
     if not (isinstance(value, list) and len(value) == 3
@@ -396,32 +432,48 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
         raise ConfigError(
             f"{obj_path}: line {lineno}: #meta JSON of the wrong shape: {what}") from exc
 
-    by_vid = {}
-    with _open_input(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ConfigError(f"{csv_path}: unexpected CSV columns {reader.fieldnames}")
-        for row in reader:
-            sid, i, j = int(row["sector_id"]), int(row["i"]), int(row["j"])
-            if not 0 <= sid < len(cx.sectors):
-                raise ConfigError(f"{csv_path}: line {reader.line_num}: sector_id {sid} is not "
-                                  f"a sector of the #meta line (0..{len(cx.sectors) - 1})")
-            s = cx.sectors[sid]
-            if not (0 <= i < s.valid.shape[0] and 0 <= j < s.valid.shape[1]):
-                raise ConfigError(f"{csv_path}: line {reader.line_num}: node ({i}, {j}) lies "
-                                  f"outside sector {sid}, whose nodes are (0..{s.I}, 0..{s.J})")
-            s.valid[i, j] = True
-            s.positions[i, j] = (float(row["x"]), float(row["y"]), float(row["z"]))
-            s.normals[i, j] = (float(row["nx"]), float(row["ny"]), float(row["nz"]))
-            s.rho[i, j] = float(row["rho"])
-            s.geo_dist[i, j] = float(row["D"])
-            by_vid.setdefault(int(row["vertex_index"]), []).append((sid, i, j))
+    with _open_input(csv_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != CSV_COLUMNS:
+            raise ConfigError(f"{csv_path}: unexpected CSV columns {header}")
+        start = fh.tell()
+        rows = _loadtxt(csv_path, fh, f"{len(CSV_COLUMNS)} comma-separated values, "
+                        "4 integers then 9 numbers", first_line=2, delimiter=",",
+                        dtype=CSV_ROW, comments=None, ndmin=1)
+        sid, i, j = rows["sector_id"], rows["i"], rows["j"]
+        known = (sid >= 0) & (sid < len(cx.sectors))
+        shape = np.array([s.valid.shape for s in cx.sectors])[np.where(known, sid, 0)]
+        inside = known & (i >= 0) & (i < shape[:, 0]) & (j >= 0) & (j < shape[:, 1])
+        bad = np.flatnonzero(~inside)
+        if len(bad):
+            k = int(bad[0])
+            fh.seek(start)
+            # row k of the array is the k-th line that is not empty
+            lineno = [n for n, line in enumerate(fh, 2) if line != "\n"][k]
+            sid_k, i_k, j_k = int(sid[k]), int(i[k]), int(j[k])
+            if not known[k]:
+                raise ConfigError(f"{csv_path}: line {lineno}: sector_id {sid_k} is not a "
+                                  f"sector of the #meta line (0..{len(cx.sectors) - 1})")
+            s = cx.sectors[sid_k]
+            raise ConfigError(f"{csv_path}: line {lineno}: node ({i_k}, {j_k}) lies outside "
+                              f"sector {sid_k}, whose nodes are (0..{s.I}, 0..{s.J})")
+
+    positions = np.column_stack([rows["x"], rows["y"], rows["z"]])
+    normals = np.column_stack([rows["nx"], rows["ny"], rows["nz"]])
+    for k, s in enumerate(cx.sectors):
+        mine = sid == k
+        node = i[mine], j[mine]
+        s.valid[node] = True
+        s.positions[node] = positions[mine]
+        s.normals[node] = normals[mine]
+        s.rho[node] = rows["rho"][mine]
+        s.geo_dist[node] = rows["D"][mine]
 
     named = [("origin", cx.origin)] + [("branch point", (bp.sector, bp.i, bp.j))
                                        for bp in cx.branch_points]
-    for what, (sid, i, j) in named:
-        if not cx.sectors[sid].valid[i, j]:
-            raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {[sid, i, j]} is not "
+    for what, node in named:
+        if not cx.sectors[node[0]].valid[node[1:]]:
+            raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {list(node)} is not "
                               f"a node listed in {csv_path}")
     for s in cx.sectors:
         s.positions[~s.valid] = np.nan
@@ -429,53 +481,60 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
         s.rho[~s.valid] = np.nan
         s.geo_dist[~s.valid] = math.inf
 
-    pair_maps = {}
-    for vid in sorted(by_vid):
-        refs = by_vid[vid]
-        if len(refs) < 2:
-            continue
-        first = refs[0]
-        for other in refs[1:]:
-            key = (first[0], other[0])
-            g = pair_maps.setdefault(key, GluingMap(
-                sector_a=key[0], sector_b=key[1], nodes_a=[], nodes_b=[]))
-            g.nodes_a.append((first[1], first[2]))
-            g.nodes_b.append((other[1], other[2]))
-    cx.gluings = [pair_maps[k] for k in sorted(pair_maps)]
+    # nodes sharing a vertex index, in CSV order: each later one is glued
+    # to the first, and one gluing per sector pair collects them, vertex by vertex
+    by_vid = np.argsort(rows["vertex_index"], kind="stable")
+    vid = rows["vertex_index"][by_vid]
+    head = np.ones(len(vid), dtype=bool)
+    head[1:] = vid[1:] != vid[:-1]
+    first = by_vid[np.maximum.accumulate(np.where(head, np.arange(len(vid)), 0))][~head]
+    other = by_vid[~head]
+    pair = sid[first] * len(cx.sectors) + sid[other]
+    by_pair = np.argsort(pair, kind="stable")
+    first, other = first[by_pair], other[by_pair]
+    _, starts = np.unique(pair[by_pair], return_index=True)
+    cx.gluings = []
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(first)]):
+        a, b = first[lo:hi], other[lo:hi]
+        cx.gluings.append(GluingMap(
+            sector_a=int(sid[a[0]]), sector_b=int(sid[b[0]]),
+            nodes_a=list(zip(i[a].tolist(), j[a].tolist())),
+            nodes_b=list(zip(i[b].tolist(), j[b].tolist()))))
     return cx
+
+
+def _vertex_line(line: str) -> str:
+    return line if line.startswith("v ") else ""
+
+
+def _face_line(line: str) -> str:
+    """The vertex indices of a face line, without the keyword."""
+    return FACE_SUFFIX.sub("", line[1:]) if line.startswith("f ") else ""
 
 
 def trimesh_from_obj(path) -> TriMesh:
     """Triangulate the quads of an exported OBJ for distance queries.
 
-    Every face index must name one of the file's vertices (1..N).
+    Every ``v`` line needs three coordinates (a fourth is ignored), every
+    ``f`` line four vertices, and every face index must name one of the
+    file's vertices (1..N); a line that breaks this is a ConfigError naming
+    the file and the line.
     """
-    vertices = []
-    faces = []
-    face_lines = []
     with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                if line.startswith("v "):
-                    vertices.append([float(x) for x in line.split()[1:4]])
-                elif line.startswith("f "):
-                    face = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
-                    if len(face) != 4:
-                        raise ConfigError(
-                            f"{path}: expected quad faces, got {len(face)} vertices")
-                    faces.append(face)
-                    face_lines.append(lineno)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: cannot parse {line.strip()!r}") from exc
-    if not vertices or not faces:
-        raise ConfigError(f"{path}: no mesh data found")
-    verts = np.asarray(vertices, dtype=float)
-    idx = np.asarray(faces)
-    bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
-    if len(bad):
-        f = int(bad[0])
-        raise ConfigError(f"{path}: line {face_lines[f]}: face {(idx[f] + 1).tolist()} "
-                          f"has an index outside 1..{len(verts)}")
+        verts = _loadtxt(path, fh, "a vertex with 3 coordinates", _vertex_line,
+                         usecols=(1, 2, 3), ndmin=2)
+        fh.seek(0)
+        idx = _loadtxt(path, fh, "a quad face", _face_line, width=4,
+                       dtype=np.int64, ndmin=2) - 1
+        if not len(verts) or not len(idx):
+            raise ConfigError(f"{path}: no mesh data found")
+        bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
+        if len(bad):
+            f = int(bad[0])
+            fh.seek(0)
+            lineno = [n for n, line in enumerate(fh, 1) if line.startswith("f ")][f]
+            raise ConfigError(f"{path}: line {lineno}: face {(idx[f] + 1).tolist()} "
+                              f"has an index outside 1..{len(verts)}")
     # Face cycles are (f0, f1, f12, f2); quad corner order is (f0, f1, f2, f12).
     return trimesh_from_quads(verts, idx[:, [0, 1, 3, 2]])
 

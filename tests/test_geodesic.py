@@ -530,10 +530,28 @@ def test_stencil_memo_follows_the_triangles():
     assert _march_key(fast_march(c, sources)) == want["b"]
 
 
+def test_fan_table_has_one_row_per_corner():
+    verts, quads = _perturbed_grid(1)
+    m = trimesh_from_quads(verts, quads)
+    starts, rows = ksurf.geodesic._stencil_table(m)
+    assert rows.shape == (3 * len(m.tris), 5) and rows.dtype == np.int32
+    v = np.repeat(np.arange(m.n_vertices), np.diff(starts))
+    p, q = rows[:, 0], rows[:, 1]
+    # (v, p, q) runs through the three rotations of every triangle once
+    rotations = [tuple(t[r:] + t[:r]) for t in m.tris.tolist() for r in range(3)]
+    assert sorted(zip(v.tolist(), p.tolist(), q.tolist())) == sorted(rotations)
+    # the length columns index |pq|, |vq| and |vp|
+    lengths = m.tri_lengths.ravel()
+    for column, (a, b) in zip(rows[:, 2:].T, ((p, q), (v, q), (v, p))):
+        np.testing.assert_allclose(
+            lengths[column], np.linalg.norm(m.vertices[a] - m.vertices[b], axis=1), rtol=1e-15)
+
+
 def test_stencil_table_is_shared_and_read_only():
     verts, quads = _perturbed_grid(3)
     a = trimesh_from_quads(verts, quads)
     starts, rows = ksurf.geodesic._stencil_table(a)
+    assert len(rows) == 3 * len(a.tris) == starts[-1]
     # equal triangles share the table; unfold_candidate keeps it
     assert unfold_candidate(1.0, 1.0, 1.0, 1.0, 1.0) == oracle._unfold(1.0, 1.0, 1.0, 1.0, 1.0)[0]
     again = trimesh_from_quads(verts.copy(), np.array(quads))

@@ -16,6 +16,7 @@ from ksurf import (
     SurgerySpec,
     build_report,
     export_mesh,
+    fast_march,
     import_mesh,
     insert_branch_point,
     parse_config,
@@ -170,6 +171,47 @@ def test_trimesh_from_obj_matches_export(tmp_path):
     assert m.n_vertices == direct.n_vertices
     assert m.tris.shape == direct.tris.shape
     np.testing.assert_array_equal(m.vertices, direct.vertices)
+
+
+def _export_lines(tmp_path):
+    """Export a small complex; returns its paths and the OBJ and CSV lines."""
+    obj, csv_path = tmp_path / "r.obj", tmp_path / "r.csv"
+    export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), obj, csv_path)
+    return obj, csv_path, obj.read_text().splitlines(), csv_path.read_text().splitlines()
+
+
+def _complex_bits(cx):
+    grids = [(s.positions.tobytes(), s.normals.tobytes(), s.rho.tobytes(),
+              s.geo_dist.tobytes(), s.valid.tobytes()) for s in cx.sectors]
+    return grids, cx.gluings, cx.origin, cx.history
+
+
+def test_import_reads_crlf_and_a_trailing_blank_line(tmp_path):
+    obj, csv_path, _, csv_lines = _export_lines(tmp_path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(("\r\n".join(csv_lines) + "\r\n\r\n").encode())
+    assert _complex_bits(import_mesh(obj, crlf)) == _complex_bits(import_mesh(obj, csv_path))
+
+
+@pytest.mark.parametrize("form", ["{a}", "{a}/{a}", "{a}//{a}", "{a}/{a}/{a}"])
+def test_trimesh_from_obj_reads_every_face_form(tmp_path, form):
+    obj, _, obj_lines, _ = _export_lines(tmp_path)
+    rewritten = tmp_path / "faces.obj"
+    rewritten.write_text("".join(
+        "f " + " ".join(form.format(a=tok.split("/")[0]) for tok in line.split()[1:]) + "\n"
+        if line.startswith("f ") else line + "\n" for line in obj_lines))
+    assert np.array_equal(trimesh_from_obj(rewritten).tris, trimesh_from_obj(obj).tris)
+
+
+def test_trimesh_from_obj_ignores_a_vertex_weight(tmp_path):
+    obj, _, obj_lines, _ = _export_lines(tmp_path)
+    weighted = tmp_path / "w.obj"
+    weighted.write_text("".join(line + (" 1.0\n" if line.startswith("v ") else "\n")
+                                for line in obj_lines))
+    want = trimesh_from_obj(obj)
+    got = trimesh_from_obj(weighted)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.tris, want.tris)
 
 
 def test_build_report_on_clean_complex(pseudosphere_n2):
@@ -437,6 +479,40 @@ def test_cli_distance_on_degenerate_obj(tmp_path, caplog):
     assert code == 1 and len(errors) == 1 and "cannot parse" in errors[0]
 
 
+SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+
+
+@pytest.mark.parametrize("lines,line,what", [
+    ("v 0 0 0\nv 1 0\nv 0 1 0\nv 1 1 0\nf 1 2 4 3\n", "v 1 0", "a vertex with 3 coordinates"),
+    (SQUARE_VERTICES + "f 1 2 4\n", "f 1 2 4", "a quad face"),
+    (SQUARE_VERTICES + "f 1 2 4 3\nf 1 2 4 3 1\n", "f 1 2 4 3 1", "a quad face"),
+    (SQUARE_VERTICES + "f 1 2 4 x/1\n", "f 1 2 4 x/1", "a quad face"),
+], ids=["two-coordinates", "triangle", "pentagon", "non-integer-index"])
+def test_cli_distance_names_the_line_it_cannot_parse(tmp_path, caplog, lines, line, what):
+    obj = tmp_path / "bad.obj"
+    obj.write_text(lines)
+    lineno = lines.splitlines().index(line) + 1
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(obj), "--quiet"])
+    assert code == 1 and errors == [f"{obj}: line {lineno}: cannot parse {line!r} as {what}"]
+
+
+def test_cli_distance_writes_one_line_per_vertex(tmp_path, capsys):
+    # two quads without a common vertex: the second is unreachable from the source
+    obj = tmp_path / "two.obj"
+    obj.write_text(SQUARE_VERTICES + "v 5 0 0\nv 6 0 0\nv 5 1 0\nv 6 1.5 0\n"
+                   "f 1 2 4 3\nf 5 6 8 7\n")
+    d = fast_march(trimesh_from_obj(obj), [(1, 0.0)]).d
+    want = "vertex_index,D\n" + "".join("%d,%.17g\n" % (v, d[v]) for v in range(len(d)))
+    assert want.splitlines()[2] == "1,0"
+    assert want.splitlines()[5:] == ["4,inf", "5,inf", "6,inf", "7,inf"]
+    assert main(["distance", "--mesh", str(obj), "--source", "1", "--quiet"]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "d.csv"
+    assert main(["distance", "--mesh", str(obj), "--source", "1", "--out", str(out),
+                 "--quiet"]) == 0
+    assert out.read_bytes() == want.encode()
+
+
 def test_cli_validate_on_degenerate_geometry(tmp_path, caplog):
     # node (0, 4, 3) moved onto (0, 3, 3): every structural check still
     # passes, and the report's triangulation meets a degenerate triangle
@@ -460,9 +536,6 @@ def test_cli_validate_ends_each_report_with_a_newline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "branch counts match)\ndiagnostics report\n" in out
     assert out.endswith("\n") and out.count("quad_incidence:") == 1
-
-
-SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
 
 
 @pytest.mark.parametrize("faces,line,face", [
@@ -639,3 +712,36 @@ def test_cli_validate_on_node_outside_its_sector(tmp_path, caplog, column, value
                                        "--quiet"])
     assert code == 1 and errors == [
         f"{csv_path}: line 4: node {node} lies outside sector 0, whose nodes are (0..6, 0..6)"]
+
+
+CSV_ROW_FORM = "13 comma-separated values, 4 integers then 9 numbers"
+
+
+@pytest.mark.parametrize("damage", ["non-numeric", "one-cell-short", "integer-as-float"])
+def test_cli_validate_names_the_csv_line_it_cannot_parse(tmp_path, caplog, damage):
+    def edit(_, rows):
+        if damage == "non-numeric":
+            _set_csv_field(rows, 5, 6, "abc")
+        elif damage == "one-cell-short":
+            rows[4] = rows[4].rsplit(",", 1)[0]
+        else:
+            _set_csv_field(rows, 5, 3, "7.0")
+
+    obj, csv_path = _damaged_export(tmp_path, edit)
+    row = csv_path.read_text().splitlines()[4]
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [
+        f"{csv_path}: line 5: cannot parse {row!r} as {CSV_ROW_FORM}"]
+
+
+def test_cli_validate_counts_blank_lines_in_the_csv(tmp_path, caplog):
+    def damage(_, rows):
+        _set_csv_field(rows, 4, 0, "9")
+        rows.insert(2, "")
+
+    obj, csv_path = _damaged_export(tmp_path, damage)
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 1 and errors == [
+        f"{csv_path}: line 5: sector_id 9 is not a sector of the #meta line (0..3)"]
