@@ -16,7 +16,8 @@ attempt is logged; its result must then be bitwise the doubling one (or
 the same error). The deviation of a path is
 the largest vertex distance between its surface and the doubling one.
 Writes ``demos/convergence_map.md``; ``--map second`` runs the second grid
-of cells instead and ``--cells N`` only its first N cells.
+of cells instead and writes ``demos/convergence_map_second.md``, and
+``--cells N`` runs only the first N cells. ``--out`` names another file.
 """
 import argparse
 import itertools
@@ -39,7 +40,7 @@ from ksurf import (
     symmetric_angles,
 )
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "convergence_map.md")
+HERE = os.path.dirname(os.path.abspath(__file__))
 DEVIATION = 3e-4  # a surface further than this from the doubling one counts as moved
 
 MAPS = {
@@ -48,6 +49,7 @@ MAPS = {
     "second": ({"LINEAR": (2.9, 8.9, 26.0), "RING": (2.9, 3.0, 8.9)},
                (2, 3, 4), (8, 12, 16, 24), (0.5, 0.625, 0.75)),
 }
+OUT = {"first": "convergence_map.md", "second": "convergence_map_second.md"}
 
 
 def sqrt2_schedule(target: float) -> list:
@@ -184,8 +186,10 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--map", choices=sorted(MAPS), default="first")
     ap.add_argument("--cells", type=int, default=None, help="run only the first N cells")
-    ap.add_argument("--out", default=OUT)
+    ap.add_argument("--out", default=None,
+                    help="output file (default: the map's file in demos/)")
     args = ap.parse_args()
+    out = args.out or os.path.join(HERE, OUT[args.map])
 
     amsler_log = logging.getLogger("ksurf.amsler")
     amsler_log.setLevel(logging.INFO)
@@ -203,10 +207,10 @@ def main():
         print(f"[{k}/{len(cells)}] {cell}: {[short(o) for o in r['outcomes']]} "
               f"iters {r['iters']}", flush=True)
     text = report(rows, args.map)
-    with open(args.out, "w", newline="\n") as fh:
+    with open(out, "w", newline="\n") as fh:
         fh.write(text)
     print(text.split("\n\n")[2])
-    print("wrote", args.out)
+    print("wrote", out)
 
 
 if __name__ == "__main__":

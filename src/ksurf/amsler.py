@@ -4,10 +4,12 @@ The curvature law K(p) = K_eps(D(p)) couples the surface to the geodesic
 distance D from its center, so generation iterates: sweep the sectors for
 fixed per-node rho, fast-march D on the result, re-evaluate rho, repeat
 until the maximum vertex displacement between sweeps drops below the
-tolerance. The seed surface is always the constant-curvature (K = -1)
-sweep of the same boundary data. Large epsilon targets are reached by
-continuation: each stage re-initializes the boundary normals for its
-epsilon and reuses the previous stage's surface as the starting iterate.
+tolerance. The seed surface is the sweep for rho at a distance estimate
+that needs no march: D at the sector's corner plus the chord across the
+flat parallelogram of its first row and column, which is the arc length
+along straight rays. Large epsilon targets are reached by continuation:
+each stage re-initializes the boundary normals for its epsilon and reuses
+the previous stage's surface as the starting iterate.
 An automatic schedule first tries the target epsilon alone, on a copy of
 the complex, and walks its doubling stages only when that attempt fails
 (an unsolvable quad, a failed stage, or a change that stops reaching new
@@ -287,10 +289,21 @@ def sweep_runs(cx: SurfaceComplex) -> list:
     return runs
 
 
-def _rho_field(s: SectorGrid, curv: CurvatureSpec) -> np.ndarray:
-    """rho of the current D at every valid node, the stored rho on the boundary."""
+def _chord_distance(s: SectorGrid) -> np.ndarray:
+    """D(0, 0) + |(x(i, 0) - x(0, 0)) + (x(0, j) - x(0, 0))| at every node.
+
+    The distance across the flat parallelogram spanned by the first row and
+    column; on a straight boundary ray it is the arc length.
+    """
+    x = s.positions
+    span = (x[:, :1] - x[0, 0]) + (x[:1, :] - x[0, 0])
+    return s.geo_dist[0, 0] + np.linalg.norm(span, axis=-1)
+
+
+def _rho_field(s: SectorGrid, curv: CurvatureSpec, D: np.ndarray) -> np.ndarray:
+    """rho of ``D`` at every valid node, the stored rho on the boundary."""
     rho_field = np.full_like(s.rho, np.nan)
-    rho_field[s.valid] = eval_rho(curv, s.geo_dist[s.valid])
+    rho_field[s.valid] = eval_rho(curv, D[s.valid])
     boundary = s.boundary_mask()
     rho_field[boundary] = s.rho[boundary]
     return rho_field
@@ -300,7 +313,6 @@ def _rho_field(s: SectorGrid, curv: CurvatureSpec) -> np.ndarray:
 class ProviderResult:
     per_sector: list
     march: MarchResult | None = None
-    mesh: TriMesh | None = None
 
 
 def origin_vertex(cx: SurfaceComplex, mesh: TriMesh) -> int:
@@ -319,7 +331,7 @@ def geodesic_provider(cx: SurfaceComplex) -> ProviderResult:
     src = origin_vertex(cx, mesh)
     march = fast_march(mesh, [(src, 0.0)])
     per_sector = mesh.node_values(march.d, math.inf)
-    return ProviderResult(per_sector=per_sector, march=march, mesh=mesh)
+    return ProviderResult(per_sector=per_sector, march=march)
 
 
 def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
@@ -342,7 +354,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
               provider=None, seed_sectors=None, *, _stall_window=None) -> StageRecord:
     """One outer iteration stage at fixed epsilon.
 
-    Optionally seeds the listed sectors with a constant-curvature sweep,
+    Optionally seeds the listed sectors with a sweep at the chord distance,
     then alternates fast-marched distance fields with re-sweeps until the
     maximum vertex displacement drops below cfg.tol. Every sweep, seeding
     included, is followed by the boundary records it made stale. The
@@ -360,7 +372,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     if seed_sectors:
         for sid in seed_sectors:
             s = cx.sectors[sid]
-            cx.sectors[sid] = sweep_sector(s, np.ones_like(s.rho))
+            cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _chord_distance(s)))
             refresh_boundaries(cx, curv, sid)
 
     runs = sweep_runs(cx)
@@ -378,7 +390,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
         change = 0.0
         for run in runs:
             before = [cx.sectors[sid] for sid in run]
-            swept = sweep_sectors(before, [_rho_field(s, curv) for s in before])
+            swept = sweep_sectors(before, [_rho_field(s, curv, s.geo_dist) for s in before])
             for sid, s, new in zip(run, before, swept):
                 interior = s.valid & ~s.boundary_mask()
                 _require_finite(new.positions, interior, "position", sid, curv, changes)

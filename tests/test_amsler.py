@@ -27,9 +27,11 @@ from ksurf import (
     validate_complex,
 )
 
-from ksurf.amsler import sweep_runs
+from ksurf.amsler import RaySpec, _chord_distance, _rho_field, build_patched_complex, sweep_runs
+from ksurf.lelieuvre import sweep_sector
+from ksurf.surgery import FanAxes
 
-from conftest import build_branch_chain, build_patched, build_surgery_m3
+from conftest import build_branch_chain, build_patched, build_surgery_m3, build_workload
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -142,6 +144,59 @@ def test_constant_curvature_stage_is_exact():
     assert np.isfinite(cx.sectors[0].positions).all()
 
 
+def _straight_sides(cx):
+    """(sector, "row" | "col") of every side written by a base ray or a fan axis."""
+    for record in cx.boundaries:
+        if isinstance(record, RaySpec):
+            yield from record.sides
+        elif isinstance(record, FanAxes):
+            for left, right in zip(record.fans, record.fans[1:]):
+                yield left, "col"
+                yield right, "row"
+
+
+def test_chord_distance_is_the_stored_distance_on_straight_sides():
+    # on a straight ray the chord from its anchor is the arc length
+    cx = build_workload("branch")
+    sides = set(_straight_sides(cx))
+    for sid, side in sides:
+        s = cx.sectors[sid]
+        at = (slice(None), 0) if side == "row" else (0, slice(None))
+        np.testing.assert_allclose(_chord_distance(s)[at], s.geo_dist[at], rtol=0, atol=1e-12)
+    # both sides of the six base sectors and of the middle fan of each cut
+    rows = {sid for sid, side in sides if side == "row"}
+    assert rows & {sid for sid, side in sides if side == "col"} == {0, 1, 2, 3, 4, 5, 7, 10}
+    # the fans start at their branch vertex, away from the origin
+    assert min(cx.sectors[sid].geo_dist[0, 0] for sid in (7, 10)) > 0.0
+
+
+def test_chord_seed_is_rho_one_for_constant_curvature():
+    curv = CurvatureSpec(CurvatureFamily.CONSTANT)
+    cx = build_patched_complex(symmetric_angles(3), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
+                               curv)
+    for s in cx.sectors:
+        D = _chord_distance(s)
+        assert np.isfinite(D).all()
+        rho = _rho_field(s, curv, D)
+        assert (rho == 1.0).all()
+        assert sweep_sector(s, rho).positions.tobytes() == \
+            sweep_sector(s, np.ones_like(s.rho)).positions.tobytes()
+
+
+# (epsilon, outer iterations) of each stage: generation, then one per cut
+WORKLOAD_STAGES = {
+    "grow": [(10.0, 4)],
+    "fine": [(1.0, 3)],
+    "branch": [(2.0, 8), (2.0, 6), (2.0, 4)],
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_STAGES))
+def test_workload_stage_iterations(name):
+    history = build_workload(name).history
+    assert [(rec.epsilon, rec.iterations) for rec in history] == WORKLOAD_STAGES[name]
+
+
 def test_continuation_walks_the_schedule():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5)
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 4.0)
@@ -172,10 +227,10 @@ def _assert_same_result(a, b, tmp_path):
 
 def test_automatic_schedule_converges_at_the_target_directly(tmp_path):
     auto = _patched("LINEAR", 10.0, 8, 0.5)
-    assert [(rec.epsilon, rec.iterations) for rec in auto.history] == [(10.0, 5)]
+    assert [(rec.epsilon, rec.iterations) for rec in auto.history] == [(10.0, 4)]
     walked = _patched("LINEAR", 10.0, 8, 0.5, auto_schedule(10.0))
     assert [rec.epsilon for rec in walked.history] == auto_schedule(10.0)
-    assert sum(rec.iterations for rec in walked.history) == 16
+    assert sum(rec.iterations for rec in walked.history) == 15
     # the direct attempt is the one-stage schedule at the target, run on a copy
     _assert_same_result(auto, _patched("LINEAR", 10.0, 8, 0.5, [10.0]), tmp_path)
 
@@ -189,12 +244,12 @@ def _outcome(*args, **kwargs):
 
 
 @pytest.mark.parametrize("family,eps,n,grid,extent,iterations,kind", [
-    # the first sweep meets an unsolvable quad
-    pytest.param("RING", 3.0, 2, 16, 0.625, 1, "UnsolvableQuadError",
-                 id="3.0-16-1-UnsolvableQuadError"),
-    # no new minimum of the change in iterations 20-22; the walk then ends in
+    # the seed sweep meets an unsolvable quad; the walk converges
+    pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
+                 id="2.9-8-0-UnsolvableQuadError"),
+    # no new minimum of the change in iterations 19-21; the walk then ends in
     # a cycle at eps 26, the same error as the doubling schedule's
-    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 22, "stall", id="26.0-8-22-stall"),
+    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 21, "stall", id="26.0-8-21-stall"),
 ])
 def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
                                                           grid, extent, iterations, kind):
