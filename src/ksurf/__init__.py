@@ -31,7 +31,6 @@ from .geodesic import (
     TriMesh,
     dijkstra_bound,
     fast_march,
-    split_quad,
     triangulate_complex,
     trimesh_from_quads,
     unfold_candidate,
@@ -112,7 +111,6 @@ __all__ = [
     "run_stage",
     "single_sector_complex",
     "split_angle_axes",
-    "split_quad",
     "sweep_sector",
     "sweep_sectors",
     "symmetric_angles",

@@ -5,7 +5,8 @@ Subcommands:
   generate   build a patched surface from a config and export OBJ + CSV
   surgery    apply branch-point cuts from the config to a generated surface
   distance   fast-march geodesic distance over an exported OBJ
-  validate   reimport an export and run the structural checks
+  validate   reimport an export, compare its OBJ geometry and run the
+             structural checks
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (non-convergence, unsolvable quad, grid too coarse, degenerate geometry).
@@ -37,12 +38,13 @@ from .io import (
     config_key,
     export_mesh,
     import_mesh,
+    obj_geometry_check,
     parse_config,
     trimesh_from_obj,
     write_report,
 )
 from .lelieuvre import QuadError
-from .mesh import validate_complex
+from .mesh import ValidationReport, validate_complex
 from .surgery import insert_branch_point
 
 logger = logging.getLogger("ksurf")
@@ -218,10 +220,10 @@ def cmd_distance(args) -> int:
 
 def cmd_validate(args) -> int:
     cx = import_mesh(args.mesh, args.csv)
-    report = validate_complex(cx)
+    report = ValidationReport([obj_geometry_check(args.mesh, cx), *validate_complex(cx).checks])
     sys.stdout.write(f"{report}\n")
     if not report.passed:
-        logger.error("structural validation failed")
+        logger.error("validation failed")
         return EXIT_NUMERICAL
     with _geometry(args.mesh):
         diag = build_report(cx)

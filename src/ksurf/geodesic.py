@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import SurfaceComplex, first_nodes, global_vertex_ids, quad_table
+from .mesh import SurfaceComplex, global_vertex_ids, quad_table
 
 logger = logging.getLogger(__name__)
 
@@ -78,17 +78,16 @@ class TriMesh:
     """Triangle mesh with provenance.
 
     ``tri_lengths[t, a]`` is the length of the edge of triangle t opposite
-    its local vertex a. ``back_refs[v]`` lists the (sector, i, j) grid nodes
-    deduplicated into vertex v; for a mesh of a complex, ``node_ids`` holds
-    the same map per sector as (I+1, J+1) arrays, -1 on invalid nodes.
+    its local vertex a. For a mesh of a complex, ``node_ids`` holds the
+    vertex id of every grid node per sector as (I+1, J+1) arrays, -1 on
+    invalid nodes.
     """
 
     vertices: np.ndarray
     tris: np.ndarray
     tri_lengths: np.ndarray
-    back_refs: list
     obtuse_tris: list = field(default_factory=list)
-    node_ids: list | None = None
+    node_ids: tuple | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -143,27 +142,17 @@ def _split_quads(corners: np.ndarray):
     return use_b, worst[pick], sides[pick][..., ::-1]
 
 
-def split_quad(p00, p10, p01, p11):
-    """Choose the diagonal for one quad.
-
-    Returns (tris, max_angle) where tris are two corner-index triples into
-    (00, 10, 01, 11) order. The grid diagonal 00-11 wins ties.
-    """
-    use_b, worst, _ = _split_quads(np.array([[p00, p10, p01, p11]], dtype=float))
-    return _SPLITS[int(use_b[0])], float(worst[0])
-
-
 def triangulate_complex(cx: SurfaceComplex) -> TriMesh:
     """Deduplicate glued nodes and split every quad into two triangles."""
-    ids, _, back_refs = global_vertex_ids(cx)
-    # vertex v takes the position of its first node, back_refs[v][0]
-    vertices = np.concatenate([s.positions.reshape(-1, 3) for s in cx.sectors])[first_nodes(ids)]
-    mesh = trimesh_from_quads(vertices, quad_table(cx, ids).corners, back_refs=back_refs)
+    ids, first = global_vertex_ids(cx)
+    # vertex v takes the position of its first node
+    vertices = np.concatenate([s.positions.reshape(-1, 3) for s in cx.sectors])[first]
+    mesh = trimesh_from_quads(vertices, quad_table(cx, ids).corners)
     mesh.node_ids = ids
     return mesh
 
 
-def trimesh_from_quads(vertices: np.ndarray, quads, back_refs=None) -> TriMesh:
+def trimesh_from_quads(vertices: np.ndarray, quads) -> TriMesh:
     """Split quads (corner order 00, 10, 01, 11) into a marchable TriMesh.
 
     Every quad index must name a vertex (0..N-1); a negative one would wrap.
@@ -185,7 +174,6 @@ def trimesh_from_quads(vertices: np.ndarray, quads, back_refs=None) -> TriMesh:
         vertices=vertices,
         tris=tris,
         tri_lengths=lengths.reshape(-1, 3),
-        back_refs=back_refs if back_refs is not None else [[] for _ in range(n_verts)],
         obtuse_tris=obtuse,
     )
 

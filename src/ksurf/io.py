@@ -38,11 +38,11 @@ from .geodesic import TriMesh, fast_march, trimesh_from_quads, triangulate_compl
 from .lelieuvre import quad_residual_arrays
 from .mesh import (
     BranchPoint,
+    CheckResult,
     GluingMap,
     Parity,
     SectorGrid,
     SurfaceComplex,
-    first_nodes,
     global_vertex_ids,
     gluing_gaps,
     quad_corner_arrays,
@@ -62,6 +62,8 @@ CSV_ROW = np.dtype([(name, np.int64) for name in CSV_COLUMNS[:4]]
                    + [(name, np.float64) for name in CSV_COLUMNS[4:]])
 # the /texture/normal part of a face vertex (a/b, a//c, a/b/c)
 FACE_SUFFIX = re.compile(r"/\S*")
+# the OBJ lines that carry the geometry: vertices, normals and faces
+GEOMETRY_LINES = ("v ", "vn ", "f ")
 
 
 class ConfigError(Exception):
@@ -292,19 +294,12 @@ def _format_rows(fmt: str, rows: np.ndarray) -> str:
     return (fmt * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
-    """Write the OBJ mesh and the per-node CSV sidecar. Returns both paths."""
-    obj_path = str(obj_path)
-    if csv_path is None:
-        csv_path = Path(obj_path).with_suffix(".csv")
-    csv_path = str(csv_path)
-
-    ids, n_verts, _ = global_vertex_ids(cx)
-    first = first_nodes(ids)  # vertex v is written from its first node
+def _obj_text(cx: SurfaceComplex, ids, first) -> str:
+    """The OBJ export of ``cx`` with its vertex numbering from ``global_vertex_ids``."""
     xyz = " ".join([FLOAT_FMT] * 3)
-
     out = _io.StringIO()
     out.write("#meta " + json.dumps(_meta_dict(cx), sort_keys=True) + "\n")
+    # vertex v is written from its first node
     out.write(_format_rows(f"v {xyz}\n", np.concatenate(
         [s.positions.reshape(-1, 3) for s in cx.sectors])[first]))
     out.write(_format_rows(f"vn {xyz}\n", np.concatenate(
@@ -313,8 +308,19 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
         f0, f1, f2, f12 = quad_corner_values(s, a) + 1
         out.write(_format_rows("f %d//%d %d//%d %d//%d %d//%d\n",
                                np.stack([f0, f1, f12, f2], axis=1).repeat(2, axis=1)))
+    return out.getvalue()
+
+
+def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
+    """Write the OBJ mesh and the per-node CSV sidecar. Returns both paths."""
+    obj_path = str(obj_path)
+    if csv_path is None:
+        csv_path = Path(obj_path).with_suffix(".csv")
+    csv_path = str(csv_path)
+
+    ids, first = global_vertex_ids(cx)
     with open(obj_path, "w", newline="\n") as fh:
-        fh.write(out.getvalue())
+        fh.write(_obj_text(cx, ids, first))
 
     rows = _io.StringIO()
     rows.write(",".join(CSV_COLUMNS) + "\n")
@@ -329,7 +335,7 @@ def export_mesh(cx: SurfaceComplex, obj_path, csv_path=None) -> tuple:
             s.geo_dist[i, j], K, rho])))
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(rows.getvalue())
-    logger.info("exported %d vertices to %s / %s", n_verts, obj_path, csv_path)
+    logger.info("exported %d vertices to %s / %s", len(first), obj_path, csv_path)
     return obj_path, csv_path
 
 
@@ -501,6 +507,30 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
             nodes_a=list(zip(i[a].tolist(), j[a].tolist())),
             nodes_b=list(zip(i[b].tolist(), j[b].tolist()))))
     return cx
+
+
+def obj_geometry_check(obj_path, cx: SurfaceComplex) -> CheckResult:
+    """Whether the ``v``, ``vn`` and ``f`` lines of ``obj_path`` are those ``cx`` exports.
+
+    ``cx`` is the complex imported from the file and its CSV. Line endings
+    aside, the lines must match in text and order; a failure names the
+    first line that differs, or the first one the file lacks.
+    """
+    want = [line for line in _obj_text(cx, *global_vertex_ids(cx)).splitlines()
+            if line.startswith(GEOMETRY_LINES)]
+    with _open_input(obj_path) as fh:
+        got = [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, 1)
+               if line.startswith(GEOMETRY_LINES)]
+    for k, (lineno, line) in enumerate(got):
+        if k == len(want) or line != want[k]:
+            expected = repr(want[k]) if k < len(want) else "no such line"
+            return CheckResult("obj_geometry", passed=False,
+                               detail=f"line {lineno}: {line!r}, the import exports {expected}")
+    if len(got) < len(want):
+        return CheckResult("obj_geometry", passed=False,
+                           detail=f"the file ends before {want[len(got)]!r} of the import")
+    return CheckResult("obj_geometry", passed=True,
+                       detail=f"{len(got)} v, vn and f lines match the import")
 
 
 def _vertex_line(line: str) -> str:

@@ -227,8 +227,8 @@ class SurfaceComplex:
         )
 
 
-# (topology key, ids, count, back_refs) of the last complex numbered, swapped as a
-# whole: racing callers may number twice, but each uses the entry it checked
+# (topology key, ids, first) of the last complex numbered, swapped as a whole:
+# racing callers may number twice, but each uses the entry it checked
 _vertex_ids_memo = None
 
 
@@ -247,16 +247,14 @@ def _topology_key(cx: SurfaceComplex) -> tuple:
 def global_vertex_ids(cx: SurfaceComplex):
     """Deduplicate glued nodes into global vertex ids.
 
-    Returns (ids, count, back_refs) where ids is a list of read-only
-    (I+1, J+1) int arrays per sector (-1 on invalid nodes), count the number
-    of distinct vertices and back_refs a list mapping each vertex id to its
-    (sector, i, j) occurrences in deterministic order.
+    Returns (ids, first): ids is a tuple of read-only (I+1, J+1) int arrays
+    per sector (-1 on invalid nodes), and first the read-only flat index of
+    each vertex's first node, in id order, so ``len(first)`` vertices.
 
     Nodes are numbered flat, sector by sector in i-major order. Union-find
     runs over the glued pairs only and names each set by its smallest flat
     index; vertex ids then number the sets in order of their first valid node.
-    The numbering of the last topology is memoised (see ``_topology_key``);
-    each call gets its own lists.
+    The numbering of the last topology is memoised (see ``_topology_key``).
     """
     global _vertex_ids_memo
     key = _topology_key(cx)
@@ -266,15 +264,13 @@ def global_vertex_ids(cx: SurfaceComplex):
         _vertex_ids_memo = memo = None
         memo = (key, *_number_vertices(cx))
         _vertex_ids_memo = memo
-    _, ids, count, back_refs = memo
-    return list(ids), count, list(map(list, back_refs))
+    return memo[1:]
 
 
 def _number_vertices(cx: SurfaceComplex) -> tuple:
-    """``global_vertex_ids`` without the memo; back_refs as tuples."""
+    """``global_vertex_ids`` without the memo."""
     shapes = [(s.I + 1, s.J + 1) for s in cx.sectors]
-    sizes = [a * b for a, b in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+    offsets = np.concatenate([[0], np.cumsum([a * b for a, b in shapes], dtype=int)])
     parent = {}
 
     def find(x: int) -> int:
@@ -297,23 +293,14 @@ def _number_vertices(cx: SurfaceComplex) -> tuple:
     _, first, inverse = np.unique(root[nodes], return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[np.argsort(first)] = np.arange(len(first))
-    vid = rank[inverse]
     flat_ids = np.full(offsets[-1], -1, dtype=int)
-    flat_ids[nodes] = vid
+    flat_ids[nodes] = rank[inverse]
     flat_ids.setflags(write=False)
     ids = tuple(flat_ids[offsets[k]:offsets[k + 1]].reshape(shape)
                 for k, shape in enumerate(shapes))
-
-    sector = np.repeat(np.arange(len(shapes)), sizes)[nodes]
-    i, j = divmod(nodes - offsets[sector], np.array([w for _, w in shapes], dtype=int)[sector])
-    refs = list(zip(sector.tolist(), i.tolist(), j.tolist()))
-    # first occurrences open the lists in id order; glued copies follow in flat order
-    back_refs = [[refs[k]] for k in np.sort(first).tolist()]
-    copies = np.ones(len(nodes), dtype=bool)
-    copies[first] = False
-    for k in np.flatnonzero(copies).tolist():
-        back_refs[vid[k]].append(refs[k])
-    return ids, len(back_refs), tuple(map(tuple, back_refs))
+    first_node = nodes[np.sort(first)]
+    first_node.setflags(write=False)
+    return ids, first_node
 
 
 def gluing_gaps(cx: SurfaceComplex) -> tuple:
@@ -332,18 +319,6 @@ def gluing_gaps(cx: SurfaceComplex) -> tuple:
         pos_max = float(np.maximum.reduce(np.sqrt(np.vecdot(dp, dp)), initial=pos_max))
         nrm_max = float(np.maximum.reduce(np.sqrt(np.vecdot(dn, dn)), initial=nrm_max))
     return pos_max, nrm_max
-
-
-def first_nodes(ids) -> np.ndarray:
-    """Flat index of the first node of each vertex, in id order.
-
-    ``ids`` are the per-sector arrays of ``global_vertex_ids``; nodes are
-    numbered flat, sector by sector in i-major order.
-    """
-    flat = np.concatenate([a.ravel() for a in ids])
-    nodes = np.flatnonzero(flat >= 0)
-    _, first = np.unique(flat[nodes], return_index=True)
-    return nodes[first]
 
 
 @dataclass(frozen=True)
@@ -377,7 +352,7 @@ def quad_table(cx: SurfaceComplex, ids) -> QuadTable:
 
 def incident_quad_count(cx: SurfaceComplex, sector: int, i: int, j: int) -> int:
     """Number of quads (over all sectors) meeting the given node."""
-    ids, _, _ = global_vertex_ids(cx)
+    ids, _ = global_vertex_ids(cx)
     target = ids[sector][i, j]
     if target < 0:
         raise ValueError(f"node ({sector},{i},{j}) is not a valid vertex")
@@ -461,7 +436,8 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
         detail=f"max position gap {pos_max:.3e}, normal gap {nrm_max:.3e}",
     ))
 
-    ids, n_verts, back_refs = global_vertex_ids(cx)
+    ids, first_node = global_vertex_ids(cx)
+    n_verts = len(first_node)
     quads = quad_table(cx, ids)
     ends = np.sort(quads.corners[:, _QUAD_EDGES], axis=-1).reshape(-1, 2)
     edge_keys, first, edge = np.unique(ends[:, 0] * n_verts + ends[:, 1],
@@ -526,7 +502,10 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
     incidence_fail = ""
     if len(bad):
         v = int(bad[0])
-        has = f"{back_refs[v][0]} has {int(vert_quads[v])} quads"
+        offsets = np.cumsum([0] + [a.size for a in ids])
+        sid = int(np.searchsorted(offsets, first_node[v], side="right")) - 1
+        node = (sid, *divmod(int(first_node[v] - offsets[sid]), ids[sid].shape[1]))
+        has = f"{node} has {int(vert_quads[v])} quads"
         incidence_fail = (f"branch vertex {has}, expected {branch_ids[v]}" if v in branch_ids
                           else f"interior vertex {has}")
     checks.append(CheckResult(

@@ -18,7 +18,6 @@ from ksurf import (
     global_vertex_ids,
     origin_vertex,
     patch_sectors,
-    split_quad,
     symmetric_angles,
     triangulate_complex,
     trimesh_from_quads,
@@ -27,6 +26,7 @@ from ksurf import (
 
 import ksurf.geodesic
 import geodesic_oracle as oracle
+import mesh_oracle
 from conftest import WORKLOADS, build_patched, build_surgery_m3, build_workload
 from ksurf.amsler import RaySpec
 from ksurf.surgery import FanAxes
@@ -48,6 +48,12 @@ def _flat_grid(n, h):
     quads = [(vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1))
              for i in range(n) for j in range(n)]
     return verts, quads
+
+
+def split_quad(p00, p10, p01, p11):
+    """(tris, max_angle) of one quad, from the array kernel."""
+    use_b, worst, _ = ksurf.geodesic._split_quads(np.array([[p00, p10, p01, p11]], dtype=float))
+    return ksurf.geodesic._SPLITS[int(use_b[0])], float(worst[0])
 
 
 def test_split_quad_tie_prefers_grid_diagonal():
@@ -355,15 +361,14 @@ def test_trimesh_from_quads_rejects_index_outside_the_vertices(quad, bad):
 def test_triangulated_complex_counts(pseudosphere_n2):
     cx = pseudosphere_n2
     m = triangulate_complex(cx)
-    _, count, _ = global_vertex_ids(cx)
+    _, first = global_vertex_ids(cx)
     I = cx.sectors[0].I
-    n = len(cx.sectors) // 2
-    assert m.n_vertices == count
+    assert m.n_vertices == len(first)
     assert m.tris.shape[0] == 2 * len(cx.sectors) * I * I
-    # back references point at bitwise-equal positions
-    for v in range(0, m.n_vertices, 17):
-        for (sid, i, j) in m.back_refs[v]:
-            assert np.array_equal(m.vertices[v], cx.sectors[sid].positions[i, j])
+    # every valid node of vertex v sits bitwise at m.vertices[v]
+    for s, ids in zip(cx.sectors, m.node_ids):
+        assert np.array_equal(ids >= 0, s.valid)
+        assert s.positions[s.valid].tobytes() == m.vertices[ids[s.valid]].tobytes()
     assert origin_vertex(cx, m) in range(m.n_vertices)
     assert np.array_equal(m.vertices[origin_vertex(cx, m)], np.zeros(3))
 
@@ -398,7 +403,7 @@ def _perturbed_grid(seed, n=12):
 
 def _scalar_quads(cx):
     """Vertices and quads of a complex assembled node by node."""
-    ids, n_verts, back_refs = global_vertex_ids(cx)
+    ids, _, back_refs = mesh_oracle.global_vertex_ids(cx)
     verts = np.array([cx.sectors[sid].positions[i, j] for sid, i, j in
                       (refs[0] for refs in back_refs)])
     quads = [(ids[sid][qi, qj], ids[sid][qi + 1, qj],

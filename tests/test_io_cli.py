@@ -524,9 +524,51 @@ def test_cli_validate_on_degenerate_geometry(tmp_path, caplog):
     node = {tuple(r[:3]): r for r in rows[1:]}
     node["0", "4", "3"][4:7] = node["0", "3", "3"][4:7]
     csv_path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    # the OBJ moves the vertex too, so that the two files still agree
+    obj_lines = obj.read_text().splitlines()
+    obj_lines[1 + int(node["0", "4", "3"][3])] = "v " + " ".join(node["0", "3", "3"][4:7])
+    obj.write_text("\n".join(obj_lines) + "\n")
     code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv",
                                        str(csv_path), "--quiet"])
     assert code == 2 and len(errors) == 1 and "degenerate triangle" in errors[0]
+
+
+def test_cli_validate_passes_an_untouched_export(tmp_path, capsys):
+    obj, csv_path, obj_lines, csv_lines = _export_lines(tmp_path)
+    crlf_csv, crlf_obj = tmp_path / "crlf.csv", tmp_path / "crlf.obj"
+    crlf_csv.write_bytes(("\r\n".join(csv_lines) + "\r\n").encode())
+    crlf_obj.write_bytes(("\r\n".join(obj_lines) + "\r\n").encode())
+    n_lines = sum(line.startswith(("v ", "vn ", "f ")) for line in obj_lines)
+    for mesh, sidecar in ((obj, csv_path), (obj, crlf_csv), (crlf_obj, csv_path)):
+        assert main(["validate", "--mesh", str(mesh), "--csv", str(sidecar), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"obj_geometry: ok ({n_lines} v, vn and f lines match the "
+                              "import)\nvertex_states: ok")
+
+
+def _tampered(lines):
+    """Every vertex moved to (5, 5, 5) and every face onto vertex 1."""
+    return [("v 5 5 5" if line.startswith("v ") else "f 1 1 1 1" if line.startswith("f ")
+             else line) for line in lines]
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (_tampered, "line 2: 'v 5 5 5', the import exports 'v 0 0 0'"),
+    (lambda lines: lines[:-1], "the file ends before 'f "),
+    (lambda lines: lines + ["vn 0 0 1"], "'vn 0 0 1', the import exports no such line"),
+], ids=["every-vertex-and-face", "face-missing", "extra-normal"])
+def test_cli_validate_flags_obj_geometry_the_csv_does_not_give(tmp_path, caplog, capsys,
+                                                              edit, detail):
+    obj, csv_path, obj_lines, _ = _export_lines(tmp_path)
+    obj.write_text("\n".join(edit(obj_lines)) + "\n")
+    # the structural checks and the report pass: they read only the CSV and #meta
+    assert validate_complex(import_mesh(obj, csv_path)).passed
+    code, errors = _cli_error(caplog, ["validate", "--mesh", str(obj), "--csv", str(csv_path),
+                                       "--quiet"])
+    assert code == 2 and errors == ["validation failed"]
+    out = capsys.readouterr().out
+    assert out.startswith("obj_geometry: FAIL (") and detail in out.splitlines()[0]
+    assert "diagnostics report" not in out
 
 
 def test_cli_validate_ends_each_report_with_a_newline(tmp_path, capsys):

@@ -75,22 +75,20 @@ def test_single_sector_vertex_ids_are_dense():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=4, J=5)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)
     cx = single_sector_complex(spec, curv)
-    ids, count, back_refs = global_vertex_ids(cx)
-    assert count == 5 * 6
-    assert sorted(ids[0].ravel().tolist()) == list(range(count))
-    # every back reference points at the node that produced the id
-    for vid, refs in enumerate(back_refs):
-        for (sid, i, j) in refs:
-            assert ids[sid][i, j] == vid
+    ids, first = global_vertex_ids(cx)
+    assert len(first) == 5 * 6
+    assert sorted(ids[0].ravel().tolist()) == list(range(len(first)))
+    # every vertex's first node carries its id
+    assert ids[0].ravel()[first].tolist() == list(range(len(first)))
 
 
 @pytest.mark.parametrize("n,grid", [(2, 6), (3, 5)])
 def test_patched_vertex_count_after_dedup(n, grid):
     # 2n sector interiors of I*J nodes, 2n shared rays of I nodes, one origin
     cx = build_patched("CONSTANT", 0.0, n, 1.0, grid)
-    _, count, _ = global_vertex_ids(cx)
+    _, first = global_vertex_ids(cx)
     I = J = grid
-    assert count == 2 * n * I * J + n * (I + J) + 1
+    assert len(first) == 2 * n * I * J + n * (I + J) + 1
 
 
 def test_incidence_counts_on_patched_complex(pseudosphere_n2):
@@ -150,24 +148,36 @@ def test_single_sector_quads_are_two_colorable():
     assert rep.check("edge_labels").passed
 
 
-def test_vertex_ids_match_scalar_oracle():
-    for cx in (build_patched("LINEAR", 1.0, 3, 0.5, 8), build_surgery_m3()):
-        ids, count, back_refs = global_vertex_ids(cx)
-        want_ids, want_count, want_refs = mesh_oracle.global_vertex_ids(cx)
-        assert (count, back_refs) == (want_count, want_refs)
-        assert len(ids) == len(want_ids)
-        for got, want in zip(ids, want_ids):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert all(type(x) is int for refs in back_refs for ref in refs for x in ref)
+def _oracle_first(cx, refs):
+    """Flat index of each vertex's first node, from the oracle's (sector, i, j) lists."""
+    offsets = np.cumsum([0] + [s.valid.size for s in cx.sectors])
+    return [int(offsets[sid]) + i * (cx.sectors[sid].J + 1) + j
+            for sid, i, j in (r[0] for r in refs)]
 
 
 def _assert_ids_match_oracle(cx):
-    ids, count, back_refs = global_vertex_ids(cx)
+    ids, first = global_vertex_ids(cx)
     want_ids, want_count, want_refs = mesh_oracle.global_vertex_ids(cx)
-    assert (count, back_refs) == (want_count, want_refs)
+    assert len(first) == want_count
+    assert first.tolist() == _oracle_first(cx, want_refs)
     assert len(ids) == len(want_ids)
-    assert all(np.array_equal(got, want) for got, want in zip(ids, want_ids))
+    for got, want in zip(ids, want_ids):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     return ids
+
+
+def test_vertex_ids_match_scalar_oracle():
+    for cx in (build_patched("LINEAR", 1.0, 3, 0.5, 8), build_surgery_m3(),
+               *build_branch_chain()):
+        _assert_ids_match_oracle(cx)
+
+
+def _assert_read_only(ids, first):
+    for a in (*ids, first):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 7
+    with pytest.raises(TypeError):
+        ids[0] = ids[0].copy()
 
 
 def test_vertex_id_memo_follows_the_topology():
@@ -175,10 +185,8 @@ def test_vertex_id_memo_follows_the_topology():
     cx.gluings = [GluingMap(g.sector_a, g.sector_b, list(g.nodes_a), list(g.nodes_b))
                   for g in cx.gluings]
     before = _assert_ids_match_oracle(cx)
-    # what a caller does to its own lists stays out of the next call
-    ids, _, back_refs = global_vertex_ids(cx)
-    ids.clear()
-    back_refs[0].append((9, 9, 9))
+    # a caller cannot change what the next call returns
+    _assert_read_only(*global_vertex_ids(cx))
     _assert_ids_match_oracle(cx)
 
     cx.gluings[1].nodes_a.reverse()  # in place: same objects, other glued pairs
@@ -199,10 +207,7 @@ def test_vertex_id_memo_follows_the_topology():
 
 
 def test_vertex_ids_are_read_only():
-    ids, _, _ = global_vertex_ids(build_surgery_m3())
-    for a in ids:
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 7
+    _assert_read_only(*global_vertex_ids(build_surgery_m3()))
     _assert_ids_match_oracle(build_surgery_m3())
 
 
