@@ -18,6 +18,7 @@ from ksurf import (
     CurvatureFamily,
     CurvatureSpec,
     IterationConfig,
+    NonConvergenceError,
     SectorSpec,
     SurgerySpec,
     auto_schedule,
@@ -38,7 +39,7 @@ from ksurf import (
 from ksurf.lelieuvre import quad_residual_arrays
 from ksurf.mesh import incident_quad_count, quad_corner_arrays, quad_corner_values
 
-from conftest import build_branch_chain, build_patched, build_surgery_m3
+from conftest import WORKLOADS, build_branch_chain, build_patched, build_surgery_m3, build_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -273,6 +274,31 @@ def test_golden_meshes_reproduce_bitwise(name, tmp_path):
         detail = f"DIFFERS, max vertex deviation {_max_vertex_deviation(fresh, golden):.3e}"
     print(f"{name}: {detail}")
     assert same, detail
+
+
+# builder, curvature family and tol of every golden complex and workload; the
+# epsilon of the last stage is the one its history records
+PLAIN_STEP_CASES = {name: (builder, "LINEAR", 1e-4) for name, builder in GOLDEN_BUILDERS.items()}
+PLAIN_STEP_CASES["surgery_m3"] = (build_surgery_m3, "LINEAR", 1e-6)
+PLAIN_STEP_CASES["branch_chain"] = (GOLDEN_BUILDERS["branch_chain"], "RING", 1e-4)
+for _name, (_family, *_) in WORKLOADS.items():
+    PLAIN_STEP_CASES[_name] = (functools.partial(build_workload, _name), _family, 1e-4)
+
+
+@pytest.mark.parametrize("name", list(PLAIN_STEP_CASES))
+def test_one_more_plain_iteration_moves_the_result_by_less_than_tol(name):
+    # a stage ends only on a plain iteration, so its result is a fixed point
+    # of the unmixed map, whatever the mixed iterations before did
+    builder, family, tol = PLAIN_STEP_CASES[name]
+    cx = builder().copy()
+    curv = CurvatureSpec(CurvatureFamily[family], cx.history[-1].epsilon)
+    try:
+        # the first iteration of a stage is never mixed
+        change = run_stage(cx, curv, IterationConfig(tol=tol, max_iters=1)).changes[0]
+    except NonConvergenceError as exc:
+        change = exc.changes[0]
+    print(f"{name}: one more plain iteration moves it by {change:.3e} vs tol {tol:g}")
+    assert change < tol
 
 
 def _obj_vertices(path):

@@ -27,8 +27,17 @@ from ksurf import (
     validate_complex,
 )
 
-from ksurf.amsler import RaySpec, _chord_distance, _rho_field, build_patched_complex, sweep_runs
-from ksurf.lelieuvre import sweep_sector
+from ksurf.amsler import (
+    RaySpec,
+    _chord_distance,
+    _rho_field,
+    build_patched_complex,
+    origin_vertex,
+    refresh_boundaries,
+    sweep_runs,
+)
+from ksurf.geodesic import fast_march, triangulate_complex
+from ksurf.lelieuvre import UnsolvableQuadError, sweep_sector, sweep_sectors
 from ksurf.surgery import FanAxes
 
 from conftest import build_branch_chain, build_patched, build_surgery_m3, build_workload
@@ -187,7 +196,7 @@ def test_chord_seed_is_rho_one_for_constant_curvature():
 WORKLOAD_STAGES = {
     "grow": [(10.0, 4)],
     "fine": [(1.0, 3)],
-    "branch": [(2.0, 8), (2.0, 6), (2.0, 4)],
+    "branch": [(2.0, 7), (2.0, 5), (2.0, 4)],
 }
 
 
@@ -247,9 +256,9 @@ def _outcome(*args, **kwargs):
     # the seed sweep meets an unsolvable quad; the walk converges
     pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
                  id="2.9-8-0-UnsolvableQuadError"),
-    # no new minimum of the change in iterations 19-21; the walk then ends in
-    # a cycle at eps 26, the same error as the doubling schedule's
-    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 21, "stall", id="26.0-8-21-stall"),
+    # no new minimum of the change in the plain iterations 5-7; the walk then
+    # ends in a cycle at eps 26, the same error as the doubling schedule's
+    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 7, "stall", id="26.0-8-7-stall"),
 ])
 def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
                                                           grid, extent, iterations, kind):
@@ -276,13 +285,14 @@ def test_run_stage_raises_on_stall():
 
 
 def test_two_cycle_is_reported_as_cycle():
-    # The middle stage of a sqrt(2) schedule settles into a period-2 orbit:
-    # every step moves the surface by 4.2e-4 while x_k and x_{k-2} agree
-    # exactly. (The doubling schedule and the automatic one both converge.)
-    schedule = [1.25, 2.5 / math.sqrt(2.0), 2.5]
+    # The middle stage of the last three entries of a sqrt(2) schedule settles
+    # into a period-2 orbit: every step moves the surface by 1.1e-3, under the
+    # mixing floor, while x_k and x_{k-2} agree exactly. (The doubling schedule
+    # and the automatic one both converge.)
+    schedule = [25.0, 50.0 / math.sqrt(2.0), 50.0]
     with pytest.raises(NonConvergenceError, match="^cycle: .*two-step change") as err:
-        patch_sectors(symmetric_angles(3), SectorSpec(u_max=1.0, v_max=1.0, I=6, J=6),
-                      CurvatureSpec(CurvatureFamily.LINEAR, 2.5),
+        patch_sectors(symmetric_angles(4), SectorSpec(u_max=1.0, v_max=1.0, I=8, J=8),
+                      CurvatureSpec(CurvatureFamily.LINEAR, 50.0),
                       IterationConfig(epsilon_schedule=schedule))
     assert err.value.kind == "cycle"
     assert err.value.epsilon == schedule[1]
@@ -290,18 +300,23 @@ def test_two_cycle_is_reported_as_cycle():
 
 
 def test_growing_change_is_reported_as_divergence():
+    # the stored D plus a growing offset: the residual g(x) - x does not depend
+    # on the iterate, so no mix of earlier iterates can shrink it, and the
+    # mixed iterations 4-6 make up the growing tail
     calls = []
 
-    def growing(cx):
+    def drifting(cx):
         calls.append(None)
         prov = geodesic_provider(cx)
-        prov.per_sector = [d * 1.5 ** len(calls) for d in prov.per_sector]
+        offset = 0.01 * 1.5 ** len(calls)
+        prov.per_sector = [np.where(np.isfinite(s.geo_dist), s.geo_dist, d) + offset
+                           for s, d in zip(cx.sectors, prov.per_sector)]
         return prov
 
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
     with pytest.raises(NonConvergenceError, match="^divergence: ") as err:
-        run_stage(cx, curv, IterationConfig(tol=1e-4, max_iters=6), growing, seed_sectors=[0])
+        run_stage(cx, curv, IterationConfig(tol=1e-4, max_iters=6), drifting, seed_sectors=[0])
     assert err.value.kind == "divergence"
     tail = err.value.changes[-3:]
     assert tail == sorted(tail)
@@ -369,7 +384,8 @@ def test_geodesic_provider_shapes(linear_n2):
         assert (d[s.valid] >= 0.0).all()
     # the origin node carries distance zero
     assert res.per_sector[0][0, 0] == 0.0
-    assert res.march.unreachable == []
+    mesh = triangulate_complex(linear_n2)
+    assert fast_march(mesh, [(origin_vertex(linear_n2, mesh), 0.0)]).unreachable == []
 
 
 def test_validate_patched_n3():
@@ -395,3 +411,44 @@ def test_continuation_rejects_complex_without_base_rays(tmp_path):
     with pytest.raises(ValueError, match="no base-ray boundary records"):
         continuation_on_complex(back, CurvatureSpec(CurvatureFamily.LINEAR, 2.0),
                                 IterationConfig(epsilon_schedule=[2.0]))
+
+
+def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplog):
+    # a stage at a new epsilon on the surgery complex, whose sweep runs are
+    # [[0, 1, 2, 3], [4, 5, 6]]; the first mixed sweep (iteration 3) fails in
+    # the second run, after the first run's records were written into it
+    cx = build_surgery_m3().copy()
+    curv = CurvatureSpec(CurvatureFamily.LINEAR, 3.0)
+    refresh_boundaries(cx, curv)
+    states = []
+
+    def snapshot(cx):
+        states.append(cx.copy())
+        return geodesic_provider(cx)
+
+    def failing(grids, rho_fields):
+        if len(states) == 3 and grids[0].sector_id == 4 and not failing.raised:
+            failing.raised = True
+            raise UnsolvableQuadError("forced", (4, 0, 0))
+        return sweep_sectors(grids, rho_fields)
+
+    failing.raised = False
+    caplog.set_level(logging.INFO, logger="ksurf.amsler")
+    monkeypatch.setattr("ksurf.amsler.sweep_sectors", failing)
+    with pytest.raises(NonConvergenceError) as err:
+        run_stage(cx, curv, IterationConfig(tol=1e-6, max_iters=4), snapshot)
+    monkeypatch.undo()
+    assert failing.raised
+    assert [r.getMessage() for r in caplog.records if "iteration 3:" in r.getMessage()] == [
+        "epsilon 3 iteration 3: mixed sweep failed (forced at sector 4 quad (0,0)); "
+        "redone plain",
+        f"epsilon 3 iteration 3: change {err.value.changes[2]:.3e} (plain)"]
+
+    # one plain iteration from the state before iteration 3 gives its bits
+    plain = states[2].copy()
+    with pytest.raises(NonConvergenceError) as ref:
+        run_stage(plain, curv, IterationConfig(tol=1e-6, max_iters=1))
+    assert ref.value.changes == err.value.changes[2:3]
+    for sa, sb in zip(plain.sectors, states[3].sectors, strict=True):
+        for field in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
