@@ -10,11 +10,12 @@ tol 1e-4 and at most 100 iterations per stage:
 - sqrt2: a schedule with ratio sqrt(2), the baseline of how much the
   converged surface depends on the path taken to it.
 
-Outer iterations are counted as distance marches, so an abandoned direct
-attempt counts too. A cell falls back when the INFO line of an abandoned
-attempt is logged; its result must then be bitwise the doubling one (or
-the same error). The deviation of a path is
-the largest vertex distance between its surface and the doubling one.
+Outer iterations are counted as distance marches (a counting wrapper
+stands in for ``ksurf.amsler.geodesic_provider`` during each generation),
+so an abandoned direct attempt counts too. A cell falls back when the INFO
+line of an abandoned attempt is logged; its result must then be bitwise the
+doubling one (or the same error). The deviation of a path is the largest
+vertex distance between its surface and the doubling one.
 Writes ``demos/convergence_map.md``; ``--map second`` runs the second grid
 of cells instead and writes ``demos/convergence_map_second.md``, and
 ``--cells N`` runs only the first N cells. ``--out`` names another file.
@@ -26,6 +27,7 @@ import os
 
 import numpy as np
 
+from ksurf import amsler
 from ksurf import (
     CurvatureFamily,
     CurvatureSpec,
@@ -81,15 +83,18 @@ def run(family, eps, n, grid, extent, schedule):
         marches += 1
         return geodesic_provider(cx)
 
+    amsler.geodesic_provider = counted
     try:
         cx = patch_sectors(symmetric_angles(n),
                            SectorSpec(u_max=extent, v_max=extent, I=grid, J=grid),
                            CurvatureSpec(CurvatureFamily[family], eps),
-                           IterationConfig(epsilon_schedule=schedule), counted)
+                           IterationConfig(epsilon_schedule=schedule))
     except NonConvergenceError as exc:
         return None, f"{exc.kind} at {exc.epsilon:g}: {exc}", marches
     except (QuadError, GridTooCoarseError) as exc:
         return None, f"{type(exc).__name__}: {exc}", marches
+    finally:
+        amsler.geodesic_provider = geodesic_provider
     return cx, "converged", marches
 
 

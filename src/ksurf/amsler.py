@@ -4,12 +4,14 @@ The curvature law K(p) = K_eps(D(p)) couples the surface to the geodesic
 distance D from its center, so generation iterates: sweep the sectors for
 fixed per-node rho, fast-march D on the result, re-evaluate rho, repeat
 until the maximum vertex displacement between sweeps drops below the
-tolerance. The seed surface is the sweep for rho at a distance estimate
-that needs no march: D at the sector's corner plus the chord across the
-flat parallelogram of its first row and column, which is the arc length
-along straight rays. Large epsilon targets are reached by continuation:
-each stage re-initializes the boundary normals for its epsilon and reuses
-the previous stage's surface as the starting iterate.
+tolerance. A sector that was never swept (an interior position is not
+finite: a new complex, or the new fans of a cut) is seeded by the sweep for
+rho at a distance estimate that needs no march: D at the sector's corner
+plus the chord across the flat parallelogram of its first row and column,
+which is the arc length along straight rays; a swept sector is the
+starting iterate as it stands. Large epsilon targets are reached by
+continuation: each stage re-initializes the boundary normals for its
+epsilon and reuses the previous stage's surface as the starting iterate.
 An automatic schedule first tries the target epsilon alone, on a copy of
 the complex, and walks its doubling stages only when that attempt fails
 (an unsolvable quad, a failed stage, or a change that stops reaching new
@@ -317,11 +319,6 @@ def _rho_field(s: SectorGrid, curv: CurvatureSpec, D: np.ndarray) -> np.ndarray:
     return rho_field
 
 
-@dataclass
-class ProviderResult:
-    per_sector: list
-
-
 # Anderson mixing of the interior D in run_stage. MIX_DEPTH: differences of
 # the last MIX_DEPTH + 1 iterates. MIX_FLOOR: mixing stops once the previous
 # change falls below MIX_FLOOR * tol; mixing down to 10 tol saves one more
@@ -344,12 +341,12 @@ def origin_vertex(cx: SurfaceComplex, mesh: TriMesh) -> int:
     raise ValueError(f"origin node {cx.origin} not found in the triangulation")
 
 
-def geodesic_provider(cx: SurfaceComplex) -> ProviderResult:
-    """Fast-march D from the complex origin on the current geometry."""
+def geodesic_provider(cx: SurfaceComplex) -> list:
+    """Fast-march D from the complex origin on the current geometry, per sector."""
     mesh = triangulate_complex(cx)
     src = origin_vertex(cx, mesh)
     march = fast_march(mesh, [(src, 0.0)])
-    return ProviderResult(per_sector=mesh.node_values(march.d, math.inf))
+    return mesh.node_values(march.d, math.inf)
 
 
 def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
@@ -369,20 +366,21 @@ def _require_finite(values: np.ndarray, mask: np.ndarray, what: str, sid: int,
 
 
 def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
-              provider=None, seed_sectors=None, *, _stall_window=None) -> StageRecord:
+              provider=None, *, _stall_window=None) -> StageRecord:
     """One outer iteration stage at fixed epsilon.
 
-    Optionally seeds the listed sectors with a sweep at the chord distance,
-    then alternates fast-marched distance fields with re-sweeps until the
-    maximum vertex displacement drops below cfg.tol. Every sweep, seeding
-    included, is followed by the boundary records it made stale. The
-    re-sweeps go by ``sweep_runs``: each run's rho fields are built after
-    the records of the runs before it were written, its sectors are swept
-    as one group, and then its records are written in sector order, which
-    gives the bits of sweeping and refreshing one sector at a time. A
-    non-finite interior distance or swept position raises
-    NonConvergenceError, since NaN would otherwise drop out of the
-    displacement maximum and read as converged.
+    First seeds, in index order, every sector that was never swept (an
+    interior position is not finite) with a sweep at the chord distance, so
+    a swept sector is warm-started as it stands; then alternates
+    fast-marched distance fields with re-sweeps until the maximum vertex
+    displacement drops below cfg.tol. Every sweep, seeding included, is
+    followed by the boundary records it made stale. The re-sweeps go by
+    ``sweep_runs``: each run's rho fields are built after the records of the
+    runs before it were written, its sectors are swept as one group, and
+    then its records are written in sector order, which gives the bits of
+    sweeping and refreshing one sector at a time. A non-finite interior
+    distance or swept position raises NonConvergenceError, since NaN would
+    otherwise drop out of the displacement maximum and read as converged.
 
     From the third iteration on, and while the previous change is at least
     MIX_FLOOR * tol, the interior D that is swept is the Anderson mix of the
@@ -397,14 +395,13 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     iterations is classified from all its changes, mixed ones included.
     """
     provider = provider or geodesic_provider
-    if seed_sectors:
-        for sid in seed_sectors:
-            s = cx.sectors[sid]
+    interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
+    for sid, (s, interior) in enumerate(zip(cx.sectors, interiors)):
+        if not np.isfinite(s.positions[interior]).all():
             cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _chord_distance(s)))
             refresh_boundaries(cx, curv, sid)
 
     runs = sweep_runs(cx)
-    interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
     changes = []
     # (D swept, D marched) of the last iterations, flattened over the interiors
     pairs = collections.deque(maxlen=MIX_DEPTH + 1)
@@ -412,10 +409,10 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     recent = collections.deque(maxlen=3)
     best, since_best = math.inf, 0
     for iteration in range(1, cfg.max_iters + 1):
-        prov = provider(cx)
+        per_sector = provider(cx)
         for sid, interior in enumerate(interiors):
-            _require_finite(prov.per_sector[sid], interior, "distance", sid, curv, changes)
-        marched = [d[interior] for d, interior in zip(prov.per_sector, interiors)]
+            _require_finite(per_sector[sid], interior, "distance", sid, curv, changes)
+        marched = [d[interior] for d, interior in zip(per_sector, interiors)]
         if iteration > 1:
             pairs.append(tuple(np.concatenate(fields) for fields in (
                 [s.geo_dist[interior] for s, interior in zip(cx.sectors, interiors)], marched)))
@@ -557,67 +554,56 @@ def _resolve_schedule(curv: CurvatureSpec, cfg: IterationConfig) -> list:
     return auto_schedule(curv.epsilon)
 
 
-def _direct_attempt(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
-                    provider):
-    """Converge a copy of ``cx`` cold at the target epsilon, as a one-entry schedule.
-
-    Returns the converged copy and its StageRecord, or None after one INFO
-    line when the stage fails or its change stops reaching new minima for
-    DIVERGENCE_WINDOW iterations; ``cx`` itself is never written.
-    """
-    provider = provider or geodesic_provider
-    trial = cx.copy()
-    marches = 0
-
-    def counted(c):
-        nonlocal marches
-        marches += 1
-        return provider(c)
-
-    try:
-        refresh_boundaries(trial, curv)
-        rec = run_stage(trial, curv, cfg, counted, seed_sectors=list(range(len(trial.sectors))),
-                        _stall_window=DIVERGENCE_WINDOW)
-    except (QuadError, NonConvergenceError) as exc:
-        logger.info("direct attempt at epsilon %g abandoned after %d iterations (%s); "
-                    "walking the schedule", curv.epsilon, marches,
-                    getattr(exc, "kind", type(exc).__name__))
-        return None
-    return trial, rec
+def _walk(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig, schedule: list,
+          provider=None, stall_window=None) -> SurfaceComplex:
+    """Run one stage per schedule entry on ``cx``, each warm-starting the next."""
+    for eps in schedule:
+        curv_s = curv.with_epsilon(eps)
+        refresh_boundaries(cx, curv_s)
+        rec = run_stage(cx, curv_s, cfg, provider, _stall_window=stall_window)
+        cx.history.append(rec)
+        logger.info("stage epsilon %g converged in %d iterations", eps, rec.iterations)
+    return cx
 
 
 def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
-                            cfg: IterationConfig, provider=None) -> SurfaceComplex:
+                            cfg: IterationConfig) -> SurfaceComplex:
     """Run the epsilon schedule on an initialized complex, warm-starting stages.
 
     Each stage starts by rewriting the base rays for its epsilon, so the
-    complex must carry their records (an imported complex has none). An
-    automatic schedule (``cfg.epsilon_schedule`` None) of several stages is
-    tried as one stage at the target first; only when that attempt fails
-    are the stages walked, on the untouched complex, so the result is then
-    that of the schedule alone. An abandoned attempt leaves no StageRecord.
+    complex must carry their records (an imported complex has none). The
+    first stage seeds only the sectors that were never swept, so a complex
+    that has converged before is warm-started too. An automatic schedule
+    (``cfg.epsilon_schedule`` None) of several stages is first tried as the
+    one-stage schedule at the target, on a copy of ``cx``; it is abandoned
+    with one INFO line when the stage fails or its change stops reaching
+    new minima for DIVERGENCE_WINDOW plain iterations. Only then are the
+    stages walked, on the untouched complex, so the result is that of the
+    schedule alone. An abandoned attempt leaves no StageRecord.
     """
     if not any(record.source is None for record in cx.boundaries):
         raise ValueError("the complex has no base-ray boundary records to rewrite "
                          "for each epsilon (an imported complex carries none)")
     schedule = _resolve_schedule(curv, cfg)
     if cfg.epsilon_schedule is None and len(schedule) > 1:
-        attempt = _direct_attempt(cx, curv, cfg, provider)
-        if attempt is not None:
-            trial, rec = attempt
+        trial, marches = cx.copy(), 0
+
+        def counted(c):
+            nonlocal marches
+            marches += 1
+            return geodesic_provider(c)
+
+        try:
+            _walk(trial, curv, cfg, [curv.epsilon], counted, DIVERGENCE_WINDOW)
+        except (QuadError, NonConvergenceError) as exc:
+            logger.info("direct attempt at epsilon %g abandoned after %d iterations (%s); "
+                        "walking the schedule", curv.epsilon, marches,
+                        getattr(exc, "kind", type(exc).__name__))
+        else:
             cx.sectors[:] = trial.sectors
-            cx.history.append(rec)
-            logger.info("stage epsilon %g converged in %d iterations", curv.epsilon,
-                        rec.iterations)
+            cx.history[:] = trial.history
             return cx
-    for si, eps in enumerate(schedule):
-        curv_s = curv.with_epsilon(eps)
-        refresh_boundaries(cx, curv_s)
-        seed = list(range(len(cx.sectors))) if si == 0 else None
-        rec = run_stage(cx, curv_s, cfg, provider, seed_sectors=seed)
-        cx.history.append(rec)
-        logger.info("stage epsilon %g converged in %d iterations", eps, rec.iterations)
-    return cx
+    return _walk(cx, curv, cfg, schedule)
 
 
 def single_sector_complex(spec: SectorSpec, curv: CurvatureSpec) -> SurfaceComplex:
@@ -704,9 +690,8 @@ def build_patched_complex(angles, spec: SectorSpec, curv: CurvatureSpec) -> Surf
 
 
 def patch_sectors(angles, spec: SectorSpec, curv: CurvatureSpec,
-                  cfg: IterationConfig | None = None,
-                  distance_provider=None) -> SurfaceComplex:
+                  cfg: IterationConfig | None = None) -> SurfaceComplex:
     """Generate a full 2n-sector complex through the epsilon schedule."""
     cfg = cfg or IterationConfig()
     cx = build_patched_complex(angles, spec, curv)
-    return continuation_on_complex(cx, curv, cfg, distance_provider)
+    return continuation_on_complex(cx, curv, cfg)

@@ -250,6 +250,14 @@ def _stencil_table(m: TriMesh) -> tuple:
     return memo[2], memo[3]
 
 
+def _source_vertex(v, n: int) -> int:
+    """``v`` as an int; ValueError naming it outside 0..n-1, where a negative one would wrap."""
+    v = int(v)
+    if not 0 <= v < n:
+        raise ValueError(f"source vertex {v} outside 0..{n - 1}")
+    return v
+
+
 def fast_march(m: TriMesh, sources) -> MarchResult:
     """Geodesic distance from weighted sources.
 
@@ -265,7 +273,7 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
     d = [math.inf] * n
     frozen = bytearray(n)  # accepted or a source: D never changes again
     for v, d0 in sources:
-        v = int(v)
+        v = _source_vertex(v, n)
         if d0 < 0.0:
             raise ValueError("source distances must be nonnegative")
         if d[v] > d0:
@@ -400,7 +408,7 @@ def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
     dist = np.full(n, math.inf)
     heap = []
     for v, d0 in sources:
-        v = int(v)
+        v = _source_vertex(v, n)
         if dist[v] > d0:
             dist[v] = d0
             heapq.heappush(heap, (float(d0), v))

@@ -148,7 +148,6 @@ class FanAxes:
 
 def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSpec,
                         cfg: IterationConfig | None = None,
-                        distance_provider=None,
                         _skip_checks: bool = False) -> SurfaceComplex:
     """Insert a branch point into a converged complex and re-converge.
 
@@ -236,7 +235,7 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     ))
 
     refresh_boundaries(cx, curv, spec.sector)
-    rec = run_stage(cx, curv, cfg, distance_provider, seed_sectors=new_ids)
+    rec = run_stage(cx, curv, cfg)
     cx.history.append(rec)
 
     if not _skip_checks:

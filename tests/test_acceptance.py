@@ -155,9 +155,8 @@ def test_march_stays_below_edge_graph_distance():
         cx = single_sector_complex(SectorSpec(u_max=ext, v_max=ext, I=I, J=J),
                                    CurvatureSpec(CurvatureFamily.LINEAR, eps))
         cfg = IterationConfig(tol=1e-4, max_iters=200)
-        for k, stage_eps in enumerate(auto_schedule(eps)):
-            run_stage(cx, CurvatureSpec(CurvatureFamily.LINEAR, stage_eps),
-                      cfg, seed_sectors=[0] if k == 0 else None)
+        for stage_eps in auto_schedule(eps):
+            run_stage(cx, CurvatureSpec(CurvatureFamily.LINEAR, stage_eps), cfg)
         m = triangulate_complex(cx)
         res = fast_march(m, [(0, 0.0)])
         upper = dijkstra_bound(m, [(0, 0.0)])

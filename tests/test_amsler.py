@@ -276,11 +276,29 @@ def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, fami
     assert [rec.epsilon for rec in auto.history] == auto_schedule(eps)
     _assert_same_result(auto, walked, tmp_path)
 
+
+def test_run_stage_seeds_the_sectors_never_swept():
+    curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
+    cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=6, J=6), curv)
+    rec = run_stage(cx, curv, IterationConfig(tol=1e-4))
+    assert rec.iterations == 3
+    assert np.isfinite(cx.sectors[0].positions).all()
+
+
+def test_continuation_warm_starts_a_converged_complex():
+    cx = _patched("LINEAR", 1.0, 8, 0.5, [1.0])
+    assert [(rec.epsilon, rec.iterations) for rec in cx.history] == [(1.0, 3)]
+    # no sector is seeded again: one iteration confirms the fixed point
+    continuation_on_complex(cx, CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
+                            IterationConfig(epsilon_schedule=[1.0]))
+    assert [(rec.epsilon, rec.iterations) for rec in cx.history] == [(1.0, 3), (1.0, 1)]
+
+
 def test_run_stage_raises_on_stall():
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
     with pytest.raises(NonConvergenceError, match="^stall: ") as err:
-        run_stage(cx, curv, IterationConfig(tol=1e-15, max_iters=2), seed_sectors=[0])
+        run_stage(cx, curv, IterationConfig(tol=1e-15, max_iters=2))
     assert err.value.kind == "stall"
 
 
@@ -307,31 +325,30 @@ def test_growing_change_is_reported_as_divergence():
 
     def drifting(cx):
         calls.append(None)
-        prov = geodesic_provider(cx)
         offset = 0.01 * 1.5 ** len(calls)
-        prov.per_sector = [np.where(np.isfinite(s.geo_dist), s.geo_dist, d) + offset
-                           for s, d in zip(cx.sectors, prov.per_sector)]
-        return prov
+        return [np.where(np.isfinite(s.geo_dist), s.geo_dist, d) + offset
+                for s, d in zip(cx.sectors, geodesic_provider(cx))]
 
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=5, J=5), curv)
     with pytest.raises(NonConvergenceError, match="^divergence: ") as err:
-        run_stage(cx, curv, IterationConfig(tol=1e-4, max_iters=6), drifting, seed_sectors=[0])
+        run_stage(cx, curv, IterationConfig(tol=1e-4, max_iters=6), drifting)
     assert err.value.kind == "divergence"
     tail = err.value.changes[-3:]
     assert tail == sorted(tail)
 
 
-def test_non_finite_distance_is_not_converged():
+def test_non_finite_distance_is_not_converged(monkeypatch):
     def nan_at_4_4(cx):
-        prov = geodesic_provider(cx)
-        prov.per_sector[0][4, 4] = math.nan
-        return prov
+        per_sector = geodesic_provider(cx)
+        per_sector[0][4, 4] = math.nan
+        return per_sector
 
+    monkeypatch.setattr("ksurf.amsler.geodesic_provider", nan_at_4_4)
     with pytest.raises(NonConvergenceError, match=r"sector 0 node \(4, 4\)") as err:
         patch_sectors(symmetric_angles(2), SectorSpec(u_max=1.0, v_max=1.0, I=8, J=8),
                       CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
-                      IterationConfig(tol=1e-4, max_iters=100), distance_provider=nan_at_4_4)
+                      IterationConfig(tol=1e-4, max_iters=100))
     assert err.value.changes == []
     assert err.value.kind == "divergence"
 
@@ -377,13 +394,13 @@ def test_converged_rho_matches_distance_field():
 
 
 def test_geodesic_provider_shapes(linear_n2):
-    res = geodesic_provider(linear_n2)
-    assert len(res.per_sector) == len(linear_n2.sectors)
-    for s, d in zip(linear_n2.sectors, res.per_sector):
+    per_sector = geodesic_provider(linear_n2)
+    assert len(per_sector) == len(linear_n2.sectors)
+    for s, d in zip(linear_n2.sectors, per_sector):
         assert d.shape == s.rho.shape
         assert (d[s.valid] >= 0.0).all()
     # the origin node carries distance zero
-    assert res.per_sector[0][0, 0] == 0.0
+    assert per_sector[0][0, 0] == 0.0
     mesh = triangulate_complex(linear_n2)
     assert fast_march(mesh, [(origin_vertex(linear_n2, mesh), 0.0)]).unreachable == []
 

@@ -358,6 +358,18 @@ def test_trimesh_from_quads_rejects_index_outside_the_vertices(quad, bad):
         trimesh_from_quads(verts, [(0, 1, 2, 3), quad])
 
 
+@pytest.mark.parametrize("solver", [fast_march, dijkstra_bound])
+@pytest.mark.parametrize("source", [-1, 4])
+def test_march_rejects_a_source_outside_the_vertices(solver, source):
+    # -1 would wrap to the last vertex, 4 would be a bare IndexError
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    m = trimesh_from_quads(verts, [(0, 1, 2, 3)])
+    message = f"source vertex {source} outside 0..3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solver(m, [(0, 0.0), (source, 0.0)])
+
+
 def test_triangulated_complex_counts(pseudosphere_n2):
     cx = pseudosphere_n2
     m = triangulate_complex(cx)

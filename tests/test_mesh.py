@@ -141,8 +141,7 @@ def test_single_sector_quads_are_two_colorable():
     spec = SectorSpec(u_max=0.5, v_max=0.5, I=3, J=3)
     curv = CurvatureSpec(CurvatureFamily.CONSTANT)
     cx = single_sector_complex(spec, curv)
-    run_stage(cx, curv, IterationConfig(tol=1e-8, max_iters=50, epsilon_schedule=[0.0]),
-              seed_sectors=[0])
+    run_stage(cx, curv, IterationConfig(tol=1e-8, max_iters=50, epsilon_schedule=[0.0]))
     rep = validate_complex(cx)
     assert rep.check("two_coloring").passed
     assert rep.check("edge_labels").passed

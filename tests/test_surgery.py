@@ -172,7 +172,7 @@ def test_target_checks():
         insert_branch_point(cx, SurgerySpec(sector=0, b=2, m=3), curv, CFG0)
     # not square
     rect = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.4, I=6, J=5), curv)
-    run_stage(rect, curv, CFG0, seed_sectors=[0])
+    run_stage(rect, curv, CFG0)
     with pytest.raises(ValueError, match="square"):
         insert_branch_point(rect, SurgerySpec(sector=0, b=2, m=3), curv, CFG0)
     # cut index out of range
