@@ -8,15 +8,17 @@ tolerance. A sector that was never swept (an interior position is not
 finite: a new complex, or the new fans of a cut) is seeded by the sweep for
 rho at a distance estimate that needs no march: D at the sector's corner
 plus the chord across the flat parallelogram of its first row and column,
-which is the arc length along straight rays; a swept sector is the
-starting iterate as it stands. Large epsilon targets are reached by
-continuation: each stage re-initializes the boundary normals for its
-epsilon and reuses the previous stage's surface as the starting iterate.
-An automatic schedule first tries the target epsilon alone, on a copy of
-the complex, and walks its doubling stages only when that attempt fails
-(an unsolvable quad, a failed stage, or a change that stops reaching new
-minima in 3 plain iterations); an explicit schedule is walked exactly as
-given.
+which is the arc length along straight rays, lowered where a node of that
+row or column stores a smaller D (the marched row or column that a side fan
+of a cut inherits) to that D plus the straight distance from the node; a
+swept sector is the starting iterate as it stands. Large epsilon targets
+are reached by continuation: each stage re-initializes the boundary normals
+for its epsilon and reuses the previous stage's surface as the starting
+iterate. An automatic schedule first tries the target epsilon alone, on a
+copy of the complex, and walks its doubling stages only when that attempt
+fails (an unsolvable quad, a failed stage, or a change that stops reaching
+new minima in 3 plain iterations); an explicit schedule is walked exactly
+as given.
 
 Inside a stage, while the change is large, the distance field that is swept
 is the Anderson mix (Walker & Ni 2011) of the stage's last few (D swept,
@@ -310,6 +312,30 @@ def _chord_distance(s: SectorGrid) -> np.ndarray:
     return s.geo_dist[0, 0] + np.linalg.norm(span, axis=-1)
 
 
+def _seed_distance(s: SectorGrid) -> np.ndarray:
+    """The chord, lowered through the shortcuts of the first row and column.
+
+    With x̂(i, j) = x(0, 0) + span(i, j), the parallelogram point of the
+    chord, every node off the first row and column gets
+    D̂(i, j) = min(chord(i, j), min_b D_b + |x̂(i, j) - x_b|) over the nodes b
+    of the first row and column whose stored D_b lies below the chord; by the
+    triangle inequality no other node can lower it. The first row and column
+    keep the chord, since a sweep reads their stored rho. Straight sides
+    from the corner offer no shortcut, so on base sectors and middle fans
+    this is the chord, bit for bit; a side fan reaches its inherited, marched
+    row or column directly instead of through the branch vertex.
+    """
+    D = _chord_distance(s)
+    x = s.positions
+    span = (x[1:, :1] - x[0, 0]) + (x[:1, 1:] - x[0, 0])
+    for side in (np.s_[1:, 0], np.s_[0, 1:]):
+        shortcut = s.geo_dist[side] < D[side]
+        for d_b, x_b in zip(s.geo_dist[side][shortcut], x[side][shortcut]):
+            np.minimum(D[1:, 1:], d_b + np.linalg.norm(span - (x_b - x[0, 0]), axis=-1),
+                       out=D[1:, 1:])
+    return D
+
+
 def _rho_field(s: SectorGrid, curv: CurvatureSpec, D: np.ndarray) -> np.ndarray:
     """rho of ``D`` at every valid node, the stored rho on the boundary."""
     rho_field = np.full_like(s.rho, np.nan)
@@ -370,8 +396,9 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     """One outer iteration stage at fixed epsilon.
 
     First seeds, in index order, every sector that was never swept (an
-    interior position is not finite) with a sweep at the chord distance, so
-    a swept sector is warm-started as it stands; then alternates
+    interior position is not finite) with a sweep at ``_seed_distance``, the
+    chord lowered through the stored D of the first row and column, so a
+    swept sector is warm-started as it stands; then alternates
     fast-marched distance fields with re-sweeps until the maximum vertex
     displacement drops below cfg.tol. Every sweep, seeding included, is
     followed by the boundary records it made stale. The re-sweeps go by
@@ -398,7 +425,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
     for sid, (s, interior) in enumerate(zip(cx.sectors, interiors)):
         if not np.isfinite(s.positions[interior]).all():
-            cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _chord_distance(s)))
+            cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _seed_distance(s)))
             refresh_boundaries(cx, curv, sid)
 
     runs = sweep_runs(cx)

@@ -250,22 +250,28 @@ def _stencil_table(m: TriMesh) -> tuple:
     return memo[2], memo[3]
 
 
-def _source_vertex(v, n: int) -> int:
-    """``v`` as an int; ValueError naming it outside 0..n-1, where a negative one would wrap."""
-    v = int(v)
+def _source(v, d0, n: int) -> tuple:
+    """``(v, d0)`` as (int, float); ValueError naming a vertex outside 0..n-1
+    (a negative one would wrap) or a distance that is NaN, infinite or negative.
+    """
+    v, d0 = int(v), float(d0)
     if not 0 <= v < n:
         raise ValueError(f"source vertex {v} outside 0..{n - 1}")
-    return v
+    if not 0.0 <= d0 < math.inf:
+        raise ValueError(f"source distance at vertex {v} must be finite and nonnegative, "
+                         f"got {d0!r}")
+    return v, d0
 
 
 def fast_march(m: TriMesh, sources) -> MarchResult:
     """Geodesic distance from weighted sources.
 
     ``sources`` is an iterable of (vertex, D0) pairs; source values are
-    fixed. Returns per-vertex distances along with the acceptance order and
-    queue operation counters; ``fallbacks`` counts the (triangle, target)
-    unfolds that fell back to the edge terms because the accepted pair
-    cannot be unfolded (a line that misses the edge is not counted).
+    fixed, finite and nonnegative. Returns per-vertex distances along with
+    the acceptance order and queue operation counters; ``fallbacks`` counts
+    the (triangle, target) unfolds that fell back to the edge terms because
+    the accepted pair cannot be unfolded (a line that misses the edge is not
+    counted).
     Vertices in components without a source keep D = inf and are listed
     as unreachable.
     """
@@ -273,11 +279,9 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
     d = [math.inf] * n
     frozen = bytearray(n)  # accepted or a source: D never changes again
     for v, d0 in sources:
-        v = _source_vertex(v, n)
-        if d0 < 0.0:
-            raise ValueError("source distances must be nonnegative")
+        v, d0 = _source(v, d0, n)
         if d[v] > d0:
-            d[v] = float(d0)
+            d[v] = d0
         frozen[v] = 1
     heap = []
     for v in range(n):
@@ -408,10 +412,10 @@ def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
     dist = np.full(n, math.inf)
     heap = []
     for v, d0 in sources:
-        v = _source_vertex(v, n)
+        v, d0 = _source(v, d0, n)
         if dist[v] > d0:
             dist[v] = d0
-            heapq.heappush(heap, (float(d0), v))
+            heapq.heappush(heap, (d0, v))
     done = np.zeros(n, dtype=bool)
     while heap:
         dv, v = heapq.heappop(heap)

@@ -370,6 +370,18 @@ def test_march_rejects_a_source_outside_the_vertices(solver, source):
         solver(m, [(0, 0.0), (source, 0.0)])
 
 
+@pytest.mark.parametrize("solver", [fast_march, dijkstra_bound])
+@pytest.mark.parametrize("d0", [math.nan, math.inf, -1.0])
+def test_march_rejects_a_source_distance_that_is_not_finite_and_nonnegative(solver, d0):
+    # a NaN source would leave D at inf everywhere, a negative one would put D below 0
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    m = trimesh_from_quads(verts, [(0, 1, 2, 3)])
+    message = f"source distance at vertex 2 must be finite and nonnegative, got {d0!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solver(m, [(0, 0.0), (2, d0)])
+
+
 def test_triangulated_complex_counts(pseudosphere_n2):
     cx = pseudosphere_n2
     m = triangulate_complex(cx)
