@@ -155,7 +155,8 @@ def _load_config(args) -> RunConfig:
 def _generate_complex(cfg):
     spec = SectorSpec(u_max=cfg.u_max, v_max=cfg.v_max, I=cfg.I, J=cfg.J)
     angles = cfg.angles if cfg.angles is not None else symmetric_angles(cfg.n)
-    return patch_sectors(angles, spec, cfg.curvature, cfg.iteration_config())
+    with _geometry("generation"):
+        return patch_sectors(angles, spec, cfg.curvature, cfg.iteration_config())
 
 
 def _json_report_path(text_path: str) -> str:

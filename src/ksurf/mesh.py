@@ -227,50 +227,12 @@ class SurfaceComplex:
         )
 
 
-# (topology key, ids, first) of the last complex numbered, swapped as a whole:
-# racing callers may number twice, but each uses the entry it checked
-_vertex_ids_memo = None
+def _set_roots(pairs) -> dict:
+    """Union-find over the (a, b) ``pairs``: each non-root element mapped to its root.
 
-
-def _topology_key(cx: SurfaceComplex) -> tuple:
-    """What vertex ids depend on: sector shapes, valid masks and glued node runs.
-
-    Compared by content, never by identity: surgery edits ``valid`` in place
-    and a gluing's node lists are mutable.
+    Every set is named by its smallest element; an element absent from the
+    result is its own root.
     """
-    return (tuple(s.valid.shape for s in cx.sectors),
-            b"".join(s.valid.tobytes() for s in cx.sectors),
-            tuple((g.sector_a, g.sector_b, tuple(map(tuple, g.nodes_a)),
-                   tuple(map(tuple, g.nodes_b))) for g in cx.gluings))
-
-
-def global_vertex_ids(cx: SurfaceComplex):
-    """Deduplicate glued nodes into global vertex ids.
-
-    Returns (ids, first): ids is a tuple of read-only (I+1, J+1) int arrays
-    per sector (-1 on invalid nodes), and first the read-only flat index of
-    each vertex's first node, in id order, so ``len(first)`` vertices.
-
-    Nodes are numbered flat, sector by sector in i-major order. Union-find
-    runs over the glued pairs only and names each set by its smallest flat
-    index; vertex ids then number the sets in order of their first valid node.
-    The numbering of the last topology is memoised (see ``_topology_key``).
-    """
-    global _vertex_ids_memo
-    key = _topology_key(cx)
-    memo = _vertex_ids_memo
-    if memo is None or memo[0] != key:
-        # drop the old numbering before the new one is built
-        _vertex_ids_memo = memo = None
-        memo = (key, *_number_vertices(cx))
-        _vertex_ids_memo = memo
-    return memo[1:]
-
-
-def _number_vertices(cx: SurfaceComplex) -> tuple:
-    """``global_vertex_ids`` without the memo."""
-    shapes = [(s.I + 1, s.J + 1) for s in cx.sectors]
-    offsets = np.concatenate([[0], np.cumsum([a * b for a, b in shapes], dtype=int)])
     parent = {}
 
     def find(x: int) -> int:
@@ -278,16 +240,36 @@ def _number_vertices(cx: SurfaceComplex) -> tuple:
             x = parent[x]
         return x
 
-    for g in cx.gluings:
-        oa, wa = int(offsets[g.sector_a]), shapes[g.sector_a][1]
-        ob, wb = int(offsets[g.sector_b]), shapes[g.sector_b][1]
-        for (ia, ja), (ib, jb) in g.pairs():
-            ra, rb = find(oa + ia * wa + ja), find(ob + ib * wb + jb)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
+def global_vertex_ids(cx: SurfaceComplex) -> tuple:
+    """Deduplicate glued nodes into global vertex ids.
+
+    Returns (ids, first): ids is a tuple of (I+1, J+1) int arrays per
+    sector (-1 on invalid nodes), and first the flat index of each vertex's
+    first node, in id order, so ``len(first)`` vertices.
+
+    Nodes are numbered flat, sector by sector in i-major order. Union-find
+    runs over the glued pairs only and names each set by its smallest flat
+    index; vertex ids then number the sets in order of their first valid node.
+    """
+    shapes = [(s.I + 1, s.J + 1) for s in cx.sectors]
+    offsets = np.concatenate([[0], np.cumsum([a * b for a, b in shapes], dtype=int)])
+
+    def flat(sector: int, nodes) -> list:
+        start, width = int(offsets[sector]), shapes[sector][1]
+        return [start + i * width + j for i, j in nodes]
+
+    pairs = [pair for g in cx.gluings
+             for pair in zip(flat(g.sector_a, g.nodes_a), flat(g.sector_b, g.nodes_b))]
     root = np.arange(offsets[-1])
-    for x in parent:
-        root[x] = find(x)
+    for x, r in _set_roots(pairs).items():
+        root[x] = r
 
     nodes = np.flatnonzero(np.concatenate([s.valid.ravel() for s in cx.sectors]))
     _, first, inverse = np.unique(root[nodes], return_index=True, return_inverse=True)
@@ -295,12 +277,9 @@ def _number_vertices(cx: SurfaceComplex) -> tuple:
     rank[np.argsort(first)] = np.arange(len(first))
     flat_ids = np.full(offsets[-1], -1, dtype=int)
     flat_ids[nodes] = rank[inverse]
-    flat_ids.setflags(write=False)
     ids = tuple(flat_ids[offsets[k]:offsets[k + 1]].reshape(shape)
                 for k, shape in enumerate(shapes))
-    first_node = nodes[np.sort(first)]
-    first_node.setflags(write=False)
-    return ids, first_node
+    return ids, nodes[np.sort(first)]
 
 
 def gluing_gaps(cx: SurfaceComplex) -> tuple:
@@ -401,8 +380,13 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
 
     Verifies finite positions and unit normals, gluing coincidence,
     consistent u/v edge labels across sectors, 2-colorability of the quad
-    adjacency graph, and quad incidence counts (4 at interior vertices,
-    recorded counts at branch points).
+    adjacency graph, quad incidence counts (4 at interior vertices,
+    recorded counts at branch points), and that the quads form a disk:
+    Euler characteristic V - E + F = 1, one loop of boundary edges (edges
+    of one quad), and the origin and every branch point off that loop. A
+    one-sector complex has its origin at the corner (0, 0) of its only
+    sector, on the boundary, so the origin is held interior only when there
+    are two or more sectors.
     """
     checks = []
 
@@ -490,8 +474,9 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
 
     vert_quads = np.bincount(quads.corners.ravel(), minlength=n_verts)
     once = edge_keys[uses == 1]
+    rim = np.stack([once // n_verts, once % n_verts], axis=1)  # boundary edges
     checked = np.ones(n_verts, dtype=bool)
-    checked[once // n_verts] = checked[once % n_verts] = False
+    checked[rim] = False
     expected = np.full(n_verts, 4)
     branch_ids = {int(ids[bp.sector][bp.i, bp.j]): bp.expected_quads
                   for bp in cx.branch_points}
@@ -512,5 +497,20 @@ def validate_complex(cx: SurfaceComplex) -> ValidationReport:
         "quad_incidence",
         passed=not incidence_fail,
         detail=incidence_fail or "interior vertices regular, branch counts match",
+    ))
+
+    chi = n_verts - len(edge_keys) + len(quads.corners)
+    roots = _set_roots(rim.tolist())
+    n_loops = len({roots.get(v, v) for v in rim[:, 0].tolist()})
+    named = [("origin", cx.origin)] if len(cx.sectors) > 1 else []
+    named += [("branch point", (bp.sector, bp.i, bp.j)) for bp in cx.branch_points]
+    on_rim = set(rim.ravel().tolist())
+    exposed = [f"{what} {(s, i, j)}" for what, (s, i, j) in named if ids[s][i, j] in on_rim]
+    checks.append(CheckResult(
+        "disk_topology",
+        passed=chi == 1 and n_loops == 1 and not exposed,
+        value=chi,
+        detail=f"chi = {chi}, {n_loops} boundary loop(s)"
+               + (f", {exposed[0]} on the boundary" if exposed else ""),
     ))
     return ValidationReport(checks)

@@ -4,7 +4,8 @@
 ``ksurf.mesh.global_vertex_ids`` replaced with array numbering over the
 glued pairs; the library must return the same ids, count and back
 references. ``validate_complex`` and ``incident_quad_count`` are the
-per-quad loops that the quad table of ``ksurf.mesh`` replaced; the library
+per-quad loops that the quad table of ``ksurf.mesh`` replaced, with the
+disk topology check written as a loop over the edge dictionary; the library
 must report the same checks and counts. They are kept only as oracles.
 """
 import numpy as np
@@ -234,5 +235,34 @@ def validate_complex(cx):
         "quad_incidence",
         passed=not incidence_fail,
         detail=incidence_fail or "interior vertices regular, branch counts match",
+    ))
+
+    parent = list(range(n_verts))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rim = [key for key, qs in edge_quads.items() if len(qs) == 1]
+    for a, b in rim:
+        parent[find(a)] = find(b)
+    n_loops = len({find(a) for a, _ in rim})
+    chi = n_verts - len(edge_quads) + len(quads)
+    named = []
+    if len(cx.sectors) > 1:
+        named.append(("origin", tuple(cx.origin)))
+    for bp in cx.branch_points:
+        named.append(("branch point", (bp.sector, bp.i, bp.j)))
+    exposed = ""
+    for what, (sid, i, j) in named:
+        v = ids[sid][i, j]
+        if v >= 0 and boundary_vert[v] and not exposed:
+            exposed = f", {what} {(sid, i, j)} on the boundary"
+    checks.append(CheckResult(
+        "disk_topology",
+        passed=chi == 1 and n_loops == 1 and not exposed,
+        value=chi,
+        detail=f"chi = {chi}, {n_loops} boundary loop(s){exposed}",
     ))
     return ValidationReport(checks)

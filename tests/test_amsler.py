@@ -31,6 +31,7 @@ from ksurf import (
 
 from ksurf.amsler import (
     RaySpec,
+    _anderson,
     _chord_distance,
     _rho_field,
     _seed_distance,
@@ -488,6 +489,14 @@ def test_continuation_rejects_complex_without_base_rays(tmp_path):
     with pytest.raises(ValueError, match="no base-ray boundary records"):
         continuation_on_complex(back, CurvatureSpec(CurvatureFamily.LINEAR, 2.0),
                                 IterationConfig(epsilon_schedule=[2.0]))
+
+
+def test_anderson_mix_solves_an_affine_map_and_gives_up_without_a_difference():
+    # g(x) = x / 2 + 1: one residual difference is the secant step onto x = 2
+    x0, x1 = np.array([0.0]), np.array([1.0])
+    assert _anderson([(x0, x0 / 2 + 1), (x1, x1 / 2 + 1)]).tolist() == [2.0]
+    # equal pairs have a zero residual difference, which the solve skips
+    assert _anderson([(x1, x1 / 2 + 1), (x1.copy(), x1 / 2 + 1)]) is None
 
 
 def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplog):

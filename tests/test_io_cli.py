@@ -341,6 +341,21 @@ grid: {I: 2, u_max: 3.0, v_max: 3.0}
                  "--out", str(tmp_path / "c.obj"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("command,config", [
+    ("generate", ""),
+    ("surgery", "grid: {I: 2, u_max: 2.0, v_max: 2.0}\nsurgery:\n  - {sector: 0, b: 1, m: 3}\n"),
+], ids=["generate", "surgery"])
+def test_cli_degenerate_generation_exits_2(tmp_path, caplog, monkeypatch, command, config):
+    # spacing equal to rho turns each ray's normal by pi/2: node (1, 1) of a
+    # sector lands on the origin and its triangles have a zero-length edge
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, config, "flat.yaml")
+    flags = ["--grid", "1"] if command == "generate" else []
+    code, errors = _cli_error(caplog, [command, "--config", str(cfg), "--quiet", *flags])
+    assert code == 2 and len(errors) == 1
+    assert errors[0] == "generation: degenerate triangle with a zero-length edge"
+
+
 def test_cli_distance(tmp_path):
     cfg = _write_cfg(tmp_path)
     obj = tmp_path / "d.obj"
@@ -576,8 +591,8 @@ def test_cli_validate_ends_each_report_with_a_newline(tmp_path, capsys):
     export_mesh(build_patched("LINEAR", 1.0, 2, 0.5, 6), obj, csv_path)
     assert main(["validate", "--mesh", str(obj), "--csv", str(csv_path), "--quiet"]) == 0
     out = capsys.readouterr().out
-    assert "branch counts match)\ndiagnostics report\n" in out
-    assert out.endswith("\n") and out.count("quad_incidence:") == 1
+    assert "1 boundary loop(s))\ndiagnostics report\n" in out
+    assert out.endswith("\n") and out.count("quad_incidence:") == out.count("disk_topology:") == 1
 
 
 @pytest.mark.parametrize("faces,line,face", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ksurf import (
+    BranchPoint,
     GluingMap,
     Parity,
     SectorGrid,
@@ -122,6 +123,19 @@ def test_validate_detects_broken_normal(pseudosphere_n2):
     assert not rep.check("vertex_states").passed
 
 
+@pytest.mark.parametrize("field,value,detail", [
+    ("normals", np.nan, "sector 0 has unset normals"),
+    ("rho", 0.0, "sector 0 has nonpositive rho"),
+    ("rho", -1.0, "sector 0 has nonpositive rho"),
+])
+def test_validate_names_a_bad_vertex_state(pseudosphere_n2, field, value, detail):
+    cx = pseudosphere_n2.copy()
+    getattr(cx.sectors[0], field)[4, 4] = value
+    rep = validate_complex(cx)
+    assert [c.name for c in rep.checks if not c.passed] == ["vertex_states"]
+    assert rep.check("vertex_states").detail == detail
+
+
 def test_validate_detects_non_finite_position():
     # node (0, 4) of sector 2 is glued to node (4, 0) of sector 3, so the
     # NaN is also a gluing gap
@@ -145,6 +159,8 @@ def test_single_sector_quads_are_two_colorable():
     rep = validate_complex(cx)
     assert rep.check("two_coloring").passed
     assert rep.check("edge_labels").passed
+    # the origin is the corner (0, 0) of the only sector: on the boundary, and exempt
+    assert cx.origin == (0, 0, 0) and rep.check("disk_topology").passed
 
 
 def _oracle_first(cx, refs):
@@ -171,21 +187,11 @@ def test_vertex_ids_match_scalar_oracle():
         _assert_ids_match_oracle(cx)
 
 
-def _assert_read_only(ids, first):
-    for a in (*ids, first):
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = 7
-    with pytest.raises(TypeError):
-        ids[0] = ids[0].copy()
-
-
-def test_vertex_id_memo_follows_the_topology():
+def test_vertex_ids_follow_in_place_topology_edits():
     cx = build_surgery_m3().copy()
     cx.gluings = [GluingMap(g.sector_a, g.sector_b, list(g.nodes_a), list(g.nodes_b))
                   for g in cx.gluings]
     before = _assert_ids_match_oracle(cx)
-    # a caller cannot change what the next call returns
-    _assert_read_only(*global_vertex_ids(cx))
     _assert_ids_match_oracle(cx)
 
     cx.gluings[1].nodes_a.reverse()  # in place: same objects, other glued pairs
@@ -203,11 +209,6 @@ def test_vertex_id_memo_follows_the_topology():
                               IterationConfig(tol=1e-6, max_iters=200, epsilon_schedule=[1.0]))
     _assert_ids_match_oracle(cut)
     _assert_ids_match_oracle(base)
-
-
-def test_vertex_ids_are_read_only():
-    _assert_read_only(*global_vertex_ids(build_surgery_m3()))
-    _assert_ids_match_oracle(build_surgery_m3())
 
 
 def _oracle_cases(tmp_path):
@@ -245,8 +246,29 @@ def test_validate_matches_loop_oracle(tmp_path):
             assert (g.passed, g.value, g.detail) == (w.passed, w.value, detail), (name, g.name)
             outcomes.add((g.name, g.passed))
     # every structural check is seen both passing and failing
-    for check in ("edge_labels", "two_coloring", "quad_incidence"):
+    for check in ("edge_labels", "two_coloring", "quad_incidence", "disk_topology"):
         assert {(check, True), (check, False)} <= outcomes
+
+
+@pytest.mark.parametrize("case,detail", [
+    ("gluing_dropped", "chi = 1, 1 boundary loop(s), origin (0, 0, 0) on the boundary"),
+    ("invalid_interior_node", "chi = 0, 2 boundary loop(s)"),
+], ids=["torn_seam", "hole"])
+def test_validate_detects_torn_seam_and_hole(tmp_path, case, detail):
+    # a torn seam or a hole reads as outer boundary to the other checks
+    rep = validate_complex(_oracle_cases(tmp_path)[case])
+    assert [c.name for c in rep.checks if not c.passed] == ["disk_topology"]
+    assert rep.check("disk_topology").detail == detail
+
+
+def test_disk_topology_flags_a_branch_point_on_the_boundary(pseudosphere_n2):
+    cx = pseudosphere_n2.copy()
+    I, J = cx.sectors[0].I, cx.sectors[0].J
+    cx.branch_points.append(BranchPoint(0, I, J, incident_sectors=1, expected_quads=1))
+    rep = validate_complex(cx)
+    assert [c.name for c in rep.checks if not c.passed] == ["disk_topology"]
+    assert rep.check("disk_topology").detail == \
+        f"chi = 1, 1 boundary loop(s), branch point (0, {I}, {J}) on the boundary"
 
 
 def test_incident_quad_count_matches_loop_oracle():

@@ -31,3 +31,9 @@ def test_star_import_binds_every_public_name():
     exec("from ksurf import *", namespace)
     assert [name for name in ksurf.__all__ if name not in namespace] == []
     assert len(set(ksurf.__all__)) == len(ksurf.__all__)
+
+
+def test_vertex_numbering_is_one_function_under_three_names():
+    # the tracer wraps each module's attribute as one layer, ``mesh.dedup``
+    assert ksurf.geodesic.global_vertex_ids is ksurf.mesh.global_vertex_ids
+    assert ksurf.io.global_vertex_ids is ksurf.mesh.global_vertex_ids
