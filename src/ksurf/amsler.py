@@ -10,22 +10,26 @@ rho at a distance estimate that needs no march: D at the sector's corner
 plus the chord across the flat parallelogram of its first row and column,
 which is the arc length along straight rays, lowered where a node of that
 row or column stores a smaller D (the marched row or column that a side fan
-of a cut inherits) to that D plus the straight distance from the node; a
-swept sector is the starting iterate as it stands. Large epsilon targets
-are reached by continuation: each stage re-initializes the boundary normals
-for its epsilon and reuses the previous stage's surface as the starting
-iterate. An automatic schedule first tries the target epsilon alone, on a
-copy of the complex, and walks its doubling stages only when that attempt
-fails (an unsolvable quad, a failed stage, or a change that stops reaching
-new minima in 3 plain iterations); an explicit schedule is walked exactly
-as given.
+of a cut inherits) to that D plus the straight distance from the node.
+Before the first march, the seeded sectors and those whose rho is not rho
+of their stored D at the stage's epsilon converge on a distance that needs
+no heap either: one upwind pass over the anti-diagonals of the swept
+surface (``upwind_distance``), then a sweep at its rho, repeated while the
+change falls. Any other swept sector is the starting iterate as it stands.
+Large epsilon targets are reached by continuation: each stage
+re-initializes the boundary normals for its epsilon and reuses the previous
+stage's surface as the starting iterate. An automatic schedule first tries
+the target epsilon alone, on a copy of the complex, and walks its doubling
+stages only when that attempt fails (an unsolvable quad, a failed stage, or
+a change that stops reaching new minima in 3 plain iterations); an explicit
+schedule is walked exactly as given.
 
 Inside a stage, while the change is large, the distance field that is swept
 is the Anderson mix (Walker & Ni 2011) of the stage's last few (D swept,
-D marched) pairs rather than the marched D; on the slowly contracting first
-stage of a branched RING surface this saves one iteration in eight. A stage
-ends only on a plain iteration, the sweep of the marched D, whose change is
-below tol, so a converged surface is a fixed point of the unmixed map.
+D marched) pairs rather than the marched D; after the upwind passes few
+stages stay above the mixing floor long enough to mix. A stage ends only on
+a plain iteration, the sweep of the marched D, whose change is below tol,
+so a converged surface is a fixed point of the unmixed map.
 
 Boundary data along a straight ray with direction s and spacing h:
 positions march evenly, D is exact arc length, and normals follow
@@ -40,12 +44,12 @@ from __future__ import annotations
 import collections
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .geodesic import TriMesh, fast_march, triangulate_complex
+from .geodesic import TriMesh, fast_march, triangulate_complex, upwind_distance
 from .lelieuvre import QuadError, sweep_sector, sweep_sectors
 from .mesh import (
     BranchPoint,
@@ -191,9 +195,13 @@ class IterationConfig:
 
 @dataclass
 class StageRecord:
+    """One stage: its epsilon, the change of each outer iteration and of
+    each upwind pass that ran before them."""
+
     epsilon: float
     iterations: int
     changes: list
+    upwind_changes: list = field(default_factory=list)
 
 
 @dataclass
@@ -397,11 +405,14 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
 
     First seeds, in index order, every sector that was never swept (an
     interior position is not finite) with a sweep at ``_seed_distance``, the
-    chord lowered through the stored D of the first row and column, so a
-    swept sector is warm-started as it stands; then alternates
-    fast-marched distance fields with re-sweeps until the maximum vertex
-    displacement drops below cfg.tol. Every sweep, seeding included, is
-    followed by the boundary records it made stale. The re-sweeps go by
+    chord lowered through the stored D of the first row and column. The
+    seeded sectors and every sector whose interior rho is not ``eval_rho``
+    of its stored D (a stage at a new epsilon) then make the upwind passes
+    of ``_upwind_passes``; a sector swept at this epsilon before is
+    warm-started as it stands. Then the stage alternates fast-marched
+    distance fields with re-sweeps until the maximum vertex displacement
+    drops below cfg.tol. Every sweep, seeding included, is followed by the
+    boundary records it made stale. The passes and the re-sweeps go by
     ``sweep_runs``: each run's rho fields are built after the records of the
     runs before it were written, its sectors are swept as one group, and
     then its records are written in sector order, which gives the bits of
@@ -423,12 +434,18 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     """
     provider = provider or geodesic_provider
     interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
-    for sid, (s, interior) in enumerate(zip(cx.sectors, interiors)):
-        if not np.isfinite(s.positions[interior]).all():
-            cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _seed_distance(s)))
-            refresh_boundaries(cx, curv, sid)
+    seeded = [sid for sid, (s, interior) in enumerate(zip(cx.sectors, interiors))
+              if not np.isfinite(s.positions[interior]).all()]
+    for sid in seeded:
+        s = cx.sectors[sid]
+        cx.sectors[sid] = sweep_sector(s, _rho_field(s, curv, _seed_distance(s)))
+        refresh_boundaries(cx, curv, sid)
+    stale = [sid for sid, (s, interior) in enumerate(zip(cx.sectors, interiors))
+             if sid in seeded
+             or not np.array_equal(s.rho[interior], eval_rho(curv, s.geo_dist[interior]))]
 
     runs = sweep_runs(cx)
+    upwind_changes = _upwind_passes(cx, curv, cfg, runs, interiors, stale)
     changes = []
     # (D swept, D marched) of the last iterations, flattened over the interiors
     pairs = collections.deque(maxlen=MIX_DEPTH + 1)
@@ -451,8 +468,9 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             cuts = np.cumsum([len(d) for d in marched])[:-1]
             try:
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    change = _sweep_runs(cx, curv, runs, interiors, np.split(mixed, cuts),
-                                         changes)
+                    fields = np.split(mixed, cuts)
+                    change = _sweep_runs(cx, curv, runs, interiors,
+                                         lambda run: [fields[sid] for sid in run], changes)
             except (QuadError, GridTooCoarseError, NonConvergenceError) as exc:
                 logger.info("epsilon %g iteration %d: mixed sweep failed (%s); redone plain",
                             curv.epsilon, iteration, exc)
@@ -462,7 +480,8 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
                 pairs.clear()
                 mixed = None
         if mixed is None:
-            change = _sweep_runs(cx, curv, runs, interiors, marched, changes)
+            change = _sweep_runs(cx, curv, runs, interiors,
+                                 lambda run: [marched[sid] for sid in run], changes)
         recent.append([s.positions[interior] for s, interior in zip(cx.sectors, interiors)])
         changes.append(change)
         logger.info("epsilon %g iteration %d: change %.3e (%s)", curv.epsilon, iteration,
@@ -475,7 +494,8 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             # falls back, 9 -> 30 iterations.
             continue
         if change < cfg.tol:
-            return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes)
+            return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes,
+                               upwind_changes=upwind_changes)
         if change < best:
             best, since_best = change, 0
         else:
@@ -499,16 +519,23 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
 
 
 def _sweep_runs(cx: SurfaceComplex, curv: CurvatureSpec, runs: list, interiors: list,
-                D: list, changes: list) -> float:
-    """Write ``D`` into the interiors, sweep the runs in order; the max displacement."""
-    for s, interior, d in zip(cx.sectors, interiors, D):
-        s.geo_dist[interior] = d
+                distance, changes: list) -> float:
+    """Sweep the runs in order; the max displacement.
+
+    Each run's sectors are swept at the interior D that ``distance(run)``
+    returns once the records of the runs before it are written, and the
+    swept sectors store it. The sectors they replace are not modified.
+    """
     change = 0.0
     for run in runs:
         before = [cx.sectors[sid] for sid in run]
-        swept = sweep_sectors(before, [_rho_field(s, curv, s.geo_dist) for s in before])
-        for sid, s, new in zip(run, before, swept):
+        fields = [s.geo_dist.copy() for s in before]
+        for sid, D, d in zip(run, fields, distance(run)):
+            D[interiors[sid]] = d
+        swept = sweep_sectors(before, [_rho_field(s, curv, D) for s, D in zip(before, fields)])
+        for sid, s, new, D in zip(run, before, swept, fields):
             interior = interiors[sid]
+            new.geo_dist = D
             _require_finite(new.positions, interior, "position", sid, curv, changes)
             if interior.any():
                 disp = np.linalg.norm(new.positions[interior] - s.positions[interior], axis=-1)
@@ -517,6 +544,44 @@ def _sweep_runs(cx: SurfaceComplex, curv: CurvatureSpec, runs: list, interiors: 
         for sid in run:
             refresh_boundaries(cx, curv, sid)
     return change
+
+
+def _upwind_passes(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig, runs: list,
+                   interiors: list, stale: list) -> list:
+    """Converge the ``stale`` sectors on ``upwind_distance``; the change of each pass.
+
+    A pass sweeps the stale sectors of each run at the upwind distance over
+    them, taken once the records of the runs before it are written. Passes
+    stop on a change below cfg.tol, on a change that is not below the one
+    before it, or after cfg.max_iters passes. A pass that meets a QuadError,
+    a grid too coarse or a non-finite position is undone: the sectors from
+    before it are put back and their records written again, since a run's
+    records write into the sectors of later runs in place.
+    """
+    runs = [r for r in ([sid for sid in run if sid in stale] for run in runs) if r]
+
+    def distance(run):
+        grids = [cx.sectors[sid] for sid in run]
+        return [d[interiors[sid]] for sid, d in zip(run, upwind_distance(grids))]
+
+    changes = []
+    while runs and len(changes) < cfg.max_iters:
+        before = list(cx.sectors)
+        try:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                change = _sweep_runs(cx, curv, runs, interiors, distance, changes)
+        except (QuadError, GridTooCoarseError, NonConvergenceError) as exc:
+            logger.info("epsilon %g upwind pass %d failed (%s); undone", curv.epsilon,
+                        len(changes) + 1, exc)
+            cx.sectors[:] = before
+            for sid in stale:
+                refresh_boundaries(cx, curv, sid)
+            break
+        changes.append(change)
+        logger.info("epsilon %g upwind pass %d: change %.3e", curv.epsilon, len(changes), change)
+        if change < cfg.tol or len(changes) > 1 and not change < changes[-2]:
+            break
+    return changes
 
 
 def _anderson(pairs) -> np.ndarray | None:

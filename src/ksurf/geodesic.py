@@ -44,6 +44,11 @@ on the triangles alone: its rows hold vertex ids and flat indices into
 ``tri_lengths``, never the lengths themselves. It is memoised for the last
 ``(n_vertices, tris)`` marched, compared by content, so the queries on one
 mesh, and outer iterations that keep the triangles, sort it once.
+
+``upwind_distance`` applies the same update without a heap and without a
+triangulation: one pass over the anti-diagonals of a group of sector grids,
+each node from the three triangles of its quad that lie upwind of it. Its
+array kernel gives every candidate the bits of ``unfold_candidate``.
 """
 from __future__ import annotations
 
@@ -396,6 +401,116 @@ def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray
             heappush(heap, (d[i], i))
         pushes += len(improved)
     return order, pops, pushes, fallbacks
+
+
+def _triangle_terms(Dij, Dik, Djk) -> tuple:
+    """The parts of ``_least_unfold`` that depend on the triangles alone.
+
+    (Dij, Dik, Djk, Djk², 1 / (2 Djk), x_i, y_i, disc_i), in the march's
+    operations, with the target's Heron discriminant disc_i unclamped and
+    y_i computed from it clamped at 0.
+    """
+    disc_i = (Djk - (Dij - Dik)) * (Djk + (Dij - Dik)) * ((Dij + Dik) - Djk) \
+        * ((Dij + Dik) + Djk)
+    inv = 1.0 / (2.0 * Djk)
+    Djk2 = Djk * Djk
+    x_i = (Dik * Dik - Dij * Dij + Djk2) * inv
+    y_i = np.sqrt(np.where(disc_i < 0.0, 0.0, disc_i)) * inv
+    return Dij, Dik, Djk, Djk2, inv, x_i, y_i, disc_i
+
+
+def _least_unfold(Dj, Dk, terms) -> np.ndarray:
+    """The least ``unfold_candidate`` over axis 0 of (t, n) triangles, bit for bit.
+
+    ``terms`` is ``_triangle_terms`` of the triangles' edge lengths. Every
+    candidate is the march's unfold in the march's order of operations:
+    the edge paths, the Heron discriminants and their fallback tolerance,
+    the unfolded line and its causality test. Two steps go by Python's
+    scalar math, whose bits numpy's vectorised forms do not give: the
+    tolerance of the few triangles with a negative discriminant, and the
+    length of the line wherever it may both win its triangle and be the
+    least candidate.
+    """
+    Dij, Dik, Djk, Djk2, inv, x_i, y_i, disc_i = terms
+    a, b = Dj + Dij, Dk + Dik
+    cand = np.where(b < a, b, a)
+    dd, ds = Dj - Dk, Dj + Dk
+    disc_o = (Djk - dd) * (Djk + dd) * (ds - Djk) * (ds + Djk)
+    x_o = (Dk * Dk - Dj * Dj + Djk2) * inv
+    y_o = -np.sqrt(np.where(disc_o < 0.0, 0.0, disc_o)) * inv
+    dx, dy = x_i - x_o, y_i - y_o
+    cross = x_o * y_i - x_i * y_o
+    # the line crosses the jk-axis inside [0, Djk]; dy >= 0, as y_o <= 0 <= y_i
+    line = (0.0 <= cross) & (cross <= Djk * dy)
+    flat = np.flatnonzero(~(dy > 0.0))
+    if len(flat):
+        # y_i == y_o == 0: the segment lies on the axis and must overlap [0, Djk]
+        xo, xi, djk = x_o.ravel()[flat], x_i.ravel()[flat], Djk.ravel()[flat]
+        line.ravel()[flat] = ((xo <= djk) | (xi <= djk)) & ((xo >= 0.0) | (xi >= 0.0))
+    negative = np.flatnonzero((disc_o < 0.0) | (disc_i < 0.0))
+    if len(negative):
+        size = (ds + Dij + Dik + Djk).ravel()[negative]
+        tiny = np.array([-1e-12 * s ** 4 for s in size.tolist()])
+        line.ravel()[negative] &= (disc_o.ravel()[negative] >= tiny) \
+            & (disc_i.ravel()[negative] >= tiny)
+    # np.hypot differs from the march's math.hypot by at most an ulp, so a
+    # line that is more than 1e-15 (about 4.5 ulp) above its edge path, or
+    # above the least candidate, loses with either length
+    through = np.hypot(dx, dy)
+    close = line & (through * (1.0 - 1e-15) <= cand)
+    value = np.where(close, through, cand)
+    need = np.flatnonzero(close & (through * (1.0 - 1e-15) <= value.min(axis=0) * (1.0 + 1e-15)))
+    exact = np.array(list(map(math.hypot, dx.ravel()[need].tolist(),
+                              dy.ravel()[need].tolist())))
+    edge = cand.ravel()[need]
+    value.ravel()[need] = np.where(edge < exact, edge, exact)
+    return value.min(axis=0)
+
+
+def upwind_distance(grids: list) -> list:
+    """One upwind pass of the distance over the anti-diagonals of ``grids``.
+
+    The sectors' flat node arrays are laid end to end as ``sweep_sectors``
+    lays them, and the valid interior nodes with i + j = d, over all
+    sectors, are updated together in increasing d. Node (i, j) takes the
+    least ``unfold_candidate`` over the three triangles of its quad that
+    lie upwind of it, with far corners {(i-1, j), (i, j-1)},
+    {(i-1, j-1), (i-1, j)} and {(i-1, j-1), (i, j-1)}, at the node
+    distances of diagonals d - 1 and d - 2 and the edge lengths of the
+    current positions. The pass starts from the stored D of the first row
+    and column; it is one sweep ordering of the fast sweeping method (Zhao
+    2005), and the sweep's own causal order. Returns per-sector (I+1, J+1)
+    arrays that keep the stored D off the interior.
+    """
+    offsets = np.concatenate([[0], np.cumsum([s.geo_dist.size for s in grids])])
+    node, width, diag = [], [], []
+    for s, offset in zip(grids, offsets.tolist()):
+        i, j = np.nonzero(s.valid[1:, 1:])
+        node.append(offset + (i + 1) * (s.J + 1) + j + 1)
+        width.append(np.full(len(i), s.J + 1))
+        diag.append(i + j)
+    diag = np.concatenate(diag)
+    order = np.argsort(diag, kind="stable")
+    node, width = (np.concatenate(a)[order] for a in (node, width))
+    cuts = np.flatnonzero(np.diff(diag[order])) + 1
+    # (3, 2, n): the far corners (j, k) of each node's three upwind triangles
+    up, left, corner = node - width, node - 1, node - width - 1
+    far = np.array([[up, left], [corner, up], [corner, left]])
+
+    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+
+    def length(a, b):
+        diff = pos[a] - pos[b]
+        return np.sqrt(np.vecdot(diff, diff))
+
+    terms = _triangle_terms(length(node, far[:, 0]), length(node, far[:, 1]),
+                            length(far[:, 0], far[:, 1]))
+    d = np.concatenate([s.geo_dist.ravel() for s in grids])
+    for a, b in zip([0, *cuts], [*cuts, len(node)]):
+        d[node[a:b]] = _least_unfold(d[far[:, 0, a:b]], d[far[:, 1, a:b]],
+                                     [t[:, a:b] for t in terms])
+    return [d[a:b].reshape(s.geo_dist.shape)
+            for s, a, b in zip(grids, offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
 def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:

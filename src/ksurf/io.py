@@ -432,7 +432,8 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
         for rec in meta.get("history", []):
             cx.history.append(StageRecord(epsilon=rec["epsilon"],
                                           iterations=rec["iterations"],
-                                          changes=list(rec["changes"])))
+                                          changes=list(rec["changes"]),
+                                          upwind_changes=list(rec.get("upwind_changes", []))))
     except (KeyError, TypeError, ValueError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(
@@ -606,8 +607,8 @@ class DiagnosticsReport:
         for rec in self.change_history:
             changes = ", ".join(f"{c:.3e}" for c in rec["changes"])
             lines.append(
-                f"  stage epsilon {rec['epsilon']:g}: {rec['iterations']} iterations "
-                f"[{changes}]"
+                f"  stage epsilon {rec['epsilon']:g}: {len(rec['upwind_changes'])} upwind "
+                f"passes, {rec['iterations']} iterations [{changes}]"
             )
         return "\n".join(lines) + "\n"
 

@@ -47,10 +47,10 @@ def rotate_about(v: Vec3, axis: Vec3, angle: float) -> Vec3:
     k = unit(axis)
     c = math.cos(angle)
     s = math.sin(angle)
-    return v * c + np.cross(k, v) * s + k * float(k @ v) * (1.0 - c)
+    return v * c + cross(k, v) * s + k * float(k @ v) * (1.0 - c)
 
 
 def angle_between(a: Vec3, b: Vec3) -> float:
     """Unsigned angle in [0, pi] between two nonzero vectors."""
-    cr = np.cross(a, b)
+    cr = cross(a, b)
     return math.atan2(norm(cr), float(a @ b))

@@ -184,7 +184,8 @@ def build_report(cx):
                     arc_err = max(arc_err, abs(float(march.d[ids[sid][b]]) - arc))
 
     history = [{"epsilon": rec.epsilon, "iterations": rec.iterations,
-                "changes": list(rec.changes)} for rec in cx.history]
+                "changes": list(rec.changes), "upwind_changes": list(rec.upwind_changes)}
+               for rec in cx.history]
     return DiagnosticsReport(
         max_compatibility=max_compat, max_tangency=max_tan, max_edge_length=max_edge,
         max_unit_norm=max_unit, gluing_pos_max=pos_max, gluing_normal_max=nrm_max,

@@ -253,18 +253,20 @@ def test_cut_whose_chord_seed_met_an_unsolvable_quad_converges():
     assert cx.history[-1].changes[-1] < cfg.tol
 
 
-# (epsilon, outer iterations) of each stage: generation, then one per cut
+# (epsilon, upwind passes, outer iterations) of each stage: generation, then
+# one per cut
 WORKLOAD_STAGES = {
-    "grow": [(10.0, 4)],
-    "fine": [(1.0, 3)],
-    "branch": [(2.0, 7), (2.0, 4), (2.0, 3)],
+    "grow": [(10.0, 4, 2)],
+    "fine": [(1.0, 3, 1)],
+    "branch": [(2.0, 8, 4), (2.0, 6, 3), (2.0, 3, 3)],
 }
 
 
 @pytest.mark.parametrize("name", list(WORKLOAD_STAGES))
 def test_workload_stage_iterations(name):
     history = build_workload(name).history
-    assert [(rec.epsilon, rec.iterations) for rec in history] == WORKLOAD_STAGES[name]
+    assert [(rec.epsilon, len(rec.upwind_changes), rec.iterations) for rec in history] == \
+        WORKLOAD_STAGES[name]
 
 
 def test_continuation_walks_the_schedule():
@@ -297,10 +299,10 @@ def _assert_same_result(a, b, tmp_path):
 
 def test_automatic_schedule_converges_at_the_target_directly(tmp_path):
     auto = _patched("LINEAR", 10.0, 8, 0.5)
-    assert [(rec.epsilon, rec.iterations) for rec in auto.history] == [(10.0, 4)]
+    assert [(rec.epsilon, rec.iterations) for rec in auto.history] == [(10.0, 1)]
     walked = _patched("LINEAR", 10.0, 8, 0.5, auto_schedule(10.0))
     assert [rec.epsilon for rec in walked.history] == auto_schedule(10.0)
-    assert sum(rec.iterations for rec in walked.history) == 15
+    assert sum(rec.iterations for rec in walked.history) == 4
     # the direct attempt is the one-stage schedule at the target, run on a copy
     _assert_same_result(auto, _patched("LINEAR", 10.0, 8, 0.5, [10.0]), tmp_path)
 
@@ -317,9 +319,9 @@ def _outcome(*args, **kwargs):
     # the seed sweep meets an unsolvable quad; the walk converges
     pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
                  id="2.9-8-0-UnsolvableQuadError"),
-    # no new minimum of the change in the plain iterations 5-7; the walk then
-    # ends in a cycle at eps 26, the same error as the doubling schedule's
-    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 7, "stall", id="26.0-8-7-stall"),
+    # no new minimum of the change in the plain iterations 17-19; the walk
+    # then ends in a cycle at eps 26, the same error as the doubling schedule's
+    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 19, "stall", id="26.0-8-19-stall"),
 ])
 def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
                                                           grid, extent, iterations, kind):
@@ -342,17 +344,20 @@ def test_run_stage_seeds_the_sectors_never_swept():
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
     cx = single_sector_complex(SectorSpec(u_max=0.5, v_max=0.5, I=6, J=6), curv)
     rec = run_stage(cx, curv, IterationConfig(tol=1e-4))
-    assert rec.iterations == 3
+    assert (len(rec.upwind_changes), rec.iterations) == (3, 1)
     assert np.isfinite(cx.sectors[0].positions).all()
 
 
 def test_continuation_warm_starts_a_converged_complex():
     cx = _patched("LINEAR", 1.0, 8, 0.5, [1.0])
-    assert [(rec.epsilon, rec.iterations) for rec in cx.history] == [(1.0, 3)]
-    # no sector is seeded again: one iteration confirms the fixed point
+    assert [(rec.epsilon, len(rec.upwind_changes), rec.iterations) for rec in cx.history] == \
+        [(1.0, 3, 1)]
+    # every sector was swept from rho of its stored D at this epsilon, so none
+    # is seeded or makes an upwind pass: one iteration confirms the fixed point
     continuation_on_complex(cx, CurvatureSpec(CurvatureFamily.LINEAR, 1.0),
                             IterationConfig(epsilon_schedule=[1.0]))
-    assert [(rec.epsilon, rec.iterations) for rec in cx.history] == [(1.0, 3), (1.0, 1)]
+    assert [(rec.epsilon, len(rec.upwind_changes), rec.iterations) for rec in cx.history] == \
+        [(1.0, 3, 1), (1.0, 0, 1)]
 
 
 def test_run_stage_raises_on_stall():
@@ -501,7 +506,8 @@ def test_anderson_mix_solves_an_affine_map_and_gives_up_without_a_difference():
 
 def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplog):
     # a stage at a new epsilon on the surgery complex, whose sweep runs are
-    # [[0, 1, 2, 3], [4, 5, 6]]; the first mixed sweep (iteration 3) fails in
+    # [[0, 1, 2, 3], [4, 5, 6]]; at tol 1e-8 the change of iteration 2 is
+    # above the mixing floor, and the first mixed sweep (iteration 3) fails in
     # the second run, after the first run's records were written into it
     cx = build_surgery_m3().copy()
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 3.0)
@@ -522,7 +528,7 @@ def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplo
     caplog.set_level(logging.INFO, logger="ksurf.amsler")
     monkeypatch.setattr("ksurf.amsler.sweep_sectors", failing)
     with pytest.raises(NonConvergenceError) as err:
-        run_stage(cx, curv, IterationConfig(tol=1e-6, max_iters=4), snapshot)
+        run_stage(cx, curv, IterationConfig(tol=1e-8, max_iters=4), snapshot)
     monkeypatch.undo()
     assert failing.raised
     assert [r.getMessage() for r in caplog.records if "iteration 3:" in r.getMessage()] == [
@@ -533,8 +539,50 @@ def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplo
     # one plain iteration from the state before iteration 3 gives its bits
     plain = states[2].copy()
     with pytest.raises(NonConvergenceError) as ref:
-        run_stage(plain, curv, IterationConfig(tol=1e-6, max_iters=1))
+        run_stage(plain, curv, IterationConfig(tol=1e-8, max_iters=1))
     assert ref.value.changes == err.value.changes[2:3]
     for sa, sb in zip(plain.sectors, states[3].sectors, strict=True):
         for field in ("positions", "normals", "rho", "geo_dist", "valid"):
             assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+
+
+def test_failed_upwind_pass_is_undone_and_the_stage_converges(monkeypatch, caplog):
+    # a stage at a new epsilon re-curves every sector of the surgery complex,
+    # whose sweep runs are [[0, 1, 2, 3], [4, 5, 6]]. Upwind pass 2 fails at
+    # its first run, before it writes anything, or at its second, after the
+    # first run's records were written into sectors 4-6 in place; either way
+    # the march loop starts from the sectors of pass 1
+    curv = CurvatureSpec(CurvatureFamily.LINEAR, 3.0)
+    caplog.set_level(logging.INFO, logger="ksurf.amsler")
+
+    def stage(failing_run):
+        cx = build_surgery_m3().copy()
+        refresh_boundaries(cx, curv)
+        firsts, states = [], []
+
+        def failing(grids, rho_fields):
+            firsts.append(grids[0].sector_id)
+            if firsts.count(0) == 2 and firsts[-1] == failing_run:
+                raise UnsolvableQuadError("forced", (failing_run, 0, 0))
+            return sweep_sectors(grids, rho_fields)
+
+        def snapshot(cx):
+            states.append(cx.copy())
+            return geodesic_provider(cx)
+
+        monkeypatch.setattr("ksurf.amsler.sweep_sectors", failing)
+        rec = run_stage(cx, curv, IterationConfig(tol=1e-4), snapshot)
+        monkeypatch.undo()
+        return rec, states[0]
+
+    (rec_a, start_a), (rec_b, start_b) = stage(0), stage(4)
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("epsilon 3 upwind pass 2")] == [
+        f"epsilon 3 upwind pass 2 failed (forced at sector {sid} quad (0,0)); undone"
+        for sid in (0, 4)]
+    for sa, sb in zip(start_a.sectors, start_b.sectors, strict=True):
+        for field in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+    assert rec_a == rec_b
+    assert len(rec_a.upwind_changes) == 1
+    assert rec_a.changes[-1] < 1e-4

@@ -589,3 +589,56 @@ def test_stencil_table_is_shared_and_read_only():
         rows[0, 0] = 1
     with pytest.raises(TypeError):
         starts[0] = 1
+
+
+def _least_unfold(cases):
+    """``_least_unfold`` of (t, n, 5) stencils (Dj, Dk, Dij, Dik, Djk)."""
+    Dj, Dk, Dij, Dik, Djk = np.moveaxis(np.asarray(cases, dtype=float), -1, 0)
+    return ksurf.geodesic._least_unfold(Dj, Dk, ksurf.geodesic._triangle_terms(Dij, Dik, Djk))
+
+
+def _random_stencils(rng, shape, scale):
+    """Planar triangles (i, j, k) of the given edge scale, with source
+    distances at j and k that can, nearly can or cannot be unfolded."""
+    p = scale * rng.standard_normal(shape + (3, 2))
+    Dij, Dik, Djk = (np.linalg.norm(p[..., a, :] - p[..., b, :], axis=-1)
+                     for a, b in ((0, 1), (0, 2), (1, 2)))
+    Dj = rng.uniform(0.0, 3.0, shape)
+    Dk = np.abs(Dj + rng.uniform(-1.0, 1.0, shape) * Djk * rng.choice([0.5, 1.0, 1.2], shape))
+    return np.stack([Dj, Dk, Dij, Dik, Djk], axis=-1)
+
+
+def test_array_unfold_equals_unfold_candidate_bitwise():
+    rng = np.random.default_rng(20)
+    near_ties = list(_near_ties())
+    for cases in (near_ties, _random_stencils(rng, (4000,), 1.0),
+                  _random_stencils(rng, (4000,), 0.03)):
+        # one triangle per node: each candidate
+        want = [unfold_candidate(*case) for case in np.asarray(cases).tolist()]
+        assert _least_unfold(np.asarray(cases)[None]).tobytes() == np.array(want).tobytes()
+    # three triangles per node: the least candidate
+    cases = _random_stencils(rng, (3, 4000), 0.03)
+    want = np.array([unfold_candidate(*case) for case in cases.reshape(-1, 5).tolist()])
+    assert _least_unfold(cases).tobytes() == want.reshape(3, -1).min(axis=0).tobytes()
+
+
+def test_upwind_distance_on_a_flat_grid_is_euclidean():
+    n, h = 16, 1.0 / 16.0
+    verts, quads = _flat_grid(n, h)
+    exact = np.linalg.norm(verts, axis=1)
+    grid = ksurf.SectorGrid.empty(n, n, ksurf.Parity.ODD)
+    grid.positions[:] = verts.reshape(n + 1, n + 1, 3)
+    grid.geo_dist[0, :], grid.geo_dist[:, 0] = exact[:n + 1], exact[::n + 1]
+    # the pass reads the first row and column, and nothing else of geo_dist
+    grid.geo_dist[1:, 1:] = 7.0
+    (d,) = ksurf.upwind_distance([grid])
+    marched = fast_march(trimesh_from_quads(verts, quads), [(0, 0.0)]).d
+    assert np.abs(d.ravel() - exact).max() < 1e-12
+    assert np.abs(d.ravel() - marched).max() < 1e-12
+    # laid end to end with a smaller sector, each gets the bits of its own pass
+    small = ksurf.SectorGrid.empty(5, 9, ksurf.Parity.EVEN)
+    for name in ("positions", "geo_dist"):
+        getattr(small, name)[:] = getattr(grid, name)[:6, :10]
+    both = ksurf.upwind_distance([small, grid])
+    assert both[0].tobytes() == ksurf.upwind_distance([small])[0].tobytes()
+    assert both[1].tobytes() == d.tobytes()

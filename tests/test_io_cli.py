@@ -193,6 +193,23 @@ def test_import_reads_crlf_and_a_trailing_blank_line(tmp_path):
     assert _complex_bits(import_mesh(obj, crlf)) == _complex_bits(import_mesh(obj, csv_path))
 
 
+def test_history_keeps_the_upwind_passes_and_reads_a_file_without_them(tmp_path):
+    obj, csv_path, obj_lines, _ = _export_lines(tmp_path)
+    cx = build_patched("LINEAR", 1.0, 2, 0.5, 6)
+    assert import_mesh(obj, csv_path).history == cx.history
+    (rec,) = cx.history
+    assert f"stage epsilon 1: {len(rec.upwind_changes)} upwind passes, {rec.iterations} " \
+        "iterations" in build_report(cx).to_text()
+    # an export written before the field existed
+    meta = json.loads(obj_lines[0][len("#meta "):])
+    del meta["history"][0]["upwind_changes"]
+    old = tmp_path / "old.obj"
+    old.write_text("\n".join(["#meta " + json.dumps(meta), *obj_lines[1:]]) + "\n")
+    (back,) = import_mesh(old, csv_path).history
+    assert (back.epsilon, back.iterations, back.changes, back.upwind_changes) == \
+        (rec.epsilon, rec.iterations, rec.changes, [])
+
+
 @pytest.mark.parametrize("form", ["{a}", "{a}/{a}", "{a}//{a}", "{a}/{a}/{a}"])
 def test_trimesh_from_obj_reads_every_face_form(tmp_path, form):
     obj, _, obj_lines, _ = _export_lines(tmp_path)
