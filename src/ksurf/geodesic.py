@@ -3,10 +3,11 @@
 Quads are split into two triangles each, choosing the diagonal that
 minimizes the maximum triangle angle (ties go to the grid diagonal
 (i, j) -> (i+1, j+1), which runs along u + v for either parity). The split
-is one array kernel over all quads: it measures the four sides and both
-diagonals once, takes the smallest clamped corner cosine of each option and
-only then calls ``math.acos``, which gives the same worst angle as taking
-the largest of the six angles because acos is monotone.
+is one array kernel over all quads (``_choose_split``): it takes the four
+sides and both diagonals, the smallest clamped corner cosine of each option,
+and compares those, since acos is decreasing; ``math.acos`` decides only
+options whose cosines are too close for it to tell apart, and gives the
+chosen option's worst angle.
 
 The marching update unfolds, for a vertex i of a triangle (i, j, k) with
 both j and k already accepted, the source point o and the target into the
@@ -46,9 +47,14 @@ on the triangles alone: its rows hold vertex ids and flat indices into
 mesh, and outer iterations that keep the triangles, sort it once.
 
 ``upwind_distance`` applies the same update without a heap and without a
-triangulation: one pass over the anti-diagonals of a group of sector grids,
-each node from the three triangles of its quad that lie upwind of it. Its
-array kernel gives every candidate the bits of ``unfold_candidate``.
+triangulation: one pass over the anti-diagonals of a group of sector grids.
+Each node reads the triangles of the march's split of the quad it closes,
+which the split kernel picks from the same six lengths: two on the grid
+diagonal, one on the other. A triangle's unfolded line counts only where
+both far corners lie at or below it, the march's acceptance rule, else the
+triangle gives its edge terms; every candidate has the bits of
+``unfold_candidate``. On the converged surfaces of the `grow` and `fine`
+benchmarks the pass reproduces the march to 2e-15.
 """
 from __future__ import annotations
 
@@ -116,11 +122,44 @@ class TriMesh:
         return out
 
 
-def _clamped_cos(opposite, s1, s2):
-    """Law-of-cosines cosine, clamped to [-1, 1] as min(1, max(-1, c))."""
-    c = (s1 * s1 + s2 * s2 - opposite * opposite) / (2.0 * s1 * s2)
+def _choose_split(seg: np.ndarray) -> tuple:
+    """Diagonal choice for quads given by their (6, Q) ``_SEGMENTS`` lengths.
+
+    Returns (use_b, min_cos): whether each quad takes the second split, and
+    the (2, Q) smallest corner cosine of each split, clamped to [-1, 1] as
+    min(1, max(-1, c)). A split wins by the smaller largest angle,
+    ``math.acos`` of its smallest cosine, and a tie keeps the grid diagonal.
+    acos is decreasing and steeper than 1, so where the two cosines lie
+    1e-14 or more apart the larger one wins; closer cosines, which acos may
+    round to one angle, are decided on ``math.acos`` itself.
+    """
+    # the law of cosines at the corners a, b and c of each triangle (a, b, c):
+    # sides (ab, ac), (ab, bc) and (ac, bc), opposite bc, ac and ab
+    s1, s2, opposite = (_TRI_SEGMENTS[..., k].reshape(-1)
+                        for k in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+    square = seg * seg
+    cosines = (square[s1] + square[s2] - square[opposite]) / (2.0 * seg[s1] * seg[s2])
+    # clamping is monotone, so clamping the least cosine clamps every one
+    c = cosines.reshape(2, -1, *seg.shape[1:]).min(axis=1)
     c = np.where(c > -1.0, c, -1.0)
-    return np.where(c < 1.0, c, 1.0)
+    min_cos = np.where(c < 1.0, c, 1.0)
+    cos_a, cos_b = min_cos
+    use_b = cos_b > cos_a
+    near = np.abs(cos_b - cos_a) < 1e-14
+    if near.any():
+        near = np.flatnonzero(near)
+        # math.acos, not np.arccos: the two differ in the last bit on some inputs
+        use_b[near] = [math.acos(b) < math.acos(a)
+                       for a, b in zip(cos_a[near].tolist(), cos_b[near].tolist())]
+    return use_b, min_cos
+
+
+def _segment_lengths(corners: np.ndarray) -> np.ndarray:
+    """The (6, Q) ``_SEGMENTS`` lengths of quads with (4, Q, 3) corners."""
+    diff = np.empty((len(_SEGMENTS),) + corners.shape[1:])
+    for out, (a, b) in zip(diff, _SEGMENTS):
+        np.subtract(corners[b], corners[a], out=out)
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def _split_quads(corners: np.ndarray):
@@ -130,21 +169,15 @@ def _split_quads(corners: np.ndarray):
     split, the largest angle of the chosen split, and the (Q, 2, 3) edge
     lengths of its two triangles, opposite each corner.
     """
-    pairs = np.array(_SEGMENTS)
-    diff = corners[:, pairs[:, 1]] - corners[:, pairs[:, 0]]
-    seg = np.sqrt(np.vecdot(diff, diff))  # bitwise equal to np.linalg.norm
+    seg = _segment_lengths(corners.transpose(1, 0, 2))
     if (seg == 0.0).any():
         raise ValueError("degenerate triangle with a zero-length edge")
-    sides = seg[:, _TRI_SEGMENTS]  # (Q, split, triangle, [ab, ac, bc])
-    ab, ac, bc = sides[..., 0], sides[..., 1], sides[..., 2]
-    cosines = np.stack([_clamped_cos(bc, ab, ac), _clamped_cos(ac, ab, bc),
-                        _clamped_cos(ab, ac, bc)], axis=-1)
-    min_cos = cosines.reshape(len(corners), 2, 6).min(axis=-1)
-    # math.acos, not np.arccos: the two differ in the last bit on some inputs
-    worst = np.array([math.acos(c) for c in min_cos.ravel().tolist()]).reshape(-1, 2)
-    use_b = worst[:, 1] < worst[:, 0]
-    pick = (np.arange(len(corners)), use_b.astype(np.intp))
-    return use_b, worst[pick], sides[pick][..., ::-1]
+    use_b, min_cos = _choose_split(seg)
+    pick = use_b.astype(np.intp)
+    rows = np.arange(len(corners))
+    worst = np.array([math.acos(c) for c in min_cos[pick, rows].tolist()])
+    sides = seg.T[:, _TRI_SEGMENTS]  # (Q, split, triangle, [ab, ac, bc])
+    return use_b, worst, sides[rows, pick][..., ::-1]
 
 
 def triangulate_complex(cx: SurfaceComplex) -> TriMesh:
@@ -419,17 +452,16 @@ def _triangle_terms(Dij, Dik, Djk) -> tuple:
     return Dij, Dik, Djk, Djk2, inv, x_i, y_i, disc_i
 
 
-def _least_unfold(Dj, Dk, terms) -> np.ndarray:
-    """The least ``unfold_candidate`` over axis 0 of (t, n) triangles, bit for bit.
+def _unfolded_lines(Dj, Dk, terms) -> tuple:
+    """The march's unfold of (t, n) triangles, up to the length of the line.
 
-    ``terms`` is ``_triangle_terms`` of the triangles' edge lengths. Every
-    candidate is the march's unfold in the march's order of operations:
-    the edge paths, the Heron discriminants and their fallback tolerance,
-    the unfolded line and its causality test. Two steps go by Python's
-    scalar math, whose bits numpy's vectorised forms do not give: the
-    tolerance of the few triangles with a negative discriminant, and the
-    length of the line wherever it may both win its triangle and be the
-    least candidate.
+    ``terms`` is ``_triangle_terms`` of the triangles' edge lengths. Returns
+    (cand, line, dx, dy, through): the shorter edge path, whether the
+    unfolded line is causal and past the fallback tolerance, the legs of
+    the line, and its ``np.hypot`` length. Everything but that length has
+    the bits of the march, in the march's order of operations; the
+    tolerance of the few triangles with a negative discriminant goes by
+    Python's scalar math, whose bits numpy's vectorised form does not give.
     """
     Dij, Dik, Djk, Djk2, inv, x_i, y_i, disc_i = terms
     a, b = Dj + Dij, Dk + Dik
@@ -437,50 +469,83 @@ def _least_unfold(Dj, Dk, terms) -> np.ndarray:
     dd, ds = Dj - Dk, Dj + Dk
     disc_o = (Djk - dd) * (Djk + dd) * (ds - Djk) * (ds + Djk)
     x_o = (Dk * Dk - Dj * Dj + Djk2) * inv
-    y_o = -np.sqrt(np.where(disc_o < 0.0, 0.0, disc_o)) * inv
+    negative = disc_o < 0.0
+    y_o = -np.sqrt(np.where(negative, 0.0, disc_o)) * inv
     dx, dy = x_i - x_o, y_i - y_o
     cross = x_o * y_i - x_i * y_o
     # the line crosses the jk-axis inside [0, Djk]; dy >= 0, as y_o <= 0 <= y_i
     line = (0.0 <= cross) & (cross <= Djk * dy)
-    flat = np.flatnonzero(~(dy > 0.0))
-    if len(flat):
+    flat = ~(dy > 0.0)
+    if flat.any():
         # y_i == y_o == 0: the segment lies on the axis and must overlap [0, Djk]
+        flat = np.flatnonzero(flat)
         xo, xi, djk = x_o.ravel()[flat], x_i.ravel()[flat], Djk.ravel()[flat]
-        line.ravel()[flat] = ((xo <= djk) | (xi <= djk)) & ((xo >= 0.0) | (xi >= 0.0))
-    negative = np.flatnonzero((disc_o < 0.0) | (disc_i < 0.0))
-    if len(negative):
+        line.flat[flat] = ((xo <= djk) | (xi <= djk)) & ((xo >= 0.0) | (xi >= 0.0))
+    negative |= disc_i < 0.0
+    if negative.any():
+        negative = np.flatnonzero(negative)
         size = (ds + Dij + Dik + Djk).ravel()[negative]
         tiny = np.array([-1e-12 * s ** 4 for s in size.tolist()])
-        line.ravel()[negative] &= (disc_o.ravel()[negative] >= tiny) \
+        line.flat[negative] &= (disc_o.ravel()[negative] >= tiny) \
             & (disc_i.ravel()[negative] >= tiny)
-    # np.hypot differs from the march's math.hypot by at most an ulp, so a
-    # line that is more than 1e-15 (about 4.5 ulp) above its edge path, or
-    # above the least candidate, loses with either length
-    through = np.hypot(dx, dy)
-    close = line & (through * (1.0 - 1e-15) <= cand)
+    return cand, line, dx, dy, np.hypot(dx, dy)
+
+
+def _least_line(cand, line, dx, dy, through) -> np.ndarray:
+    """The least candidate over axis 0 of ``_unfolded_lines``, bit for bit.
+
+    A triangle gives its line where ``line`` holds and the line is not above
+    its edge path, else the edge path. np.hypot differs from the march's
+    math.hypot by at most an ulp, so a line that is more than 1e-15 (about
+    4.5 ulp) above its edge path, or above the least candidate, loses with
+    either length; every other line that may win is measured by math.hypot.
+    """
+    low = through * (1.0 - 1e-15)
+    close = line & (low <= cand)
     value = np.where(close, through, cand)
-    need = np.flatnonzero(close & (through * (1.0 - 1e-15) <= value.min(axis=0) * (1.0 + 1e-15)))
+    need = (close & (low <= value.min(axis=0) * (1.0 + 1e-15))).ravel().nonzero()[0]
     exact = np.array(list(map(math.hypot, dx.ravel()[need].tolist(),
                               dy.ravel()[need].tolist())))
-    edge = cand.ravel()[need]
-    value.ravel()[need] = np.where(edge < exact, edge, exact)
+    # both finite and positive: the lesser is the march's min()
+    value.flat[need] = np.minimum(cand.ravel()[need], exact)
     return value.min(axis=0)
 
 
-def upwind_distance(grids: list) -> list:
-    """One upwind pass of the distance over the anti-diagonals of ``grids``.
+def _least_unfold(Dj, Dk, terms) -> np.ndarray:
+    """The least ``unfold_candidate`` over axis 0 of (t, n) triangles, bit for bit."""
+    return _least_line(*_unfolded_lines(Dj, Dk, terms))
+
+
+def _least_accepted_unfold(Dj, Dk, terms) -> np.ndarray:
+    """``_least_unfold`` under the march's acceptance rule, bit for bit.
+
+    The march unfolds a triangle onto its target only once both far corners
+    are accepted, that is, at or below the target's D. So a triangle's
+    unfolded line counts only where both Dj and Dk are at or below its
+    ``math.hypot`` length; otherwise the triangle gives its edge path. The
+    np.hypot length decides the rule wherever D lies more than 1e-15 away
+    from it, and math.hypot the few lines closer than that.
+    """
+    cand, line, dx, dy, through = _unfolded_lines(Dj, Dk, terms)
+    late = np.maximum(Dj, Dk)
+    line &= late <= through * (1.0 + 1e-15)
+    close = line & (through * (1.0 - 1e-15) < late)
+    if close.any():
+        at = np.flatnonzero(close)
+        exact = list(map(math.hypot, dx.ravel()[at].tolist(), dy.ravel()[at].tolist()))
+        line.flat[at] = late.ravel()[at] <= exact
+    return _least_line(cand, line, dx, dy, through)
+
+
+def _node_quads(grids: list) -> tuple:
+    """The valid interior nodes of ``grids``, laid end to end by anti-diagonal.
 
     The sectors' flat node arrays are laid end to end as ``sweep_sectors``
-    lays them, and the valid interior nodes with i + j = d, over all
-    sectors, are updated together in increasing d. Node (i, j) takes the
-    least ``unfold_candidate`` over the three triangles of its quad that
-    lie upwind of it, with far corners {(i-1, j), (i, j-1)},
-    {(i-1, j-1), (i-1, j)} and {(i-1, j-1), (i, j-1)}, at the node
-    distances of diagonals d - 1 and d - 2 and the edge lengths of the
-    current positions. The pass starts from the stored D of the first row
-    and column; it is one sweep ordering of the fast sweeping method (Zhao
-    2005), and the sweep's own causal order. Returns per-sector (I+1, J+1)
-    arrays that keep the stored D off the interior.
+    lays them. Returns (quad, cuts, seg): the (4, n) flat indices of the
+    corners 00, 10, 01 and 11 of the quad (i-1, j-1)-(i, j) of each node
+    (i, j), which is its corner 11, in increasing i + j; where each
+    anti-diagonal after the first starts; and the (6, n) ``_SEGMENTS``
+    lengths of the quads (``_segment_lengths``, as ``_split_quads`` takes them).
     """
     offsets = np.concatenate([[0], np.cumsum([s.geo_dist.size for s in grids])])
     node, width, diag = [], [], []
@@ -492,25 +557,51 @@ def upwind_distance(grids: list) -> list:
     diag = np.concatenate(diag)
     order = np.argsort(diag, kind="stable")
     node, width = (np.concatenate(a)[order] for a in (node, width))
+    quad = np.array([node - width - 1, node - 1, node - width, node])
     cuts = np.flatnonzero(np.diff(diag[order])) + 1
-    # (3, 2, n): the far corners (j, k) of each node's three upwind triangles
-    up, left, corner = node - width, node - 1, node - width - 1
-    far = np.array([[up, left], [corner, up], [corner, left]])
-
     pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+    return quad, cuts, _segment_lengths(np.take(pos, quad, axis=0))
 
-    def length(a, b):
-        diff = pos[a] - pos[b]
-        return np.sqrt(np.vecdot(diff, diff))
 
-    terms = _triangle_terms(length(node, far[:, 0]), length(node, far[:, 1]),
-                            length(far[:, 0], far[:, 1]))
+def upwind_distance(grids: list) -> list:
+    """One upwind pass of the distance over the anti-diagonals of ``grids``.
+
+    The valid interior nodes with i + j = d, over all sectors
+    (``_node_quads``), are updated together in increasing d. Node (i, j)
+    reads the triangles of the march's split of its quad (i-1, j-1)-(i, j),
+    which ``_choose_split``, the kernel of ``trimesh_from_quads``, picks
+    from the same six lengths: on the grid diagonal the two with far
+    corners {(i-1, j-1), (i, j-1)} and {(i-1, j), (i-1, j-1)}, else the one
+    with far corners {(i-1, j), (i, j-1)}, each in the march's cyclic
+    order. It takes their least ``unfold_candidate`` under the march's
+    acceptance rule (``_least_accepted_unfold``), at the node distances of
+    diagonals d - 1 and d - 2 and the edge lengths of the current
+    positions. The pass starts from the stored D of the first row and
+    column; it is one sweep ordering of the fast sweeping method (Zhao
+    2005), and the sweep's own causal order. Returns per-sector (I+1, J+1)
+    arrays that keep the stored D off the interior.
+    """
+    quad, cuts, seg = _node_quads(grids)
+    node = quad[3]
+    # per split, the node's triangles (3, j, k) in cyclic order, as the quad
+    # corners (j, k) and the _SEGMENTS of (ij, ik, jk); the second split's
+    # one triangle is read twice
+    corners, lengths = [], []
+    for split in _SPLITS:
+        tris = [t[t.index(3) + 1:] + t[:t.index(3)] for t in split if 3 in t]
+        tris *= 2 // len(tris)
+        corners.append(quad[np.array(tris)])
+        lengths.append(seg[[[_SEGMENTS.index(tuple(sorted(e))) for e in ((j, 3), (k, 3), (j, k))]
+                            for j, k in tris]].transpose(1, 0, 2))
+    use_b = _choose_split(seg)[0]
+    far = np.where(use_b, *corners[::-1])  # (2 triangles, (j, k), n)
+    terms = _triangle_terms(*np.where(use_b, *lengths[::-1]))
     d = np.concatenate([s.geo_dist.ravel() for s in grids])
     for a, b in zip([0, *cuts], [*cuts, len(node)]):
-        d[node[a:b]] = _least_unfold(d[far[:, 0, a:b]], d[far[:, 1, a:b]],
-                                     [t[:, a:b] for t in terms])
-    return [d[a:b].reshape(s.geo_dist.shape)
-            for s, a, b in zip(grids, offsets[:-1].tolist(), offsets[1:].tolist())]
+        d[node[a:b]] = _least_accepted_unfold(d[far[:, 0, a:b]], d[far[:, 1, a:b]],
+                                              [t[:, a:b] for t in terms])
+    offsets = np.cumsum([0] + [s.geo_dist.size for s in grids]).tolist()
+    return [d[a:b].reshape(s.geo_dist.shape) for s, a, b in zip(grids, offsets, offsets[1:])]
 
 
 def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:

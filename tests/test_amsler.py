@@ -256,9 +256,9 @@ def test_cut_whose_chord_seed_met_an_unsolvable_quad_converges():
 # (epsilon, upwind passes, outer iterations) of each stage: generation, then
 # one per cut
 WORKLOAD_STAGES = {
-    "grow": [(10.0, 4, 2)],
+    "grow": [(10.0, 4, 1)],
     "fine": [(1.0, 3, 1)],
-    "branch": [(2.0, 8, 4), (2.0, 6, 3), (2.0, 3, 3)],
+    "branch": [(2.0, 8, 3), (2.0, 6, 4), (2.0, 3, 3)],
 }
 
 
@@ -319,9 +319,10 @@ def _outcome(*args, **kwargs):
     # the seed sweep meets an unsolvable quad; the walk converges
     pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
                  id="2.9-8-0-UnsolvableQuadError"),
-    # no new minimum of the change in the plain iterations 17-19; the walk
-    # then ends in a cycle at eps 26, the same error as the doubling schedule's
-    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 19, "stall", id="26.0-8-19-stall"),
+    # the upwind passes reach the change of 3.1e-4 that the marches then
+    # repeat: no new minimum in the plain iterations 2-4; the walk then ends
+    # in a cycle at eps 26, the same error as the doubling schedule's
+    pytest.param("LINEAR", 26.0, 4, 8, 0.75, 4, "stall", id="26.0-8-4-stall"),
 ])
 def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
                                                           grid, extent, iterations, kind):

@@ -15,6 +15,7 @@ from ksurf import (
     SectorSpec,
     dijkstra_bound,
     fast_march,
+    geodesic_provider,
     global_vertex_ids,
     origin_vertex,
     patch_sectors,
@@ -28,7 +29,8 @@ import ksurf.geodesic
 import geodesic_oracle as oracle
 import mesh_oracle
 from conftest import WORKLOADS, build_patched, build_surgery_m3, build_workload
-from ksurf.amsler import RaySpec
+from ksurf.amsler import RaySpec, sweep_runs
+from ksurf.mesh import quad_table
 from ksurf.surgery import FanAxes
 
 
@@ -642,3 +644,91 @@ def test_upwind_distance_on_a_flat_grid_is_euclidean():
     both = ksurf.upwind_distance([small, grid])
     assert both[0].tobytes() == ksurf.upwind_distance([small])[0].tobytes()
     assert both[1].tobytes() == d.tobytes()
+
+
+def _accepted_unfold_reference(cases):
+    """The least over axis 0 of (t, n, 5) stencils under the acceptance rule, by
+    ``unfold_candidate``: a candidate below a far corner's D gives the edge path."""
+    least = []
+    for stencils in np.moveaxis(np.asarray(cases), 1, 0).tolist():
+        values = []
+        for Dj, Dk, Dij, Dik, Djk in stencils:
+            line = unfold_candidate(Dj, Dk, Dij, Dik, Djk)
+            edge = min(Dj + Dij, Dk + Dik)
+            values.append(edge if max(Dj, Dk) > line else line)
+        least.append(min(values))
+    return np.array(least)
+
+
+def test_accepted_unfold_applies_the_rule_bitwise():
+    rng = np.random.default_rng(21)
+    for cases in (np.asarray(list(_near_ties()))[None], _random_stencils(rng, (1, 4000), 1.0),
+                  _random_stencils(rng, (2, 4000), 0.03), _random_stencils(rng, (2, 4000), 0.3)):
+        want = _accepted_unfold_reference(cases)
+        # the rule changes the least candidate of some nodes of every random set
+        assert len(cases[0]) < 4000 or (want != _least_unfold(cases)).any()
+        # (n, t) arrays read as (t, n): the writes into strided arrays land too
+        Dj, Dk, Dij, Dik, Djk = (np.asfortranarray(a) for a in np.moveaxis(cases, -1, 0))
+        got = ksurf.geodesic._least_accepted_unfold(
+            Dj, Dk, ksurf.geodesic._triangle_terms(Dij, Dik, Djk))
+        assert got.tobytes() == want.tobytes()
+
+
+def _pass_split(grid) -> dict:
+    """{flat node index: whether the pass takes the second split of its quad}."""
+    quad, _, seg = ksurf.geodesic._node_quads([grid])
+    return dict(zip(quad[3].tolist(), ksurf.geodesic._choose_split(seg)[0].tolist()))
+
+
+def _one_quad(p11):
+    """A 1x1 sector on the unit square's corners 00, 10, 01 and ``p11``."""
+    grid = ksurf.SectorGrid.empty(1, 1, ksurf.Parity.ODD)
+    grid.positions[:] = [[(0, 0, 0), (0, 1, 0)], [(1, 0, 0), p11]]
+    return grid
+
+
+@pytest.mark.parametrize("p11,second", [
+    # the square: a tie, which takes the grid diagonal
+    ((1.0, 1.0, 0.0), False),
+    # the grid diagonal's smallest cosine one ulp (of 1) lower: the other wins
+    ((1.0 + 4e-16, 1.0, 0.0), True),
+    ((1.0 + 1e-15, 1.0, 0.0), True),
+    ((1.0 - 2e-16, 1.0, 0.0), False),
+    # smallest cosines 2e-31 apart, which math.acos rounds to one angle: a tie
+    ((1.0000000000000004, 0.9999999999999993, -1.0209498741071319e-16), False),
+    ((1.0 + 1e-13, 1.0, 0.0), True),
+])
+def test_pass_and_triangulation_split_a_near_tie_alike(p11, second):
+    grid = _one_quad(p11)
+    (pass_b,) = _pass_split(grid).values()
+    mesh = trimesh_from_quads(grid.positions.reshape(-1, 3), [[0, 2, 1, 3]])
+    pts = [np.array(p, dtype=float) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), p11)]
+    assert pass_b == (mesh.tris[0, 2] == 1) == \
+        (oracle.split_quad(*pts)[0] == ksurf.geodesic._SPLITS[1]) == second
+
+
+@pytest.mark.parametrize("name", ["grow", "branch"])
+def test_pass_splits_every_quad_as_the_march_does(name):
+    cx = build_workload(name)
+    table = quad_table(cx, global_vertex_ids(cx)[0])
+    # the first triangle of a quad ends at corner 01 on the second split
+    march_b = (triangulate_complex(cx).tris[0::2, 2] == table.corners[:, 2]).tolist()
+    pass_b = [_pass_split(s) for s in cx.sectors]
+    width = [s.J + 1 for s in cx.sectors]
+    assert [pass_b[sid][(i + 1) * width[sid] + j + 1]
+            for sid, i, j in zip(table.sector.tolist(), table.i.tolist(), table.j.tolist())] \
+        == march_b
+
+
+@pytest.mark.parametrize("name", ["grow", "fine"])
+def test_upwind_pass_is_the_march_on_converged_workloads(name):
+    # the pass reads the march's triangles and unfolds only where the march
+    # could, so on a converged surface it reproduces the march's distance
+    cx = build_workload(name)
+    marched = geodesic_provider(cx)
+    for run in sweep_runs(cx):
+        for sid, d in zip(run, ksurf.upwind_distance([cx.sectors[sid] for sid in run])):
+            s = cx.sectors[sid]
+            interior = s.valid & ~s.boundary_mask()
+            gap = float(np.abs(d[interior] - marched[sid][interior]).max())
+            assert gap < 1e-12, (sid, gap)
