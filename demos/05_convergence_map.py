@@ -19,6 +19,9 @@ vertex distance between its surface and the doubling one.
 Writes ``demos/convergence_map.md``; ``--map second`` runs the second grid
 of cells instead and writes ``demos/convergence_map_second.md``, and
 ``--cells N`` runs only the first N cells. ``--out`` names another file.
+``--baseline FILE`` reads a map that this script wrote at another commit and
+adds its automatic and doubling outcomes and iterations, cell by cell, with a
+comparison in the summary.
 """
 import argparse
 import itertools
@@ -140,7 +143,41 @@ def fmt_dev(dev) -> str:
     return "" if dev is None else f"{dev:.1e}"
 
 
-def report(rows, name) -> str:
+def read_map(path) -> dict:
+    """{cell: ((automatic outcome, iters), (doubling outcome, iters))} of a written map."""
+    rows = {}
+    with open(path) as fh:
+        for line in fh:
+            cols = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cols) < 13 or cols[0] not in ("LINEAR", "RING"):
+                continue
+            cell = (cols[0], float(cols[1]), int(cols[2]), int(cols[3]), float(cols[4]))
+            rows[cell] = ((cols[5].removesuffix(" (fallback)"), int(cols[8])),
+                          (cols[6], int(cols[9])))
+    return rows
+
+
+def compare(rows, baseline) -> list:
+    """Summary lines comparing the automatic and doubling runs with the baseline's."""
+    pairs = [(r, baseline[r["cell"]]) for r in rows if r["cell"] in baseline]
+    lines = []
+    for k, name in enumerate(("automatic", "doubling")):
+        runs = [(short(r["outcomes"][k]), r["iters"][k], old[k]) for r, old in pairs]
+        both = [(it, old_it) for out, it, (old_out, old_it) in runs
+                if out == old_out == "converged"]
+        lines += [
+            f"- baseline {name}: {sum(old[0] == 'converged' for _, _, old in runs)} of "
+            f"{len(runs)} cells converged; converged here but not in the baseline "
+            f"{sum(out == 'converged' != old[0] for out, _, old in runs)}, in the baseline "
+            f"but not here {sum(old[0] == 'converged' != out for out, _, old in runs)}",
+            f"- {name} outer iterations on the {len(both)} cells that converge both ways: "
+            f"baseline {sum(o for _, o in both)}, here {sum(n for n, _ in both)}; fewer in "
+            f"{sum(n < o for n, o in both)}, more in {sum(n > o for n, o in both)}",
+        ]
+    return lines
+
+
+def report(rows, name, baseline=None) -> str:
     conv = [[r["outcomes"][k] == "converged" for r in rows] for k in range(3)]
     both = [r for r, a, d in zip(rows, conv[0], conv[1]) if a and d]
     fell = [r for r in rows if r["fell_back"]]
@@ -156,6 +193,10 @@ def report(rows, name) -> str:
         "iterations per stage. Outer iterations count every distance march,",
         "abandoned attempts included. Deviations are the largest vertex distance",
         "from the doubling surface.",
+    ]
+    if baseline is not None:
+        lines += ["The `baseline` columns come from the same script run at another commit."]
+    lines += [
         "",
         f"- cells: {len(rows)}; converged: doubling {sum(conv[1])}, automatic "
         f"{sum(conv[0])}, sqrt2 {sum(conv[2])}",
@@ -170,19 +211,24 @@ def report(rows, name) -> str:
         f"- deviation above {DEVIATION:g}: automatic {sum(d > DEVIATION for d in dev_auto)} "
         f"of {len(dev_auto)} common cells; sqrt2 (path-dependence baseline) "
         f"{sum(d > DEVIATION for d in dev_sq)} of {len(dev_sq)}",
+        *(compare(rows, baseline) if baseline is not None else []),
         "",
-        "| family | eps | n | grid | extent | automatic | doubling | sqrt2 "
-        "| iters auto | iters doubling | iters sqrt2 | dev auto | dev sqrt2 |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
+    head = ("| family | eps | n | grid | extent | automatic | doubling | sqrt2 "
+            "| iters auto | iters doubling | iters sqrt2 | dev auto | dev sqrt2 |")
+    lines += [head + (" baseline auto | baseline doubling |" if baseline is not None else ""),
+              "|---" * (head.count("|") - 1 + (2 if baseline is not None else 0)) + "|"]
     for r in rows:
         family, eps, n, grid, extent = r["cell"]
         auto = short(r["outcomes"][0]) + (" (fallback)" if r["fell_back"] else "")
-        lines.append(
-            f"| {family} | {eps:g} | {n} | {grid} | {extent:g} | {auto} | "
-            f"{short(r['outcomes'][1])} | {short(r['outcomes'][2])} | "
-            + " | ".join(str(i) for i in r["iters"])
-            + f" | {fmt_dev(r['dev_auto'])} | {fmt_dev(r['dev_sqrt2'])} |")
+        line = (f"| {family} | {eps:g} | {n} | {grid} | {extent:g} | {auto} | "
+                f"{short(r['outcomes'][1])} | {short(r['outcomes'][2])} | "
+                + " | ".join(str(i) for i in r["iters"])
+                + f" | {fmt_dev(r['dev_auto'])} | {fmt_dev(r['dev_sqrt2'])} |")
+        if baseline is not None:
+            old = baseline.get(r["cell"])
+            line += " | |" if old is None else "".join(f" {o} {i} |" for o, i in old)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -193,8 +239,11 @@ def main():
     ap.add_argument("--cells", type=int, default=None, help="run only the first N cells")
     ap.add_argument("--out", default=None,
                     help="output file (default: the map's file in demos/)")
+    ap.add_argument("--baseline", default=None,
+                    help="a map written by this script at another commit, to compare with")
     args = ap.parse_args()
     out = args.out or os.path.join(HERE, OUT[args.map])
+    baseline = read_map(args.baseline) if args.baseline else None
 
     amsler_log = logging.getLogger("ksurf.amsler")
     amsler_log.setLevel(logging.INFO)
@@ -211,7 +260,7 @@ def main():
         r = rows[-1]
         print(f"[{k}/{len(cells)}] {cell}: {[short(o) for o in r['outcomes']]} "
               f"iters {r['iters']}", flush=True)
-    text = report(rows, args.map)
+    text = report(rows, args.map, baseline)
     with open(out, "w", newline="\n") as fh:
         fh.write(text)
     print(text.split("\n\n")[2])

@@ -21,15 +21,8 @@ re-initializes the boundary normals for its epsilon and reuses the previous
 stage's surface as the starting iterate. An automatic schedule first tries
 the target epsilon alone, on a copy of the complex, and walks its doubling
 stages only when that attempt fails (an unsolvable quad, a failed stage, or
-a change that stops reaching new minima in 3 plain iterations); an explicit
+a change that stops reaching new minima in 3 iterations); an explicit
 schedule is walked exactly as given.
-
-Inside a stage, while the change is large, the distance field that is swept
-is the Anderson mix (Walker & Ni 2011) of the stage's last few (D swept,
-D marched) pairs rather than the marched D; after the upwind passes few
-stages stay above the mixing floor long enough to mix. A stage ends only on
-a plain iteration, the sweep of the marched D, whose change is below tol,
-so a converged surface is a fixed point of the unmixed map.
 
 Boundary data along a straight ray with direction s and spacing h:
 positions march evenly, D is exact arc length, and normals follow
@@ -353,18 +346,6 @@ def _rho_field(s: SectorGrid, curv: CurvatureSpec, D: np.ndarray) -> np.ndarray:
     return rho_field
 
 
-# Anderson mixing of the interior D in run_stage. MIX_DEPTH: differences of
-# the last MIX_DEPTH + 1 iterates. MIX_FLOOR: mixing stops once the previous
-# change falls below MIX_FLOOR * tol; mixing down to 10 tol saves one more
-# iteration on the branch benchmark (16 -> 15) but makes the warm final stage
-# of LINEAR eps 10, n=2, 8x8 slower than a cold start (5 > 4 iterations).
-# RANK_TOL: a residual difference whose part outside the span of the earlier
-# ones is smaller than this, relative to its norm, is left out of the mix.
-MIX_DEPTH = 3
-MIX_FLOOR = 30.0
-RANK_TOL = 1e-10
-
-
 def origin_vertex(cx: SurfaceComplex, mesh: TriMesh) -> int:
     """Vertex id of the origin node in a mesh triangulated from ``cx``."""
     ids = mesh.node_ids or []
@@ -420,17 +401,11 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     distance or swept position raises NonConvergenceError, since NaN would
     otherwise drop out of the displacement maximum and read as converged.
 
-    From the third iteration on, and while the previous change is at least
-    MIX_FLOOR * tol, the interior D that is swept is the Anderson mix of the
-    stage's last MIX_DEPTH + 1 (D swept, D marched) pairs instead of the
-    marched D. A mixed sweep that meets a QuadError, a grid too coarse or a
-    non-finite position is redone with the marched D, and the pairs are
-    dropped. Only a plain iteration, the sweep of the marched D, may end the
-    stage, so a converged stage is a fixed point of the plain map to within
-    tol. With ``_stall_window`` set, a change that reaches no new minimum
-    for that many plain iterations in a row ends the stage as a stall;
-    mixed changes neither set nor miss the minimum. A stage that uses up its
-    iterations is classified from all its changes, mixed ones included.
+    Every iteration sweeps the marched D, so a converged stage is a fixed
+    point of that map to within tol. With ``_stall_window`` set, a change
+    that reaches no new minimum for that many iterations in a row ends the
+    stage as a stall. A stage that uses up its iterations is classified from
+    its changes.
     """
     provider = provider or geodesic_provider
     interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
@@ -447,8 +422,6 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     runs = sweep_runs(cx)
     upwind_changes = _upwind_passes(cx, curv, cfg, runs, interiors, stale)
     changes = []
-    # (D swept, D marched) of the last iterations, flattened over the interiors
-    pairs = collections.deque(maxlen=MIX_DEPTH + 1)
     # interior positions of the last three iterates, to tell a cycle
     recent = collections.deque(maxlen=3)
     best, since_best = math.inf, 0
@@ -457,42 +430,11 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
         for sid, interior in enumerate(interiors):
             _require_finite(per_sector[sid], interior, "distance", sid, curv, changes)
         marched = [d[interior] for d, interior in zip(per_sector, interiors)]
-        if iteration > 1:
-            pairs.append(tuple(np.concatenate(fields) for fields in (
-                [s.geo_dist[interior] for s, interior in zip(cx.sectors, interiors)], marched)))
-        mixed = None
-        if len(pairs) > 1 and changes[-1] >= MIX_FLOOR * cfg.tol:
-            mixed = _anderson(pairs)
-        if mixed is not None:
-            before = list(cx.sectors)
-            cuts = np.cumsum([len(d) for d in marched])[:-1]
-            try:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    fields = np.split(mixed, cuts)
-                    change = _sweep_runs(cx, curv, runs, interiors,
-                                         lambda run: [fields[sid] for sid in run], changes)
-            except (QuadError, GridTooCoarseError, NonConvergenceError) as exc:
-                logger.info("epsilon %g iteration %d: mixed sweep failed (%s); redone plain",
-                            curv.epsilon, iteration, exc)
-                # The sides that the mixed runs wrote into the sectors of later
-                # runs are written again by the plain sweep before any run reads them.
-                cx.sectors[:] = before
-                pairs.clear()
-                mixed = None
-        if mixed is None:
-            change = _sweep_runs(cx, curv, runs, interiors,
-                                 lambda run: [marched[sid] for sid in run], changes)
+        change = _sweep_runs(cx, curv, runs, interiors,
+                             lambda run: [marched[sid] for sid in run], changes)
         recent.append([s.positions[interior] for s, interior in zip(cx.sectors, interiors)])
         changes.append(change)
-        logger.info("epsilon %g iteration %d: change %.3e (%s)", curv.epsilon, iteration,
-                    change, "plain" if mixed is None else "mixed")
-        if mixed is not None:
-            # A mixed change below tol says nothing about the plain map: ending
-            # on one passed the sqrt(2) schedule of RING eps 8.9, n=4, 12x12,
-            # 0.625, whose next plain step still moved 1.1e-3 (tol 1e-4). Nor
-            # does it enter the stall window: RING eps 8, n=2, 8x8, 0.5 then
-            # falls back, 9 -> 30 iterations.
-            continue
+        logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
         if change < cfg.tol:
             return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes,
                                upwind_changes=upwind_changes)
@@ -502,7 +444,7 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
             since_best += 1
         if since_best == _stall_window:
             raise NonConvergenceError(
-                f"stall: no new minimum of the change in {since_best} plain iterations at "
+                f"stall: no new minimum of the change in {since_best} iterations at "
                 f"epsilon {curv.epsilon:g} (last change {change:.3e}, best {best:.3e})",
                 epsilon=curv.epsilon,
                 changes=changes,
@@ -584,40 +526,7 @@ def _upwind_passes(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig
     return changes
 
 
-def _anderson(pairs) -> np.ndarray | None:
-    """The Anderson type-II mix of the (x, g) pairs, oldest first, or None.
-
-    With residuals f = g - x, finds gamma minimizing |f_k - dF gamma| over
-    the differences dF of consecutive residuals and returns g_k - dG gamma
-    (Walker & Ni 2011, mixing parameter 1). The least-squares problem is
-    solved by modified Gram-Schmidt, which skips a difference that lies in
-    the span of the earlier ones; None when every difference is skipped.
-    """
-    xs, gs = zip(*pairs)
-    fs = [g - x for x, g in zip(xs, gs)]
-    q, kept = [], []
-    r = np.zeros((len(fs) - 1,) * 2)
-    for k, (a, b) in enumerate(zip(fs, fs[1:])):
-        v, j = b - a, len(q)
-        scale = math.sqrt(np.vecdot(v, v))
-        for p, qp in enumerate(q):
-            r[p, j] = np.vecdot(qp, v)
-            v = v - r[p, j] * qp
-        norm = math.sqrt(np.vecdot(v, v))
-        if norm <= RANK_TOL * scale:
-            continue
-        r[j, j] = norm
-        q.append(v / norm)
-        kept.append(k)
-    if not q:
-        return None
-    gamma = [float(np.vecdot(qp, fs[-1])) for qp in q]
-    for p in range(len(q) - 1, -1, -1):
-        gamma[p] = (gamma[p] - sum(r[p, t] * gamma[t] for t in range(p + 1, len(q)))) / r[p, p]
-    return gs[-1] - sum(c * (gs[k + 1] - gs[k]) for c, k in zip(gamma, kept))
-
-
-# changes that must grow in a row to call it divergence, and plain iterations
+# changes that must grow in a row to call it divergence, and iterations
 # without a new minimum of the change that end a direct attempt at the target
 # epsilon
 DIVERGENCE_WINDOW = 3
@@ -669,7 +578,7 @@ def continuation_on_complex(cx: SurfaceComplex, curv: CurvatureSpec,
     (``cfg.epsilon_schedule`` None) of several stages is first tried as the
     one-stage schedule at the target, on a copy of ``cx``; it is abandoned
     with one INFO line when the stage fails or its change stops reaching
-    new minima for DIVERGENCE_WINDOW plain iterations. Only then are the
+    new minima for DIVERGENCE_WINDOW iterations. Only then are the
     stages walked, on the untouched complex, so the result is that of the
     schedule alone. An abandoned attempt leaves no StageRecord.
     """

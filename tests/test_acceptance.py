@@ -286,13 +286,14 @@ for _name, (_family, *_) in WORKLOADS.items():
 
 @pytest.mark.parametrize("name", list(PLAIN_STEP_CASES))
 def test_one_more_plain_iteration_moves_the_result_by_less_than_tol(name):
-    # a stage ends only on a plain iteration, so its result is a fixed point
-    # of the unmixed map, whatever the mixed iterations before did
+    # a stage ends on an iteration whose change is below tol, so its result
+    # is a fixed point of the march-and-sweep map to within tol
     builder, family, tol = PLAIN_STEP_CASES[name]
     cx = builder().copy()
     curv = CurvatureSpec(CurvatureFamily[family], cx.history[-1].epsilon)
     try:
-        # the first iteration of a stage is never mixed
+        # every sector stores rho of its D at this epsilon, so the stage makes
+        # no upwind pass: its one iteration is one march and one sweep
         change = run_stage(cx, curv, IterationConfig(tol=tol, max_iters=1)).changes[0]
     except NonConvergenceError as exc:
         change = exc.changes[0]

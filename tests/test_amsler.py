@@ -31,7 +31,6 @@ from ksurf import (
 
 from ksurf.amsler import (
     RaySpec,
-    _anderson,
     _chord_distance,
     _rho_field,
     _seed_distance,
@@ -320,7 +319,7 @@ def _outcome(*args, **kwargs):
     pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
                  id="2.9-8-0-UnsolvableQuadError"),
     # the upwind passes reach the change of 3.1e-4 that the marches then
-    # repeat: no new minimum in the plain iterations 2-4; the walk then ends
+    # repeat: no new minimum in the iterations 2-4; the walk then ends
     # in a cycle at eps 26, the same error as the doubling schedule's
     pytest.param("LINEAR", 26.0, 4, 8, 0.75, 4, "stall", id="26.0-8-4-stall"),
 ])
@@ -371,9 +370,9 @@ def test_run_stage_raises_on_stall():
 
 def test_two_cycle_is_reported_as_cycle():
     # The middle stage of the last three entries of a sqrt(2) schedule settles
-    # into a period-2 orbit: every step moves the surface by 1.1e-3, under the
-    # mixing floor, while x_k and x_{k-2} agree exactly. (The doubling schedule
-    # and the automatic one both converge.)
+    # into a period-2 orbit: every step moves the surface by 1.1e-3, while
+    # x_k and x_{k-2} agree exactly. (The doubling schedule and the automatic
+    # one both converge.)
     schedule = [25.0, 50.0 / math.sqrt(2.0), 50.0]
     with pytest.raises(NonConvergenceError, match="^cycle: .*two-step change") as err:
         patch_sectors(symmetric_angles(4), SectorSpec(u_max=1.0, v_max=1.0, I=8, J=8),
@@ -385,9 +384,9 @@ def test_two_cycle_is_reported_as_cycle():
 
 
 def test_growing_change_is_reported_as_divergence():
-    # the stored D plus a growing offset: the residual g(x) - x does not depend
-    # on the iterate, so no mix of earlier iterates can shrink it, and the
-    # mixed iterations 4-6 make up the growing tail
+    # the stored D plus an offset that grows by half with each march, so the
+    # swept D runs away and every change is larger than the one before;
+    # iterations 4-6 make up the growing tail
     calls = []
 
     def drifting(cx):
@@ -497,21 +496,12 @@ def test_continuation_rejects_complex_without_base_rays(tmp_path):
                                 IterationConfig(epsilon_schedule=[2.0]))
 
 
-def test_anderson_mix_solves_an_affine_map_and_gives_up_without_a_difference():
-    # g(x) = x / 2 + 1: one residual difference is the secant step onto x = 2
-    x0, x1 = np.array([0.0]), np.array([1.0])
-    assert _anderson([(x0, x0 / 2 + 1), (x1, x1 / 2 + 1)]).tolist() == [2.0]
-    # equal pairs have a zero residual difference, which the solve skips
-    assert _anderson([(x1, x1 / 2 + 1), (x1.copy(), x1 / 2 + 1)]) is None
-
-
-def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplog):
-    # a stage at a new epsilon on the surgery complex, whose sweep runs are
-    # [[0, 1, 2, 3], [4, 5, 6]]; at tol 1e-8 the change of iteration 2 is
-    # above the mixing floor, and the first mixed sweep (iteration 3) fails in
-    # the second run, after the first run's records were written into it
-    cx = build_surgery_m3().copy()
-    curv = CurvatureSpec(CurvatureFamily.LINEAR, 3.0)
+def test_every_iteration_is_the_plain_map():
+    # the eps 2.9 stage of RING n=2, 8x8, 0.625 from its converged eps 1.45
+    # surface takes several iterations with large changes; each of them must
+    # be one march and one sweep of the iterate before it, bit for bit
+    curv = CurvatureSpec(CurvatureFamily.RING, 2.9)
+    cx = build_patched("RING", 1.45, 2, 0.625, 8).copy()
     refresh_boundaries(cx, curv)
     states = []
 
@@ -519,32 +509,18 @@ def test_failed_mixed_sweep_is_redone_with_the_plain_distance(monkeypatch, caplo
         states.append(cx.copy())
         return geodesic_provider(cx)
 
-    def failing(grids, rho_fields):
-        if len(states) == 3 and grids[0].sector_id == 4 and not failing.raised:
-            failing.raised = True
-            raise UnsolvableQuadError("forced", (4, 0, 0))
-        return sweep_sectors(grids, rho_fields)
-
-    failing.raised = False
-    caplog.set_level(logging.INFO, logger="ksurf.amsler")
-    monkeypatch.setattr("ksurf.amsler.sweep_sectors", failing)
-    with pytest.raises(NonConvergenceError) as err:
-        run_stage(cx, curv, IterationConfig(tol=1e-8, max_iters=4), snapshot)
-    monkeypatch.undo()
-    assert failing.raised
-    assert [r.getMessage() for r in caplog.records if "iteration 3:" in r.getMessage()] == [
-        "epsilon 3 iteration 3: mixed sweep failed (forced at sector 4 quad (0,0)); "
-        "redone plain",
-        f"epsilon 3 iteration 3: change {err.value.changes[2]:.3e} (plain)"]
-
-    # one plain iteration from the state before iteration 3 gives its bits
-    plain = states[2].copy()
-    with pytest.raises(NonConvergenceError) as ref:
-        run_stage(plain, curv, IterationConfig(tol=1e-8, max_iters=1))
-    assert ref.value.changes == err.value.changes[2:3]
-    for sa, sb in zip(plain.sectors, states[3].sectors, strict=True):
-        for field in ("positions", "normals", "rho", "geo_dist", "valid"):
-            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+    run_stage(cx, curv, IterationConfig(), snapshot)
+    iterates = states[1:] + [cx]
+    assert len(states) > 2
+    for before, after in zip(states, iterates, strict=True):
+        step = before.copy()
+        try:
+            run_stage(step, curv, IterationConfig(max_iters=1))
+        except NonConvergenceError:
+            pass
+        for sa, sb in zip(step.sectors, after.sectors, strict=True):
+            for field in ("positions", "normals", "rho", "geo_dist", "valid"):
+                assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
 
 
 def test_failed_upwind_pass_is_undone_and_the_stage_converges(monkeypatch, caplog):
