@@ -16,6 +16,10 @@ of their stored D at the stage's epsilon converge on a distance that needs
 no heap either: one upwind pass over the anti-diagonals of the swept
 surface (``upwind_distance``), then a sweep at its rho, repeated while the
 change falls. Any other swept sector is the starting iterate as it stands.
+A march that moves the surface by tol or more resumes these passes with
+the march's correction added to the upwind distance; the next march keeps
+them only when its change is below that of the march before, and otherwise
+the stage goes back and marches plainly.
 Large epsilon targets are reached by continuation: each stage
 re-initializes the boundary normals for its epsilon and reuses the previous
 stage's surface as the starting iterate. An automatic schedule first tries
@@ -189,7 +193,8 @@ class IterationConfig:
 @dataclass
 class StageRecord:
     """One stage: its epsilon, the change of each outer iteration and of
-    each upwind pass that ran before them."""
+    each upwind pass, the anchored passes after the marches included, in
+    the order they ran."""
 
     epsilon: float
     iterations: int
@@ -401,11 +406,22 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
     distance or swept position raises NonConvergenceError, since NaN would
     otherwise drop out of the displacement maximum and read as converged.
 
-    Every iteration sweeps the marched D, so a converged stage is a fixed
-    point of that map to within tol. With ``_stall_window`` set, a change
-    that reaches no new minimum for that many iterations in a row ends the
-    stage as a stall. A stage that uses up its iterations is classified from
-    its changes.
+    A march that moves the surface by tol or more resumes the passes over
+    the same sectors, anchored to it: their D is the upwind D plus the
+    march's D minus the upwind D of the last pass before the march, a
+    defect correction with the march as the accurate operator. The next
+    march certifies them: when its change is not below that of the last
+    kept march, or its march or sweep raises, the stage goes back to the
+    iterate of the last kept march (the sectors are put back and every
+    record written again) and makes plain marches, each one march and one
+    sweep at the marched D, for the rest of the stage. Every march counts
+    as an iteration; one that raised records the change of the last kept
+    march, the iterate it returns to. The stage ends only on a march whose
+    change is below tol, so a converged stage is a fixed point of the plain
+    map to within tol. With ``_stall_window`` set, a change that reaches no
+    new minimum for that many iterations in a row ends the stage as a
+    stall. A stage that uses up its iterations is classified from its
+    changes.
     """
     provider = provider or geodesic_provider
     interiors = [s.valid & ~s.boundary_mask() for s in cx.sectors]
@@ -420,21 +436,41 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
              or not np.array_equal(s.rho[interior], eval_rho(curv, s.geo_dist[interior]))]
 
     runs = sweep_runs(cx)
-    upwind_changes = _upwind_passes(cx, curv, cfg, runs, interiors, stale)
+    stale_runs = [r for r in ([sid for sid in run if sid in stale] for run in runs) if r]
+    upwind_changes = []
+    upwind = _upwind_passes(cx, curv, cfg, stale_runs, interiors, upwind_changes)
     changes = []
     # interior positions of the last three iterates, to tell a cycle
     recent = collections.deque(maxlen=3)
     best, since_best = math.inf, 0
+    # (sectors, change) of the last kept march while anchored passes await
+    # the next march's certificate
+    kept = None
     for iteration in range(1, cfg.max_iters + 1):
-        per_sector = provider(cx)
-        for sid, interior in enumerate(interiors):
-            _require_finite(per_sector[sid], interior, "distance", sid, curv, changes)
-        marched = [d[interior] for d, interior in zip(per_sector, interiors)]
-        change = _sweep_runs(cx, curv, runs, interiors,
-                             lambda run: [marched[sid] for sid in run], changes)
+        failure = None
+        try:
+            per_sector = provider(cx)
+            for sid, interior in enumerate(interiors):
+                _require_finite(per_sector[sid], interior, "distance", sid, curv, changes)
+            marched = [d[interior] for d, interior in zip(per_sector, interiors)]
+            change = _sweep_runs(cx, curv, runs, interiors,
+                                 lambda run: [marched[sid] for sid in run], changes)
+        except (QuadError, GridTooCoarseError, NonConvergenceError) as exc:
+            if kept is None:
+                raise
+            change, failure = kept[1], exc
+        if kept is not None and (failure or not change < kept[1]):
+            logger.info("epsilon %g iteration %d: %s against %.3e of the last kept march; "
+                        "back to its iterate, plain marches from here", curv.epsilon, iteration,
+                        f"failed ({failure})" if failure else f"change {change:.3e}", kept[1])
+            cx.sectors[:] = kept[0]
+            for sid in range(len(cx.sectors)):
+                refresh_boundaries(cx, curv, sid)
+            kept = upwind = None
+        else:
+            logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
         recent.append([s.positions[interior] for s, interior in zip(cx.sectors, interiors)])
         changes.append(change)
-        logger.info("epsilon %g iteration %d: change %.3e", curv.epsilon, iteration, change)
         if change < cfg.tol:
             return StageRecord(epsilon=curv.epsilon, iterations=iteration, changes=changes,
                                upwind_changes=upwind_changes)
@@ -450,6 +486,12 @@ def run_stage(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig,
                 changes=changes,
                 kind="stall",
             )
+        if upwind is not None:
+            before = list(cx.sectors)
+            offset = {sid: marched[sid] - d for sid, d in upwind.items()}
+            upwind = _upwind_passes(cx, curv, cfg, stale_runs, interiors, upwind_changes,
+                                    offset)
+            kept = (before, change) if upwind is not None else None
     kind, detail = _classify_failure(changes, recent, cfg.tol)
     raise NonConvergenceError(
         f"{kind}: no convergence after {cfg.max_iters} iterations at epsilon "
@@ -489,41 +531,49 @@ def _sweep_runs(cx: SurfaceComplex, curv: CurvatureSpec, runs: list, interiors: 
 
 
 def _upwind_passes(cx: SurfaceComplex, curv: CurvatureSpec, cfg: IterationConfig, runs: list,
-                   interiors: list, stale: list) -> list:
-    """Converge the ``stale`` sectors on ``upwind_distance``; the change of each pass.
+                   interiors: list, changes: list, offset: dict | None = None) -> dict | None:
+    """Sweep the sectors of ``runs`` at the upwind distance until it settles.
 
-    A pass sweeps the stale sectors of each run at the upwind distance over
-    them, taken once the records of the runs before it are written. Passes
-    stop on a change below cfg.tol, on a change that is not below the one
-    before it, or after cfg.max_iters passes. A pass that meets a QuadError,
-    a grid too coarse or a non-finite position is undone: the sectors from
-    before it are put back and their records written again, since a run's
-    records write into the sectors of later runs in place.
+    A pass sweeps each run at ``upwind_distance`` over it, taken once the
+    records of the runs before it are written, plus ``offset``: per sector,
+    the interior D to add (an anchored pass), or None. Each pass appends its
+    change to ``changes``. Passes stop on a change below cfg.tol, on a
+    change that is not below the one before it in this call, or after
+    cfg.max_iters passes. A pass that meets a QuadError, a grid too coarse
+    or a non-finite position is undone: the sectors from before it are put
+    back and their records written again, since a run's records write into
+    the sectors of later runs in place. Returns the interior upwind D of the
+    last kept pass, without the offset, per sector; None when no pass was
+    kept.
     """
-    runs = [r for r in ([sid for sid in run if sid in stale] for run in runs) if r]
+    kind = "upwind" if offset is None else "anchored"
+    start, last = len(changes), None
+    while runs and len(changes) - start < cfg.max_iters:
+        upwind = {}
 
-    def distance(run):
-        grids = [cx.sectors[sid] for sid in run]
-        return [d[interiors[sid]] for sid, d in zip(run, upwind_distance(grids))]
+        def distance(run):
+            grids = [cx.sectors[sid] for sid in run]
+            for sid, d in zip(run, upwind_distance(grids)):
+                upwind[sid] = d[interiors[sid]]
+            return [upwind[sid] if offset is None else upwind[sid] + offset[sid] for sid in run]
 
-    changes = []
-    while runs and len(changes) < cfg.max_iters:
         before = list(cx.sectors)
         try:
             with np.errstate(invalid="ignore", divide="ignore"):
                 change = _sweep_runs(cx, curv, runs, interiors, distance, changes)
         except (QuadError, GridTooCoarseError, NonConvergenceError) as exc:
-            logger.info("epsilon %g upwind pass %d failed (%s); undone", curv.epsilon,
+            logger.info("epsilon %g %s pass %d failed (%s); undone", curv.epsilon, kind,
                         len(changes) + 1, exc)
             cx.sectors[:] = before
-            for sid in stale:
+            for sid in (sid for run in runs for sid in run):
                 refresh_boundaries(cx, curv, sid)
             break
         changes.append(change)
-        logger.info("epsilon %g upwind pass %d: change %.3e", curv.epsilon, len(changes), change)
-        if change < cfg.tol or len(changes) > 1 and not change < changes[-2]:
+        last = upwind
+        logger.info("epsilon %g %s pass %d: change %.3e", curv.epsilon, kind, len(changes), change)
+        if change < cfg.tol or len(changes) - start > 1 and not change < changes[-2]:
             break
-    return changes
+    return last
 
 
 # changes that must grow in a row to call it divergence, and iterations

@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     """The config file (or the defaults) with the flags applied, all checked alike.
 
-    The directories of the output files must exist, so that a bad path
-    fails before the generation instead of after it.
+    Every output file, the JSON report included, must be writable as a
+    file (``_check_output``), so that a bad path fails before the
+    generation instead of after it.
     """
     if args.config:
         try:
@@ -144,12 +145,29 @@ def _load_config(args) -> RunConfig:
                              out_report=str(out.with_suffix(".report.txt")))
     cfg = replace(cfg, **overrides)
     outputs = (("output.mesh", cfg.out_mesh), ("output.csv", cfg.out_csv),
-               ("output.report", cfg.out_report))
+               ("output.report", cfg.out_report),
+               ("output.report", _json_report_path(cfg.out_report)))
     for key, path in outputs:
-        parent = Path(path).parent
-        if not parent.is_dir():
-            raise ConfigError(f"{'--out' if args.out else key}: directory {parent} does not exist")
+        _check_output("--out" if args.out else key, path)
     return cfg
+
+
+def _check_output(key: str, path: str) -> None:
+    """ConfigError unless ``path`` names a file in an existing directory."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"{key}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"{key}: {path} is a directory")
+
+
+@contextlib.contextmanager
+def _writing():
+    """Report an OSError while writing the outputs as a ConfigError (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _generate_complex(cfg):
@@ -167,10 +185,10 @@ def _json_report_path(text_path: str) -> str:
 
 
 def _export_all(cx, cfg) -> None:
-    export_mesh(cx, cfg.out_mesh, cfg.out_csv)
-    report = build_report(cx)
     json_path = _json_report_path(cfg.out_report)
-    write_report(report, cfg.out_report, json_path)
+    with _writing():
+        export_mesh(cx, cfg.out_mesh, cfg.out_csv)
+        write_report(build_report(cx), cfg.out_report, json_path)
     logger.info("report written to %s and %s", cfg.out_report, json_path)
 
 
@@ -194,6 +212,8 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.out:
+        _check_output("--out", args.out)
     with _geometry(args.mesh):
         mesh = trimesh_from_obj(args.mesh)
     raw = args.source if args.source else [0]
@@ -207,7 +227,7 @@ def cmd_distance(args) -> int:
     text = "vertex_index,D\n" + _format_rows(
         "%d,%.17g\n", np.column_stack([np.arange(mesh.n_vertices), result.d]))
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        with _writing(), open(args.out, "w", newline="\n") as fh:
             fh.write(text)
         logger.info("distances for %d vertices written to %s",
                     mesh.n_vertices, args.out)

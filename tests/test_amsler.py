@@ -29,6 +29,7 @@ from ksurf import (
     validate_complex,
 )
 
+from ksurf import amsler
 from ksurf.amsler import (
     RaySpec,
     _chord_distance,
@@ -253,11 +254,11 @@ def test_cut_whose_chord_seed_met_an_unsolvable_quad_converges():
 
 
 # (epsilon, upwind passes, outer iterations) of each stage: generation, then
-# one per cut
+# one per cut. The passes include the anchored passes after each march
 WORKLOAD_STAGES = {
     "grow": [(10.0, 4, 1)],
     "fine": [(1.0, 3, 1)],
-    "branch": [(2.0, 8, 3), (2.0, 6, 4), (2.0, 3, 3)],
+    "branch": [(2.0, 10, 2), (2.0, 9, 2), (2.0, 5, 2)],
 }
 
 
@@ -285,11 +286,15 @@ def _patched(family, eps, grid, extent, schedule=None, n=2):
                          IterationConfig(epsilon_schedule=schedule))
 
 
-def _assert_same_result(a, b, tmp_path):
-    """Bitwise equal sector arrays, history and OBJ export."""
+def _assert_same_sectors(a, b):
     for sa, sb in zip(a.sectors, b.sectors, strict=True):
         for field in ("positions", "normals", "rho", "geo_dist", "valid"):
             assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+
+
+def _assert_same_result(a, b, tmp_path):
+    """Bitwise equal sector arrays, history and OBJ export."""
+    _assert_same_sectors(a, b)
     assert a.history == b.history
     export_mesh(a, tmp_path / "a.obj")
     export_mesh(b, tmp_path / "b.obj")
@@ -319,8 +324,10 @@ def _outcome(*args, **kwargs):
     pytest.param("RING", 2.9, 2, 8, 0.625, 0, "UnsolvableQuadError",
                  id="2.9-8-0-UnsolvableQuadError"),
     # the upwind passes reach the change of 3.1e-4 that the marches then
-    # repeat: no new minimum in the iterations 2-4; the walk then ends
-    # in a cycle at eps 26, the same error as the doubling schedule's
+    # repeat: the anchored pass after march 1 moves nothing, march 2 is not
+    # below march 1 and goes back, and no march reaches a new minimum in the
+    # iterations 2-4; the walk then ends in a cycle at eps 26, the same
+    # error as the doubling schedule's
     pytest.param("LINEAR", 26.0, 4, 8, 0.75, 4, "stall", id="26.0-8-4-stall"),
 ])
 def test_failed_direct_attempt_walks_the_schedule_bitwise(tmp_path, caplog, family, eps, n,
@@ -496,31 +503,116 @@ def test_continuation_rejects_complex_without_base_rays(tmp_path):
                                 IterationConfig(epsilon_schedule=[2.0]))
 
 
-def test_every_iteration_is_the_plain_map():
-    # the eps 2.9 stage of RING n=2, 8x8, 0.625 from its converged eps 1.45
-    # surface takes several iterations with large changes; each of them must
-    # be one march and one sweep of the iterate before it, bit for bit
-    curv = CurvatureSpec(CurvatureFamily.RING, 2.9)
-    cx = build_patched("RING", 1.45, 2, 0.625, 8).copy()
-    refresh_boundaries(cx, curv)
-    states = []
+def _plain_step(cx, curv):
+    """One march and one sweep of ``cx``, on a copy: ``run_stage`` with max_iters=1."""
+    step = cx.copy()
+    try:
+        run_stage(step, curv, IterationConfig(max_iters=1))
+    except NonConvergenceError:
+        pass
+    return step
 
+
+def _snapshots(states):
+    """A provider that records a copy of each iterate it marches."""
     def snapshot(cx):
         states.append(cx.copy())
         return geodesic_provider(cx)
+    return snapshot
 
-    run_stage(cx, curv, IterationConfig(), snapshot)
-    iterates = states[1:] + [cx]
-    assert len(states) > 2
-    for before, after in zip(states, iterates, strict=True):
-        step = before.copy()
-        try:
-            run_stage(step, curv, IterationConfig(max_iters=1))
-        except NonConvergenceError:
-            pass
-        for sa, sb in zip(step.sectors, after.sectors, strict=True):
-            for field in ("positions", "normals", "rho", "geo_dist", "valid"):
-                assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+
+def test_every_iteration_is_the_plain_map(monkeypatch):
+    # the eps 2.9 stage of RING n=2, 8x8, 0.625 from its converged eps 1.45
+    # surface takes 4 marches, each of the first 3 followed by anchored
+    # passes. Each march must be one march and one sweep of the iterate
+    # before it, and the passes after it the anchored passes at the upwind D
+    # plus that march's D minus the upwind D of the last pass before it, bit
+    # for bit
+    curv = CurvatureSpec(CurvatureFamily.RING, 2.9)
+    cx = build_patched("RING", 1.45, 2, 0.625, 8).copy()
+    refresh_boundaries(cx, curv)
+    states, calls = [], []
+    passes = amsler._upwind_passes
+
+    def recording(cx, curv, cfg, runs, interiors, changes, offset=None):
+        start = cx.copy()
+        upwind = passes(cx, curv, cfg, runs, interiors, changes, offset)
+        calls.append((start, runs, interiors, offset, upwind))
+        return upwind
+
+    monkeypatch.setattr("ksurf.amsler._upwind_passes", recording)
+    rec = run_stage(cx, curv, IterationConfig(), _snapshots(states))
+    monkeypatch.undo()
+    assert rec.iterations == len(states) == len(calls) == 4
+    assert calls[0][3] is None
+    for k, state in enumerate(states[:-1]):
+        start, runs, interiors, offset, _ = calls[k + 1]
+        _assert_same_sectors(_plain_step(state, curv), start)
+        marched = geodesic_provider(state)
+        assert sorted(offset) == sorted(calls[k][4]) == [0, 1, 2, 3]
+        for sid, upwind in calls[k][4].items():
+            assert offset[sid].tobytes() == (marched[sid][interiors[sid]] - upwind).tobytes()
+        anchored = start.copy()
+        passes(anchored, curv, IterationConfig(), runs, interiors, [], offset)
+        _assert_same_sectors(anchored, states[k + 1])
+    _assert_same_sectors(_plain_step(states[-1], curv), cx)
+
+
+def test_march_that_does_not_certify_the_anchored_passes_goes_back(caplog):
+    # RING eps 2, n=2, 18x18, 0.75 from its seed: march 5 moves the surface
+    # more than march 4, so the stage goes back to the iterate of march 4
+    # and makes plain marches; without the go-back it ends in a 2-cycle
+    curv = CurvatureSpec(CurvatureFamily.RING, 2.0)
+    cx = build_patched_complex(symmetric_angles(2), SectorSpec(u_max=0.75, v_max=0.75, I=18,
+                                                               J=18), curv)
+    caplog.set_level(logging.INFO, logger="ksurf.amsler")
+    states = []
+    rec = run_stage(cx, curv, IterationConfig(), _snapshots(states))
+    assert rec.iterations == len(rec.changes) == 11 and rec.changes[-1] < 1e-4
+    assert rec.changes[4] > rec.changes[3]
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if "back to" in m] == [
+        f"epsilon 2 iteration 5: change {rec.changes[4]:.3e} against {rec.changes[3]:.3e} of "
+        "the last kept march; back to its iterate, plain marches from here"]
+    back = next(k for k, m in enumerate(messages) if "back to" in m)
+    assert any("anchored pass" in m for m in messages[:back])
+    assert not any(" pass " in m for m in messages[back:])
+    # the iterate marched sixth is that of march 4, one plain step of the
+    # iterate before it, and every later iterate is one plain step too
+    for before, after in zip([states[3]] + states[5:], states[5:] + [cx], strict=True):
+        _assert_same_sectors(_plain_step(before, curv), after)
+
+
+def test_march_that_raises_after_anchored_passes_goes_back(caplog):
+    # the eps 2.9 stage of test_every_iteration_is_the_plain_map, with march 2
+    # failing: it is recorded with the change of march 1, whose iterate the
+    # stage goes back to, and the stage converges on plain marches from there
+    curv = CurvatureSpec(CurvatureFamily.RING, 2.9)
+    cx = build_patched("RING", 1.45, 2, 0.625, 8).copy()
+    refresh_boundaries(cx, curv)
+    caplog.set_level(logging.INFO, logger="ksurf.amsler")
+    states = []
+    snapshot = _snapshots(states)
+
+    def failing(cx):
+        per_sector = snapshot(cx)
+        if len(states) == 2:
+            raise UnsolvableQuadError("forced", (2, 0, 0))
+        return per_sector
+
+    rec = run_stage(cx, curv, IterationConfig(), failing)
+    assert rec.iterations == len(rec.changes) == len(states)
+    assert rec.changes[1] == rec.changes[0] and rec.changes[-1] < 1e-4
+    assert np.isfinite(rec.changes).all()
+    assert [r.getMessage() for r in caplog.records if "back to" in r.getMessage()] == [
+        f"epsilon 2.9 iteration 2: failed (forced at sector 2 quad (0,0)) against "
+        f"{rec.changes[0]:.3e} of the last kept march; back to its iterate, plain marches "
+        "from here"]
+    messages = [r.getMessage() for r in caplog.records]
+    back = next(k for k, m in enumerate(messages) if "back to" in m)
+    assert not any(" pass " in m for m in messages[back:])
+    for before, after in zip([states[0]] + states[2:], states[2:] + [cx], strict=True):
+        _assert_same_sectors(_plain_step(before, curv), after)
 
 
 def test_failed_upwind_pass_is_undone_and_the_stage_converges(monkeypatch, caplog):
@@ -528,7 +620,9 @@ def test_failed_upwind_pass_is_undone_and_the_stage_converges(monkeypatch, caplo
     # whose sweep runs are [[0, 1, 2, 3], [4, 5, 6]]. Upwind pass 2 fails at
     # its first run, before it writes anything, or at its second, after the
     # first run's records were written into sectors 4-6 in place; either way
-    # the march loop starts from the sectors of pass 1
+    # the march loop starts from the sectors of pass 1. March 2 does not
+    # certify the anchored passes, and the stage goes back to the iterate of
+    # march 1, whose records the anchored passes wrote into fans 4-6 in place
     curv = CurvatureSpec(CurvatureFamily.LINEAR, 3.0)
     caplog.set_level(logging.INFO, logger="ksurf.amsler")
 
@@ -550,16 +644,20 @@ def test_failed_upwind_pass_is_undone_and_the_stage_converges(monkeypatch, caplo
         monkeypatch.setattr("ksurf.amsler.sweep_sectors", failing)
         rec = run_stage(cx, curv, IterationConfig(tol=1e-4), snapshot)
         monkeypatch.undo()
-        return rec, states[0]
+        return rec, states, cx
 
-    (rec_a, start_a), (rec_b, start_b) = stage(0), stage(4)
-    assert [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("epsilon 3 upwind pass 2")] == [
-        f"epsilon 3 upwind pass 2 failed (forced at sector {sid} quad (0,0)); undone"
-        for sid in (0, 4)]
-    for sa, sb in zip(start_a.sectors, start_b.sectors, strict=True):
-        for field in ("positions", "normals", "rho", "geo_dist", "valid"):
-            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+    (rec_a, states_a, cx_a), (rec_b, states_b, cx_b) = stage(0), stage(4)
+    # after march 1 the stage resumes the passes anchored to it; they number
+    # on from the one pass that was kept
+    assert [r.getMessage().split(":")[0] for r in caplog.records
+            if r.getMessage().startswith("epsilon 3 ") and " pass " in r.getMessage()] == [
+        line for sid in (0, 4) for line in (
+            "epsilon 3 upwind pass 1",
+            f"epsilon 3 upwind pass 2 failed (forced at sector {sid} quad (0,0)); undone",
+            "epsilon 3 anchored pass 2", "epsilon 3 anchored pass 3", "epsilon 3 anchored pass 4")]
+    _assert_same_sectors(states_a[0], states_b[0])
     assert rec_a == rec_b
-    assert len(rec_a.upwind_changes) == 1
-    assert rec_a.changes[-1] < 1e-4
+    assert len(rec_a.upwind_changes) == 4
+    assert rec_a.changes[-1] < 1e-4 < rec_a.changes[0] < rec_a.changes[1]
+    for before, after in zip([states_a[0]] + states_a[2:], states_a[2:] + [cx_a], strict=True):
+        _assert_same_sectors(_plain_step(before, curv), after)

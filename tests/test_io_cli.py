@@ -480,6 +480,70 @@ def test_cli_rejects_missing_output_directory(tmp_path, caplog, monkeypatch, com
     assert generated == []
 
 
+@pytest.mark.parametrize("command,output,flags,fragment", [
+    ("generate", "", ["--out", "taken"], "--out: taken is a directory"),
+    ("surgery", "", ["--out", "taken"], "--out: taken is a directory"),
+    ("generate", "", ["--out", "x.obj"], "--out: x.csv is a directory"),
+    ("generate", "output: {mesh: taken}\n", [], "output.mesh: taken is a directory"),
+    ("generate", "output: {csv: taken}\n", [], "output.csv: taken is a directory"),
+    ("generate", "output: {report: taken}\n", [], "output.report: taken is a directory"),
+    # the JSON report goes beside the text report, with a .json suffix
+    ("generate", "output: {report: taken.txt}\n", [], "output.report: taken.json is a"),
+])
+def test_cli_rejects_output_path_that_is_a_directory(tmp_path, caplog, monkeypatch, command,
+                                                     output, flags, fragment):
+    monkeypatch.chdir(tmp_path)
+    for name in ("taken", "x.csv", "taken.json"):
+        (tmp_path / name).mkdir()
+    generated = []
+    monkeypatch.setattr(ksurf.cli, "patch_sectors", lambda *a, **k: generated.append(a))
+    cfg = _write_cfg(tmp_path, BASE_CLI_CONFIG + "surgery:\n  - {sector: 0, b: 3, m: 3}\n"
+                     + output)
+    code, errors = _cli_error(caplog, [command, "--config", str(cfg), "--quiet", *flags])
+    assert code == 1 and len(errors) == 1 and fragment in errors[0]
+    assert generated == []
+
+
+@pytest.mark.parametrize("out,message", [
+    ("nodir/d.csv", "--out: directory nodir does not exist"),
+    ("taken", "--out: taken is a directory"),
+])
+def test_cli_distance_checks_its_output_before_marching(tmp_path, caplog, monkeypatch, out,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "a.obj").write_text(SQUARE_VERTICES + "f 1 2 4 3\n")
+    marched = []
+    monkeypatch.setattr(ksurf.cli, "fast_march", lambda *a: marched.append(a))
+    code, errors = _cli_error(caplog, ["distance", "--mesh", "a.obj", "--out", out, "--quiet"])
+    assert code == 1 and errors == [message]
+    assert marched == []
+
+
+def test_cli_reports_a_failed_write_as_one_config_error(tmp_path, caplog, monkeypatch):
+    def refused(*args):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "out.report.txt"))
+
+    monkeypatch.setattr(ksurf.cli, "write_report", refused)
+    code, errors = _cli_error(caplog, ["generate", "--config", str(_write_cfg(tmp_path)),
+                                       "--out", str(tmp_path / "out.obj"), "--quiet"])
+    assert code == 1 and errors == [
+        f"cannot write output: [Errno 13] Permission denied: '{tmp_path / 'out.report.txt'}'"]
+    (tmp_path / "a.obj").write_text(SQUARE_VERTICES + "f 1 2 4 3\n")
+    real_open = open
+
+    def read_only(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise OSError(28, "No space left on device", str(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", read_only)
+    code, errors = _cli_error(caplog, ["distance", "--mesh", str(tmp_path / "a.obj"),
+                                       "--out", str(tmp_path / "d.csv"), "--quiet"])
+    assert code == 1 and errors == [
+        f"cannot write output: [Errno 28] No space left on device: '{tmp_path / 'd.csv'}'"]
+
+
 def test_out_without_extension_keeps_siblings_beside_it(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.v2").mkdir()
