@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import SurfaceComplex, global_vertex_ids, quad_table
+from .mesh import SurfaceComplex, diagonal_layout, global_vertex_ids, quad_table
 
 logger = logging.getLogger(__name__)
 
@@ -437,7 +437,8 @@ def _march(table, lengths: list, d: list, accepted: bytearray, frozen: bytearray
 
 
 def _triangle_terms(Dij, Dik, Djk) -> tuple:
-    """The parts of ``_least_unfold`` that depend on the triangles alone.
+    """The parts of the march's unfold (``_unfolded_lines``) that depend on the
+    triangles alone.
 
     (Dij, Dik, Djk, Djk², 1 / (2 Djk), x_i, y_i, disc_i), in the march's
     operations, with the target's Heron discriminant disc_i unclamped and
@@ -511,13 +512,9 @@ def _least_line(cand, line, dx, dy, through) -> np.ndarray:
     return value.min(axis=0)
 
 
-def _least_unfold(Dj, Dk, terms) -> np.ndarray:
-    """The least ``unfold_candidate`` over axis 0 of (t, n) triangles, bit for bit."""
-    return _least_line(*_unfolded_lines(Dj, Dk, terms))
-
-
 def _least_accepted_unfold(Dj, Dk, terms) -> np.ndarray:
-    """``_least_unfold`` under the march's acceptance rule, bit for bit.
+    """The least ``unfold_candidate`` over axis 0 of (t, n) triangles under the
+    march's acceptance rule, bit for bit.
 
     The march unfolds a triangle onto its target only once both far corners
     are accepted, that is, at or below the target's D. So a triangle's
@@ -537,52 +534,29 @@ def _least_accepted_unfold(Dj, Dk, terms) -> np.ndarray:
     return _least_line(cand, line, dx, dy, through)
 
 
-def _node_quads(grids: list) -> tuple:
-    """The valid interior nodes of ``grids``, laid end to end by anti-diagonal.
-
-    The sectors' flat node arrays are laid end to end as ``sweep_sectors``
-    lays them. Returns (quad, cuts, seg): the (4, n) flat indices of the
-    corners 00, 10, 01 and 11 of the quad (i-1, j-1)-(i, j) of each node
-    (i, j), which is its corner 11, in increasing i + j; where each
-    anti-diagonal after the first starts; and the (6, n) ``_SEGMENTS``
-    lengths of the quads (``_segment_lengths``, as ``_split_quads`` takes them).
-    """
-    offsets = np.concatenate([[0], np.cumsum([s.geo_dist.size for s in grids])])
-    node, width, diag = [], [], []
-    for s, offset in zip(grids, offsets.tolist()):
-        i, j = np.nonzero(s.valid[1:, 1:])
-        node.append(offset + (i + 1) * (s.J + 1) + j + 1)
-        width.append(np.full(len(i), s.J + 1))
-        diag.append(i + j)
-    diag = np.concatenate(diag)
-    order = np.argsort(diag, kind="stable")
-    node, width = (np.concatenate(a)[order] for a in (node, width))
-    quad = np.array([node - width - 1, node - 1, node - width, node])
-    cuts = np.flatnonzero(np.diff(diag[order])) + 1
-    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
-    return quad, cuts, _segment_lengths(np.take(pos, quad, axis=0))
-
-
 def upwind_distance(grids: list) -> list:
     """One upwind pass of the distance over the anti-diagonals of ``grids``.
 
-    The valid interior nodes with i + j = d, over all sectors
-    (``_node_quads``), are updated together in increasing d. Node (i, j)
-    reads the triangles of the march's split of its quad (i-1, j-1)-(i, j),
-    which ``_choose_split``, the kernel of ``trimesh_from_quads``, picks
-    from the same six lengths: on the grid diagonal the two with far
-    corners {(i-1, j-1), (i, j-1)} and {(i-1, j), (i-1, j-1)}, else the one
-    with far corners {(i-1, j), (i, j-1)}, each in the march's cyclic
-    order. It takes their least ``unfold_candidate`` under the march's
+    The interior nodes with i + j = d of ``diagonal_layout(grids)``, over
+    all sectors, are updated together in increasing d. Node (i, j) reads
+    the triangles of the march's split of its quad (i-1, j-1)-(i, j), which
+    ``_choose_split``, the kernel of ``trimesh_from_quads``, picks from the
+    same six lengths (``_segment_lengths``): on the grid diagonal the two
+    with far corners {(i-1, j-1), (i, j-1)} and {(i-1, j), (i-1, j-1)},
+    else the one with far corners {(i-1, j), (i, j-1)}, each in the march's
+    cyclic order. It takes their least ``unfold_candidate`` under the march's
     acceptance rule (``_least_accepted_unfold``), at the node distances of
     diagonals d - 1 and d - 2 and the edge lengths of the current
     positions. The pass starts from the stored D of the first row and
     column; it is one sweep ordering of the fast sweeping method (Zhao
     2005), and the sweep's own causal order. Returns per-sector (I+1, J+1)
-    arrays that keep the stored D off the interior.
+    arrays, split by the layout's offsets, that keep the stored D off the
+    interior.
     """
-    quad, cuts, seg = _node_quads(grids)
+    offsets, quad, _, cuts = diagonal_layout(grids)
     node = quad[3]
+    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+    seg = _segment_lengths(np.take(pos, quad, axis=0))
     # per split, the node's triangles (3, j, k) in cyclic order, as the quad
     # corners (j, k) and the _SEGMENTS of (ij, ik, jk); the second split's
     # one triangle is read twice
@@ -600,7 +574,7 @@ def upwind_distance(grids: list) -> list:
     for a, b in zip([0, *cuts], [*cuts, len(node)]):
         d[node[a:b]] = _least_accepted_unfold(d[far[:, 0, a:b]], d[far[:, 1, a:b]],
                                               [t[:, a:b] for t in terms])
-    offsets = np.cumsum([0] + [s.geo_dist.size for s in grids]).tolist()
+    offsets = offsets.tolist()
     return [d[a:b].reshape(s.geo_dist.shape) for s, a, b in zip(grids, offsets, offsets[1:])]
 
 

@@ -47,7 +47,6 @@ from .mesh import (
     gluing_gaps,
     quad_corner_arrays,
     quad_corner_values,
-    validate_complex,
 )
 from .vectors import cross
 
@@ -131,8 +130,8 @@ class RunConfig:
 
         Follows the sector shapes through the cuts without generating
         anything: the 2n patched sectors alternate I x J and J x I, and a
-        cut of sector s at b with m new sectors appends m fan sectors of
-        (I - b) x size, size x size, ..., size x (I - b).
+        cut of sector s appends the shapes of its fans
+        (``SurgerySpec.fan_shapes``).
         """
         shapes = [(self.I, self.J) if k % 2 == 0 else (self.J, self.I)
                   for k in range(2 * self.n)]
@@ -154,9 +153,7 @@ class RunConfig:
                     "surgery needs a square sector")
             if not 1 <= cut.b < rows:
                 raise ConfigError(f"{path}.b: must satisfy 1 <= b < {rows}, got {cut.b}")
-            side = rows - cut.b
-            size = cut.size if cut.size is not None else side
-            shapes += [(side, size)] + [(size, size)] * (cut.m - 2) + [(size, side)]
+            shapes += cut.fan_shapes(rows)
             truncated.add(cut.sector)
 
 

@@ -20,10 +20,11 @@ rho == const specialization of the same formula.
 
 One array kernel, ``closure``, solves many quads at once, and the sweeps
 are its only callers; a single quad is a one-row call, or the sweep of a
-1 x 1 sector. A sweep visits anti-diagonals i + j = d in increasing d and
-solves every node of a diagonal, in all the sectors it was given, in one
-call: a node reads only the three nodes of its quad, which lie on
-diagonals d - 1 and d - 2 of its own sector. Norms and dots are
+1 x 1 sector. A sweep walks the anti-diagonals i + j = d of
+``mesh.diagonal_layout`` in increasing d and solves every node of a
+diagonal, in all the sectors it was given, in one call: a node reads only
+the three nodes of its quad, which lie on diagonals d - 1 and d - 2 of its
+own sector. Norms and dots are
 ``np.vecdot`` (the BLAS ``ddot`` of a scalar form, where
 ``(a * b).sum(-1)`` rounds differently), so each node gets the same bits as
 a node-by-node sweep would give it.
@@ -37,7 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .mesh import Parity, SectorGrid
+from .mesh import SectorGrid, diagonal_layout
 from .vectors import cross
 
 DEGENERATE_TOL = 1e-12
@@ -168,13 +169,12 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
     differ in shape, parity and truncation, and none may read another's
     nodes.
 
-    The flat node arrays of all sectors are laid end to end and every
-    interior node with i + j = d, over all sectors, is solved in one
-    ``closure`` call, in increasing d. A node reads only the three nodes of
-    its quad, which lie on diagonals d - 1 and d - 2 of its own sector, and
-    the kernel works row by row, so each node gets the bits a sweep of its
-    sector alone, node by node, would give it. Inputs of every sector are
-    checked before any is swept.
+    The interior nodes with i + j = d of ``diagonal_layout(grids)``, over
+    all sectors, are solved in one ``closure`` call, in increasing d. A
+    node reads only the three nodes of its quad, which lie on diagonals
+    d - 1 and d - 2 of its own sector, and the kernel works row by row, so
+    each node gets the bits a sweep of its sector alone, node by node, would
+    give it. Inputs of every sector are checked before any is swept.
 
     A quad without a solution leaves NaN at its node and the sweep goes on;
     then the failure of the first failing sector in list order, at its
@@ -191,24 +191,10 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
         if np.any(rho_field[s.valid] < 0.0):
             raise ValueError(f"sector {s.sector_id}: rho_field must be nonnegative")
 
-    sizes = [s.rho.size for s in grids]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    # interior nodes of every sector as flat indices into the joined arrays
-    n12, diag, n0, n1, n2 = [], [], [], [], []
-    for s, offset in zip(grids, offsets.tolist()):
-        width = s.J + 1
-        i, j = np.nonzero(s.valid[1:, 1:])
-        node = offset + (i + 1) * width + j + 1
-        u_step, v_step = (width, 1) if s.parity is Parity.ODD else (1, width)
-        n12.append(node)
-        diag.append(i + j)
-        n0.append(node - width - 1)
-        n1.append(node - width - 1 + u_step)
-        n2.append(node - width - 1 + v_step)
-    diag = np.concatenate(diag)
-    order = np.argsort(diag, kind="stable")
-    n12, n0, n1, n2 = (np.concatenate(a)[order] for a in (n12, n0, n1, n2))
-    cuts = np.flatnonzero(np.diff(diag[order])) + 1
+    offsets, quad, odd, cuts = diagonal_layout(grids)
+    n0, n12 = quad[0], quad[3]
+    # ODD sectors step u along i: f1 is corner 10, as in quad_corner_values
+    n1, n2 = np.where(odd, quad[1], quad[2]), np.where(odd, quad[2], quad[1])
 
     # positions and normals of earlier diagonals are read back from these
     pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])

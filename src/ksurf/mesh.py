@@ -137,6 +137,31 @@ def quad_corner_arrays(s: SectorGrid):
     return tuple(quad_corner_values(s, a) for a in (s.positions, s.normals, s.rho))
 
 
+def diagonal_layout(grids: list) -> tuple:
+    """The nodes of a group of sector grids, laid end to end by anti-diagonal.
+
+    The sectors' flat, i-major node arrays are joined in list order. Returns
+    (offsets, quad, odd, cuts): where each sector's nodes start, with the
+    total last; the (4, n) flat indices of the corners 00, 10, 01 and 11 of
+    the quad (i-1, j-1)-(i, j) of every node (i, j) of ``valid[1:, 1:]``,
+    which is its corner 11, stably sorted by i + j; whether each node's
+    sector is ODD; and where each anti-diagonal after the first starts.
+    """
+    offsets = np.concatenate([[0], np.cumsum([s.valid.size for s in grids])])
+    node, width, odd, diag = [], [], [], []
+    for s, offset in zip(grids, offsets.tolist()):
+        i, j = np.nonzero(s.valid[1:, 1:])
+        node.append(offset + (i + 1) * (s.J + 1) + j + 1)
+        width.append(np.full(len(i), s.J + 1))
+        odd.append(np.full(len(i), s.parity is Parity.ODD))
+        diag.append(i + j)
+    diag = np.concatenate(diag)
+    order = np.argsort(diag, kind="stable")
+    node, width, odd = (np.concatenate(a)[order] for a in (node, width, odd))
+    quad = np.array([node - width - 1, node - 1, node - width, node])
+    return offsets, quad, odd, np.flatnonzero(np.diff(diag[order])) + 1
+
+
 @dataclass
 class GluingMap:
     """Identification of two boundary node runs in different sectors.

@@ -78,6 +78,16 @@ class SurgerySpec:
         if self.size is not None and self.size < 1:
             raise ValueError("axis grid size must be at least 1")
 
+    def fan_shapes(self, I: int) -> list:
+        """(I, J) of the m new sectors, in order, of a cut into an I x I target.
+
+        The first fan is (I - b) x size, the last size x (I - b) and every
+        other size x size, where size defaults to I - b.
+        """
+        side = I - self.b
+        size = side if self.size is None else self.size
+        return [(side, size)] + [(size, size)] * (self.m - 2) + [(size, side)]
+
 
 def _corner_frame(s: SectorGrid, b: int):
     r_bb = s.positions[b, b]
@@ -178,8 +188,8 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     if not 1 <= b < I:
         raise ValueError(f"cut index b={b} outside 1 <= b < {I}")
     m = spec.m
-    m_u = I - b
-    m_ax = spec.size if spec.size is not None else m_u
+    shapes = spec.fan_shapes(I)
+    m_u, m_ax = shapes[0]
 
     spacing = spec.spacing
     if spacing is None:
@@ -201,13 +211,8 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     fan_col = tuple((0, c) for c in range(m_u + 1))
 
     new_ids = []
-    for k in range(1, m + 1):
-        if k == 1:
-            grid = SectorGrid.empty(m_u, m_ax, parities[k], len(cx.sectors))
-        elif k == m:
-            grid = SectorGrid.empty(m_ax, m_u, parities[k], len(cx.sectors))
-        else:
-            grid = SectorGrid.empty(m_ax, m_ax, parities[k], len(cx.sectors))
+    for k, shape in enumerate(shapes, start=1):
+        grid = SectorGrid.empty(*shape, parities[k], len(cx.sectors))
         cx.sectors.append(grid)
         new_ids.append(grid.sector_id)
 

@@ -594,9 +594,11 @@ def test_stencil_table_is_shared_and_read_only():
 
 
 def _least_unfold(cases):
-    """``_least_unfold`` of (t, n, 5) stencils (Dj, Dk, Dij, Dik, Djk)."""
+    """The least ``unfold_candidate`` over axis 0 of (t, n, 5) stencils
+    (Dj, Dk, Dij, Dik, Djk), by the array kernels."""
+    g = ksurf.geodesic
     Dj, Dk, Dij, Dik, Djk = np.moveaxis(np.asarray(cases, dtype=float), -1, 0)
-    return ksurf.geodesic._least_unfold(Dj, Dk, ksurf.geodesic._triangle_terms(Dij, Dik, Djk))
+    return g._least_line(*g._unfolded_lines(Dj, Dk, g._triangle_terms(Dij, Dik, Djk)))
 
 
 def _random_stencils(rng, shape, scale):
@@ -676,7 +678,8 @@ def test_accepted_unfold_applies_the_rule_bitwise():
 
 def _pass_split(grid) -> dict:
     """{flat node index: whether the pass takes the second split of its quad}."""
-    quad, _, seg = ksurf.geodesic._node_quads([grid])
+    _, quad, _, _ = ksurf.mesh.diagonal_layout([grid])
+    seg = ksurf.geodesic._segment_lengths(np.take(grid.positions.reshape(-1, 3), quad, axis=0))
     return dict(zip(quad[3].tolist(), ksurf.geodesic._choose_split(seg)[0].tolist()))
 
 

@@ -22,8 +22,15 @@ from ksurf import (
     single_sector_complex,
     validate_complex,
 )
+from ksurf.amsler import sweep_runs
 from ksurf.io import build_report
-from ksurf.mesh import gluing_gaps, incident_quad_count, quad_corner_values, quad_table
+from ksurf.mesh import (
+    diagonal_layout,
+    gluing_gaps,
+    incident_quad_count,
+    quad_corner_values,
+    quad_table,
+)
 from ksurf import CurvatureFamily, CurvatureSpec, IterationConfig, SectorSpec, run_stage
 
 import lelieuvre_oracle
@@ -287,6 +294,40 @@ def test_quads_follow_the_valid_nodes():
     corners = list(zip(quads.i.tolist(), quads.j.tolist()))
     assert corners == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]  # i-major lower corners
     assert s.quad_mask().tolist() == [[True, True], [True, True], [True, False]]
+
+
+def test_diagonal_layout_of_the_sweep_runs():
+    m3, chain = build_surgery_m3(), build_branch_chain()[-1]
+    # a truncated target and cut fans of both parities
+    assert not m3.sectors[0].valid.all()
+    assert {s.parity for s in m3.sectors[4:]} == set(Parity)
+    for cx in (m3, chain):
+        for run in sweep_runs(cx):
+            grids = [cx.sectors[sid] for sid in run]
+            offsets, quad, odd, cuts = diagonal_layout(grids)
+            assert offsets.tolist() == np.cumsum([0] + [s.valid.size for s in grids]).tolist()
+            sector = np.searchsorted(offsets, quad[3], side="right") - 1
+            width = np.array([s.J + 1 for s in grids])[sector]
+            i, j = np.divmod(quad[3] - offsets[sector], width)
+            for k, s in enumerate(grids):
+                flat = offsets[k] + np.arange(s.valid.size).reshape(s.valid.shape)
+                # each node of valid[1:, 1:] once; here in i-major order
+                mine = np.flatnonzero(sector == k)
+                mine = mine[np.argsort(quad[3, mine])]
+                assert quad[3, mine].tolist() == flat[1:, 1:][s.valid[1:, 1:]].tolist()
+                # corners 00, 10, 01 and 11 of the quad the node closes
+                want = np.stack([flat[:-1, :-1], flat[1:, :-1], flat[:-1, 1:], flat[1:, 1:]])
+                assert quad[:, mine].tolist() == want[:, s.valid[1:, 1:]].tolist()
+                assert (odd[mine] == (s.parity is Parity.ODD)).all()
+                f1 = np.where(odd[mine], quad[1, mine], quad[2, mine])
+                f2 = np.where(odd[mine], quad[2, mine], quad[1, mine])
+                assert np.stack([quad[0, mine], f1, f2, quad[3, mine]]).tolist() == \
+                    quad_corner_values(s, flat).tolist()
+            step = np.diff(i + j)
+            assert (step >= 0).all()
+            assert cuts.tolist() == (np.flatnonzero(step) + 1).tolist()
+            # stable: in list order, then i-major, along each diagonal
+            assert (np.diff(quad[3])[step == 0] > 0).all()
 
 
 def test_failing_validation_logs_no_warning(pseudosphere_n2, caplog):

@@ -1,4 +1,5 @@
 """The package's public names and the layer functions the benchmark tracer wraps."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -37,3 +38,20 @@ def test_vertex_numbering_is_one_function_under_three_names():
     # the tracer wraps each module's attribute as one layer, ``mesh.dedup``
     assert ksurf.geodesic.global_vertex_ids is ksurf.mesh.global_vertex_ids
     assert ksurf.io.global_vertex_ids is ksurf.mesh.global_vertex_ids
+
+
+def test_every_module_uses_the_names_it_imports():
+    # a name bound by an import and never read; __init__ re-exports __all__
+    unused = []
+    for path in sorted(Path(ksurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(ksurf.__all__)
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert unused == []

@@ -19,7 +19,7 @@ from ksurf import (
 )
 from ksurf.mesh import incident_quad_count
 
-from conftest import build_patched
+from conftest import build_branch_chain, build_patched, build_surgery_m3
 
 CONSTANT = CurvatureSpec(CurvatureFamily.CONSTANT)
 CFG0 = IterationConfig(tol=1e-8, max_iters=100, epsilon_schedule=[0.0])
@@ -110,6 +110,22 @@ def test_m3_insertion_structure():
     assert target.valid[:5, :].all() and target.valid[:, :5].all()
     # base complex untouched
     assert _snapshot(base) == before
+
+
+def test_fan_shapes_are_the_shapes_of_the_fan_sectors():
+    chain = build_branch_chain()
+    sized = SurgerySpec(sector=0, b=4, m=3, size=2)
+    cuts = [
+        (_base_linear(), SurgerySpec(sector=0, b=4, m=3), build_surgery_m3()),
+        (chain[0], SurgerySpec(sector=0, b=6, m=3), chain[1]),
+        (chain[1], SurgerySpec(sector=6, b=3, m=3), chain[2]),
+        (_base_constant(), sized, insert_branch_point(_base_constant(), sized, CONSTANT, CFG0)),
+    ]
+    for before, cut, after in cuts:
+        fans = after.sectors[len(before.sectors):]
+        assert [(s.I, s.J) for s in fans] == cut.fan_shapes(before.sectors[cut.sector].I)
+    assert SurgerySpec(sector=0, b=3, m=5, size=2).fan_shapes(8) == \
+        [(5, 2), (2, 2), (2, 2), (2, 2), (2, 5)]
 
 
 def test_m3_inherits_are_bitwise():
