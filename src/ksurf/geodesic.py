@@ -42,9 +42,8 @@ grouped by corner. The row of v in triangle (v, p, q), in the triangle's
 cyclic order, carries both stencils that have v as a far corner: target p
 over (j, k) = (q, v) and target q over (j, k) = (v, p). The table depends
 on the triangles alone: its rows hold vertex ids and flat indices into
-``tri_lengths``, never the lengths themselves. It is memoised for the last
-``(n_vertices, tris)`` marched, compared by content, so the queries on one
-mesh, and outer iterations that keep the triangles, sort it once.
+``tri_lengths``, never the lengths themselves. Each ``TriMesh`` builds it
+once, as ``fan_table``, so the queries on one mesh share it.
 
 ``upwind_distance`` applies the same update without a heap and without a
 triangulation: one pass over the anti-diagonals of a group of sector grids.
@@ -88,10 +87,12 @@ _TRI_SEGMENTS = np.array([
 class TriMesh:
     """Triangle mesh with provenance.
 
+    ``tris`` is a read-only intp copy and ``fan_table`` its ``_stencils``
+    table, built once: to change the triangles, build a new mesh.
     ``tri_lengths[t, a]`` is the length of the edge of triangle t opposite
-    its local vertex a. For a mesh of a complex, ``node_ids`` holds the
-    vertex id of every grid node per sector as (I+1, J+1) arrays, -1 on
-    invalid nodes.
+    its local vertex a; the table only indexes it, so it stays writable.
+    For a mesh of a complex, ``node_ids`` holds the vertex id of every grid
+    node per sector as (I+1, J+1) arrays, -1 on invalid nodes.
     """
 
     vertices: np.ndarray
@@ -99,6 +100,12 @@ class TriMesh:
     tri_lengths: np.ndarray
     obtuse_tris: list = field(default_factory=list)
     node_ids: tuple | None = None
+    fan_table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tris = np.array(self.tris, dtype=np.intp)
+        self.tris.setflags(write=False)
+        self.fan_table = _stencils(self.tris, self.n_vertices)
 
     @property
     def n_vertices(self) -> int:
@@ -249,7 +256,7 @@ _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def _stencils(tris: np.ndarray, n_vertices: int) -> tuple:
-    """Fan table of the triangles, grouped by corner: (starts, rows).
+    """``TriMesh.fan_table`` of the triangles, grouped by corner: (starts, rows).
 
     Rows starts[v]:starts[v+1] hold one row per triangle (v, p, q) of v,
     with p and q the next corners in the triangle's cyclic order: (p, q)
@@ -266,26 +273,8 @@ def _stencils(tris: np.ndarray, n_vertices: int) -> tuple:
     return tuple(starts.tolist()), rows
 
 
-# the one triangle of unfold_candidate, kept apart from the memo of the marches
+# the fan table of the one triangle of unfold_candidate, built at import
 _ONE_TRIANGLE = _stencils(np.array([[0, 1, 2]]), 3)
-
-# (n_vertices, tris, starts, rows) of the last mesh marched, swapped as a whole:
-# racing callers may build a table twice, but each uses the one it checked
-_stencil_memo = None
-
-
-def _stencil_table(m: TriMesh) -> tuple:
-    """``_stencils`` of the mesh's triangles, memoised on their content."""
-    global _stencil_memo
-    memo = _stencil_memo
-    if memo is None or memo[0] != m.n_vertices or not np.array_equal(memo[1], m.tris):
-        # drop the old table before the new one is built
-        _stencil_memo = memo = None
-        tris = np.array(m.tris, dtype=np.intp)
-        tris.setflags(write=False)
-        memo = (m.n_vertices, tris, *_stencils(tris, m.n_vertices))
-        _stencil_memo = memo
-    return memo[2], memo[3]
 
 
 def _source(v, d0, n: int) -> tuple:
@@ -327,7 +316,7 @@ def fast_march(m: TriMesh, sources) -> MarchResult:
             heapq.heappush(heap, (d[v], v))
     accepted = bytearray(n)
     seeded = len(heap)
-    order, pops, pushes, fallbacks = _march(_stencil_table(m), m.tri_lengths.ravel().tolist(),
+    order, pops, pushes, fallbacks = _march(m.fan_table, m.tri_lengths.ravel().tolist(),
                                             d, accepted, frozen, heap)
     return MarchResult(d=np.array(d), order=order, pops=pops, pushes=seeded + pushes,
                        fallbacks=fallbacks,
@@ -581,14 +570,8 @@ def upwind_distance(grids: list) -> list:
 def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
     """Edge-graph Dijkstra distances, an upper bound for fast_march."""
     n = m.n_vertices
-    adj = [[] for _ in range(n)]
-    # the three edges of each triangle, in the order of the lengths opposite
-    # corners 0, 1, 2; an edge shared by two triangles is listed twice
-    ends = m.tris[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2).tolist()
-    for (a, b), length in zip(ends, m.tri_lengths.ravel().tolist()):
-        adj[a].append((b, length))
-        adj[b].append((a, length))
-
+    starts, rows = m.fan_table
+    lengths = m.tri_lengths.ravel().tolist()
     dist = np.full(n, math.inf)
     heap = []
     for v, d0 in sources:
@@ -602,9 +585,11 @@ def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
         if done[v]:
             continue
         done[v] = True
-        for nb, length in adj[v]:
-            nd = dv + length
-            if nd < dist[nb]:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
+        # the fan row (v, p, q) of each triangle of v holds its edges vp and vq
+        for p, q, _, vq, vp in rows[starts[v]:starts[v + 1]].tolist():
+            for nb, length in ((p, lengths[vp]), (q, lengths[vq])):
+                nd = dv + length
+                if nd < dist[nb]:
+                    dist[nb] = nd
+                    heapq.heappush(heap, (nd, nb))
     return dist

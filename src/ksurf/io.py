@@ -65,6 +65,14 @@ FACE_SUFFIX = re.compile(r"/\S*")
 GEOMETRY_LINES = ("v ", "vn ", "f ")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that adds YAML 1.2's floats with an exponent, as JSON's ``1e-4``."""
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+
+
 class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
 
@@ -223,7 +231,7 @@ def _parse_cuts(entries) -> list:
 def parse_config(text: str) -> RunConfig:
     """Parse a run configuration, filling defaults; RunConfig checks the values."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if data is None:
@@ -543,10 +551,10 @@ def _face_line(line: str) -> str:
 def trimesh_from_obj(path) -> TriMesh:
     """Triangulate the quads of an exported OBJ for distance queries.
 
-    Every ``v`` line needs three coordinates (a fourth is ignored), every
-    ``f`` line four vertices, and every face index must name one of the
-    file's vertices (1..N); a line that breaks this is a ConfigError naming
-    the file and the line.
+    Every ``v`` line needs three finite coordinates (a fourth is ignored),
+    every ``f`` line four vertices, and every face index must name one of
+    the file's vertices (1..N); a line that breaks this is a ConfigError
+    naming the file and the line.
     """
     with _open_input(path) as fh:
         verts = _loadtxt(path, fh, "a vertex with 3 coordinates", _vertex_line,
@@ -556,6 +564,12 @@ def trimesh_from_obj(path) -> TriMesh:
                        dtype=np.int64, ndmin=2) - 1
         if not len(verts) or not len(idx):
             raise ConfigError(f"{path}: no mesh data found")
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if len(bad):
+            v = int(bad[0])
+            fh.seek(0)
+            lineno = [n for n, line in enumerate(fh, 1) if line.startswith("v ")][v]
+            raise ConfigError(f"{path}: line {lineno}: vertex {verts[v].tolist()} is not finite")
         bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
         if len(bad):
             f = int(bad[0])

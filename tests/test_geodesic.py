@@ -13,6 +13,7 @@ from ksurf import (
     CurvatureSpec,
     IterationConfig,
     SectorSpec,
+    TriMesh,
     dijkstra_bound,
     fast_march,
     geodesic_provider,
@@ -535,12 +536,7 @@ def _march_key(r):
     return r.d.tobytes(), r.order, r.pops, r.pushes, r.fallbacks
 
 
-def _cold_march(m, sources):
-    ksurf.geodesic._stencil_memo = None
-    return fast_march(m, sources)
-
-
-def test_stencil_memo_follows_the_triangles():
+def test_fan_table_follows_the_triangles():
     verts, quads = _perturbed_grid(2)
     a = trimesh_from_quads(verts, quads)
     # the same quads from another corner: the same vertices, other triangles
@@ -548,23 +544,26 @@ def test_stencil_memo_follows_the_triangles():
     assert a.n_vertices == b.n_vertices and a.tris.shape == b.tris.shape
     assert not np.array_equal(a.tris, b.tris)
     sources = [(0, 0.0), (a.n_vertices // 2, 0.1)]
-    want = {name: _march_key(_cold_march(m, sources)) for name, m in (("a", a), ("b", b))}
+    want = {name: _march_key(fast_march(m, sources)) for name, m in (("a", a), ("b", b))}
     assert want["a"][0] != want["b"][0]
     for name, m in (("a", a), ("b", b), ("a", a)):
         assert _march_key(fast_march(m, sources)) == want[name], name
 
-    # the triangles of one array rewritten in place
+    # the triangles are fixed at construction; the lengths the table indexes are not
     c = trimesh_from_quads(verts, quads)
+    with pytest.raises(ValueError, match="read-only"):
+        c.tris[:] = b.tris
     assert _march_key(fast_march(c, sources)) == want["a"]
-    c.tris[:] = b.tris
-    c.tri_lengths[:] = b.tri_lengths
-    assert _march_key(fast_march(c, sources)) == want["b"]
+    c.tri_lengths *= 1.5
+    fresh = TriMesh(c.vertices, c.tris, c.tri_lengths.copy())
+    assert _march_key(fast_march(c, sources)) == _march_key(fast_march(fresh, sources))
+    assert _march_key(fast_march(c, sources))[0] != want["a"][0]
 
 
 def test_fan_table_has_one_row_per_corner():
     verts, quads = _perturbed_grid(1)
     m = trimesh_from_quads(verts, quads)
-    starts, rows = ksurf.geodesic._stencil_table(m)
+    starts, rows = m.fan_table
     assert rows.shape == (3 * len(m.tris), 5) and rows.dtype == np.int32
     v = np.repeat(np.arange(m.n_vertices), np.diff(starts))
     p, q = rows[:, 0], rows[:, 1]
@@ -578,19 +577,27 @@ def test_fan_table_has_one_row_per_corner():
             lengths[column], np.linalg.norm(m.vertices[a] - m.vertices[b], axis=1), rtol=1e-15)
 
 
-def test_stencil_table_is_shared_and_read_only():
+def test_fan_table_is_shared_and_read_only(monkeypatch):
     verts, quads = _perturbed_grid(3)
     a = trimesh_from_quads(verts, quads)
-    starts, rows = ksurf.geodesic._stencil_table(a)
+    starts, rows = a.fan_table
     assert len(rows) == 3 * len(a.tris) == starts[-1]
-    # equal triangles share the table; unfold_candidate keeps it
-    assert unfold_candidate(1.0, 1.0, 1.0, 1.0, 1.0) == oracle._unfold(1.0, 1.0, 1.0, 1.0, 1.0)[0]
-    again = trimesh_from_quads(verts.copy(), np.array(quads))
-    assert ksurf.geodesic._stencil_table(again)[1] is rows
+    # every march on the mesh reads its one table
+    tables = []
+    march = ksurf.geodesic._march
+    monkeypatch.setattr(ksurf.geodesic, "_march",
+                        lambda table, *args: tables.append(table) or march(table, *args))
+    for v in (0, a.n_vertices - 1, 0):
+        fast_march(a, [(v, 0.0)])
+    assert len(tables) == 3 and all(t is a.fan_table for t in tables)
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 1
     with pytest.raises(TypeError):
         starts[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        a.tris[0, 0] = 1
+    assert a.tris.dtype == np.intp
 
 
 def _least_unfold(cases):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,9 @@ def test_parse_config_full():
     ("curvature: {epsilon: 1.0, schedule: [-1.0, 1.0]}", "curvature.schedule: .*got -1.0"),
     ("grid: {u_max: .nan}", "grid: .*u_max=nan"),
     ("iteration: {tol: .nan}", "iteration: tol .* got nan"),
+    ("iteration: {tol: 1e400}", "iteration: tol .* got inf"),
+    ('iteration: {tol: "1e-4"}', "iteration.tol: expected float, got str"),
+    ("iteration: {max_iters: 1e2}", "iteration.max_iters: expected int, got float"),
     ("curvature: {params: {ring_radius: .nan}}", "curvature: .*ring_radius=nan"),
     ("surgery: [{b: 2, m: 3, spacing: .nan}]", r"surgery\[0\]: .*got nan"),
     pytest.param(f"curvature: {{epsilon: {'9' * 400}}}",
@@ -117,6 +121,16 @@ def test_parse_config_full():
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text,tol", [
+    ("iteration: {tol: 1e-4}", 1e-4),
+    ("iteration: {tol: 1E5}", 1e5),
+    ("iteration: {tol: 2.5e3}", 2.5e3),
+    ('{"iteration": {"tol": 1e-4}}', 1e-4),
+], ids=["lower", "upper", "dot", "json"])
+def test_parse_config_reads_an_exponent_float(text, tol):
+    assert parse_config(text).tol == tol
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -692,6 +706,23 @@ def test_cli_distance_rejects_face_index_outside_the_vertices(tmp_path, caplog, 
     code, errors = _cli_error(caplog, ["distance", "--mesh", str(obj), "--quiet"])
     assert code == 1 and errors == [f"{obj}: line {line}: face {face} has an index "
                                     "outside 1..4"]
+    assert marched == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_distance_rejects_a_non_finite_vertex(tmp_path, caplog, monkeypatch, value):
+    marched = []
+    monkeypatch.setattr(ksurf.cli, "fast_march", lambda *a: marched.append(a))
+    obj = tmp_path / "bad.obj"
+    obj.write_text(f"# square\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nv 1 1 {value}\n"
+                   "f 1 2 4 3\n")
+    with pytest.raises(ConfigError, match="line 6: vertex"):
+        trimesh_from_obj(obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, errors = _cli_error(caplog, ["distance", "--mesh", str(obj), "--quiet"])
+    assert code == 1 and errors == [f"{obj}: line 6: vertex [1.0, 1.0, {float(value)}] "
+                                    "is not finite"]
     assert marched == []
 
 

@@ -55,3 +55,12 @@ def test_every_module_uses_the_names_it_imports():
             used |= set(ksurf.__all__)
         unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_no_module_rebinds_a_module_global():
+    # state of a mesh or a run lives on its object, not in module globals
+    rebound = [f"{path.stem}:{node.lineno} {', '.join(node.names)}"
+               for path in sorted(Path(ksurf.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Global)]
+    assert rebound == []
