@@ -443,15 +443,15 @@ def _triangle_terms(Dij, Dik, Djk) -> tuple:
 
 
 def _unfolded_lines(Dj, Dk, terms) -> tuple:
-    """The march's unfold of (t, n) triangles, up to the length of the line.
+    """The march's unfold of (t, n) triangles, bit for bit.
 
     ``terms`` is ``_triangle_terms`` of the triangles' edge lengths. Returns
-    (cand, line, dx, dy, through): the shorter edge path, whether the
-    unfolded line is causal and past the fallback tolerance, the legs of
-    the line, and its ``np.hypot`` length. Everything but that length has
-    the bits of the march, in the march's order of operations; the
-    tolerance of the few triangles with a negative discriminant goes by
-    Python's scalar math, whose bits numpy's vectorised form does not give.
+    (cand, line, through): the shorter edge path, whether the unfolded line
+    is causal and past the fallback tolerance, and its length, all in the
+    march's order of operations. The length and the tolerance of the few
+    triangles with a negative discriminant go by Python's scalar math
+    (``math.hypot``, ``**``), whose bits numpy's vectorised forms do not
+    give.
     """
     Dij, Dik, Djk, Djk2, inv, x_i, y_i, disc_i = terms
     a, b = Dj + Dij, Dk + Dik
@@ -478,27 +478,17 @@ def _unfolded_lines(Dj, Dk, terms) -> tuple:
         tiny = np.array([-1e-12 * s ** 4 for s in size.tolist()])
         line.flat[negative] &= (disc_o.ravel()[negative] >= tiny) \
             & (disc_i.ravel()[negative] >= tiny)
-    return cand, line, dx, dy, np.hypot(dx, dy)
+    through = np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())))
+    return cand, line, through.reshape(dx.shape)
 
 
-def _least_line(cand, line, dx, dy, through) -> np.ndarray:
+def _least_line(cand, line, through) -> np.ndarray:
     """The least candidate over axis 0 of ``_unfolded_lines``, bit for bit.
 
     A triangle gives its line where ``line`` holds and the line is not above
-    its edge path, else the edge path. np.hypot differs from the march's
-    math.hypot by at most an ulp, so a line that is more than 1e-15 (about
-    4.5 ulp) above its edge path, or above the least candidate, loses with
-    either length; every other line that may win is measured by math.hypot.
+    its edge path, else the edge path.
     """
-    low = through * (1.0 - 1e-15)
-    close = line & (low <= cand)
-    value = np.where(close, through, cand)
-    need = (close & (low <= value.min(axis=0) * (1.0 + 1e-15))).ravel().nonzero()[0]
-    exact = np.array(list(map(math.hypot, dx.ravel()[need].tolist(),
-                              dy.ravel()[need].tolist())))
-    # both finite and positive: the lesser is the march's min()
-    value.flat[need] = np.minimum(cand.ravel()[need], exact)
-    return value.min(axis=0)
+    return np.where(line & ~(cand < through), through, cand).min(axis=0)
 
 
 def _least_accepted_unfold(Dj, Dk, terms) -> np.ndarray:
@@ -508,19 +498,10 @@ def _least_accepted_unfold(Dj, Dk, terms) -> np.ndarray:
     The march unfolds a triangle onto its target only once both far corners
     are accepted, that is, at or below the target's D. So a triangle's
     unfolded line counts only where both Dj and Dk are at or below its
-    ``math.hypot`` length; otherwise the triangle gives its edge path. The
-    np.hypot length decides the rule wherever D lies more than 1e-15 away
-    from it, and math.hypot the few lines closer than that.
+    length; otherwise the triangle gives its edge path.
     """
-    cand, line, dx, dy, through = _unfolded_lines(Dj, Dk, terms)
-    late = np.maximum(Dj, Dk)
-    line &= late <= through * (1.0 + 1e-15)
-    close = line & (through * (1.0 - 1e-15) < late)
-    if close.any():
-        at = np.flatnonzero(close)
-        exact = list(map(math.hypot, dx.ravel()[at].tolist(), dy.ravel()[at].tolist()))
-        line.flat[at] = late.ravel()[at] <= exact
-    return _least_line(cand, line, dx, dy, through)
+    cand, line, through = _unfolded_lines(Dj, Dk, terms)
+    return _least_line(cand, line & (np.maximum(Dj, Dk) <= through), through)
 
 
 def upwind_distance(grids: list) -> list:

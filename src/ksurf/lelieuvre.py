@@ -20,14 +20,17 @@ rho == const specialization of the same formula.
 
 One array kernel, ``closure``, solves many quads at once, and the sweeps
 are its only callers; a single quad is a one-row call, or the sweep of a
-1 x 1 sector. A sweep walks the anti-diagonals i + j = d of
-``mesh.diagonal_layout`` in increasing d and solves every node of a
-diagonal, in all the sectors it was given, in one call: a node reads only
-the three nodes of its quad, which lie on diagonals d - 1 and d - 2 of its
-own sector. Norms and dots are
-``np.vecdot`` (the BLAS ``ddot`` of a scalar form, where
-``(a * b).sum(-1)`` rounds differently), so each node gets the same bits as
-a node-by-node sweep would give it.
+1 x 1 sector. Only the normals are implicit, so a sweep walks the
+anti-diagonals i + j = d of ``mesh.diagonal_layout`` in increasing d for
+the normals alone and solves every node of a diagonal, in all the sectors
+it was given, in one call: a node reads only the three normals of its
+quad, which lie on diagonals d - 1 and d - 2 of its own sector. The
+positions are then explicit: running sums of the Lelieuvre edges
+nu12 x nu2 along one grid direction (Bobenko & Pinkall 1996). Norms and
+dots are ``np.vecdot`` (the BLAS ``ddot`` of a scalar form, where
+``(a * b).sum(-1)`` rounds differently), and ``np.cumsum`` adds in the
+order of the sweep, so each node gets the same bits as a node-by-node
+sweep would give it.
 
 Residuals of finished quads (``quad_residual_arrays``) are the second array
 kernel; the diagnostics report folds them over every quad of a complex.
@@ -38,7 +41,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .mesh import SectorGrid, diagonal_layout
+from .mesh import Parity, SectorGrid, diagonal_layout
 from .vectors import cross
 
 DEGENERATE_TOL = 1e-12
@@ -92,10 +95,16 @@ def closure(nu0: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
         degenerate = w2 <= (DEGENERATE_TOL * scale) ** 2
         d = np.vecdot(w, nu0)
         generic = np.abs(d) > DEGENERATE_TOL * np.sqrt(w2) * _norm(nu0)
-        alpha = np.where(generic, w2 * (rho12 - rho0) / (d * d), np.nan)
+        alpha = w2 * (rho12 - rho0) / (d * d)
         radicand = 1.0 + alpha
+        C = (1.0 + np.sqrt(radicand)) * d / w2
+        # every row solved on the generic branch: the where-chains below
+        # would select exactly these values
+        if generic.all() and not degenerate.any() and (radicand >= 0.0).all():
+            return C[:, None] * w - nu0, C, alpha, np.zeros(len(C), dtype=int)
+        alpha = np.where(generic, alpha, np.nan)
         t = (rho12 - rho0) / w2
-        C = np.where(generic, (1.0 + np.sqrt(radicand)) * d / w2, np.sqrt(t))
+        C = np.where(generic, C, np.sqrt(t))
     status = np.where(degenerate, DEGENERATE, np.where(
         generic, np.where(radicand < 0.0, STEEP, SOLVED),
         np.where(t < 0.0, PERPENDICULAR, SOLVED)))
@@ -169,12 +178,19 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
     differ in shape, parity and truncation, and none may read another's
     nodes.
 
-    The interior nodes with i + j = d of ``diagonal_layout(grids)``, over
-    all sectors, are solved in one ``closure`` call, in increasing d. A
-    node reads only the three nodes of its quad, which lie on diagonals
-    d - 1 and d - 2 of its own sector, and the kernel works row by row, so
-    each node gets the bits a sweep of its sector alone, node by node, would
-    give it. Inputs of every sector are checked before any is swept.
+    The normals of the interior nodes with i + j = d of
+    ``diagonal_layout(grids)``, over all sectors, are solved in one
+    ``closure`` call, in increasing d. A node reads only the three normals
+    of its quad, which lie on diagonals d - 1 and d - 2 of its own sector,
+    and the kernel works row by row. Then each valid interior node gets
+    r12 = r2 + nu12 x nu2 as a running sum from the stored first row (ODD
+    sectors, whose f2 is (i - 1, j): along i) or first column (EVEN: along
+    j), which ``np.cumsum`` adds in the order of a node-by-node sweep. So
+    each node gets the bits a sweep of its sector alone, node by node,
+    would give it. The valid nodes of a sector must hold every corner of
+    their quads, as a truncation to an excised far corner does; then the
+    nodes of a running sum up to a valid node are valid too. Inputs of
+    every sector are checked before any is swept.
 
     A quad without a solution leaves NaN at its node and the sweep goes on;
     then the failure of the first failing sector in list order, at its
@@ -190,27 +206,27 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
             raise ValueError(f"sector {s.sector_id} boundary is not initialized")
         if np.any(rho_field[s.valid] < 0.0):
             raise ValueError(f"sector {s.sector_id}: rho_field must be nonnegative")
+        if not np.array_equal(s.valid[1:, 1:], s.quad_mask()):
+            raise ValueError(f"sector {s.sector_id}: a valid node's quad lacks a corner")
 
     offsets, quad, odd, cuts = diagonal_layout(grids)
-    n0, n12 = quad[0], quad[3]
-    # ODD sectors step u along i: f1 is corner 10, as in quad_corner_values
-    n1, n2 = np.where(odd, quad[1], quad[2]), np.where(odd, quad[2], quad[1])
+    n12 = quad[3]
+    # the read corners f0, f1, f2; ODD sectors step u along i: f1 is
+    # corner 10, as in quad_corner_values
+    read = np.stack([quad[0], np.where(odd, quad[1], quad[2]), np.where(odd, quad[2], quad[1])])
 
-    # positions and normals of earlier diagonals are read back from these
-    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+    # normals of earlier diagonals are read back from nrm
     nrm = np.concatenate([s.normals.reshape(-1, 3) for s in grids])
     rho = np.concatenate([f.ravel() for f in rho_fields])
     root = np.sqrt(rho)
-    r0, r1, r2, r12 = root[n0], root[n1], root[n2], root[n12]
-    rho0, rho12 = rho[n0], rho[n12]
+    root_read, r12 = root[read][..., None], root[n12, None]
+    rho0, rho12 = rho[read[0]], rho[n12]
+    nu12 = np.empty((len(n12), 3))
     failures = []
     for a, b in zip([0, *cuts], [*cuts, len(n12)]):
-        nu0 = r0[a:b, None] * nrm[n0[a:b]]
-        nu1 = r1[a:b, None] * nrm[n1[a:b]]
-        nu2 = r2[a:b, None] * nrm[n2[a:b]]
-        nu12, _, alpha, status = closure(nu0, nu1, nu2, rho0[a:b], rho12[a:b])
-        pos[n12[a:b]] = pos[n2[a:b]] + cross(nu12, nu2)
-        nrm[n12[a:b]] = nu12 / r12[a:b, None]
+        nu = root_read[:, a:b] * nrm[read[:, a:b]]
+        nu12[a:b], _, alpha, status = closure(nu[0], nu[1], nu[2], rho0[a:b], rho12[a:b])
+        nrm[n12[a:b]] = nu12[a:b] / r12[a:b]
         if status.any():
             failures.extend((int(n12[a + k]), int(status[k]), float(alpha[k]))
                             for k in np.flatnonzero(status))
@@ -220,6 +236,16 @@ def sweep_sectors(grids: list, rho_fields: list) -> list:
         k = int(np.searchsorted(offsets, node, side="right")) - 1
         i, j = divmod(node - int(offsets[k]), grids[k].J + 1)
         raise _quad_error(status, alpha, (grids[k].sector_id, i - 1, j - 1))
+
+    # r12 - r2 = nu12 x nu2, summed from the first row (ODD, along i) or
+    # column (EVEN, along j) in the order the node-by-node sweep adds it
+    pos = np.concatenate([s.positions.reshape(-1, 3) for s in grids])
+    steps = pos.copy()
+    steps[n12] = cross(nu12, root_read[2] * nrm[read[2]])
+    for s, a, b in zip(grids, offsets[:-1].tolist(), offsets[1:].tolist()):
+        steps[a:b] = np.cumsum(steps[a:b].reshape(s.positions.shape),
+                               axis=0 if s.parity is Parity.ODD else 1).reshape(-1, 3)
+    pos[n12] = steps[n12]
 
     rho_out = np.concatenate([s.rho.ravel() for s in grids])
     rho_out[n12] = rho12

@@ -42,12 +42,22 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rotate_about(v: Vec3, axis: Vec3, angle: float) -> Vec3:
     """Rotate ``v`` by ``angle`` (counterclockwise) about the unit vector ``axis``.
 
-    Rodrigues formula: v cos(t) + (k x v) sin(t) + k <k, v> (1 - cos(t)).
+    Rodrigues formula: v cos(t) + (k x v) sin(t) + k <k, v> (1 - cos(t)),
+    in the operations of its array form with ``cross``, on Python floats:
+    numpy's per-call cost is most of the time on one 3-vector. Only the dot
+    <k, v> stays a numpy dot, as in ``unit``: numpy's dot (BLAS ``ddot``)
+    rounds differently from a Python sum of three products on about a third
+    of random inputs.
     """
     k = unit(axis)
+    kv = float(k @ v)
     c = math.cos(angle)
     s = math.sin(angle)
-    return v * c + cross(k, v) * s + k * float(k @ v) * (1.0 - c)
+    kx, ky, kz = k.tolist()
+    vx, vy, vz = v.tolist()
+    return np.array([vx * c + (ky * vz - kz * vy) * s + kx * kv * (1.0 - c),
+                     vy * c + (kz * vx - kx * vz) * s + ky * kv * (1.0 - c),
+                     vz * c + (kx * vy - ky * vx) * s + kz * kv * (1.0 - c)])
 
 
 def angle_between(a: Vec3, b: Vec3) -> float:

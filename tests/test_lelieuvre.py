@@ -184,6 +184,51 @@ def test_perpendicular_branch_solves_and_rejects():
         _sweep_quad(O, O, O, N0, N1, N2, rho12=0.8)
 
 
+def _same_bits(a, b):
+    """Equal bits, with NaN exactly where the other has NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def test_closure_batch_gives_each_row_its_one_row_bits():
+    # a solved row alone takes the all-generic early exit; in this batch
+    # every row goes through the status and NaN where-chains
+    s, c = math.sin(0.3), math.cos(0.3)
+    a = math.radians(85.0)
+    X, nan = np.array([1.0, 0.0, 0.0]), np.full(3, np.nan)
+    tilt = (unit(0.2, 0.0, 1.0), unit(0.0, 0.2, 1.0))
+    rows = [  # (N0, N1, N2, rho0, rho1, rho2, rho12)
+        (Z, unit(0.25, 0.05, 1.0), unit(-0.1, 0.2, 1.0), 1.0, 1.1, 0.95, 1.05),
+        (X, unit(0.0, s, c), unit(0.0, -s, c), 1.0, 1.0, 1.0, 1.2),
+        (X, unit(0.0, s, c), unit(0.0, -s, c), 1.0, 1.0, 1.0, 0.8),
+        (Z, unit(math.sin(0.4), 0, math.cos(0.4)), unit(-math.sin(0.4), 0, -math.cos(0.4)),
+         1.0, 1.0, 1.0, 1.0),
+        (Z, unit(math.sin(a), 0, math.cos(a)), unit(0, math.sin(a), math.cos(a)),
+         1.0, 1.0, 1.0, 0.1),
+        (nan, *tilt, 1.0, 1.0, 1.0, 1.0),
+        (Z, tilt[0], nan, 1.0, 1.0, 1.0, 1.0),
+        (Z, *tilt, 1.0, 1.0, 1.0, np.nan),
+        (Z, *tilt, 0.9, 1.2, 1.1, 1.0),
+    ]
+    nu = scaled_normals(np.array([r[:3] for r in rows]).transpose(1, 0, 2),
+                        np.array([r[3:6] for r in rows]).T)
+    rho0, rho12 = np.array([r[3] for r in rows]), np.array([r[6] for r in rows])
+    batch = closure(nu[0], nu[1], nu[2], rho0, rho12)
+    assert batch[3].tolist() == [SOLVED, SOLVED, PERPENDICULAR, DEGENERATE, STEEP,
+                                 SOLVED, SOLVED, SOLVED, SOLVED]
+    for k in range(len(rows)):
+        one = closure(nu[0, k:k + 1], nu[1, k:k + 1], nu[2, k:k + 1],
+                      rho0[k:k + 1], rho12[k:k + 1])
+        for name, got, want in zip(("nu12", "C", "alpha", "status"), batch, one):
+            assert got.dtype == want.dtype, name
+            assert _same_bits(got[k], want[0]), (k, name)
+    # the two solved generic rows together take the early exit
+    generic = closure(nu[0, [0, 8]], nu[1, [0, 8]], nu[2, [0, 8]], rho0[[0, 8]], rho12[[0, 8]])
+    for got, want in zip(generic, batch):
+        assert _same_bits(got, want[[0, 8]])
+
+
 def test_opposite_normals_are_degenerate():
     s, c = math.sin(0.4), math.cos(0.4)
     normals = (Z, unit(s, 0, c), unit(-s, 0, -c))
@@ -246,6 +291,10 @@ def test_sweep_rejects_bad_inputs():
     empty = SectorGrid.empty(3, 3, Parity.ODD)
     with pytest.raises(ValueError, match="boundary"):
         sweep_sector(empty, np.ones_like(empty.rho))
+    # a valid node whose quad has an excised corner
+    g.valid[2, 1] = False
+    with pytest.raises(ValueError, match="lacks a corner"):
+        sweep_sector(g, np.ones_like(g.rho))
 
 
 def test_sweep_annotates_failure_location():
@@ -323,6 +372,25 @@ def test_sweep_matches_scalar_oracle_on_truncated_sector():
         rho = np.where(s.valid, s.rho, np.nan)
         _assert_sweep_matches_oracle(s, rho)
     assert not cx.sectors[0].valid.all()
+
+
+def test_sweep_matches_scalar_oracle_on_truncated_even_sector():
+    # the cut targets of surgery are ODD; here the positions are summed
+    # along j over rows whose valid nodes end at j = 3, with {i, j > 3}
+    # excised and NaN-filled as in a cut
+    s, rho = _perturbed_sector(4, Parity.EVEN, I=7, J=6)
+    s.valid[4:, 4:] = False
+    for a in (s.positions, s.normals, s.rho, rho):
+        a[~s.valid] = np.nan
+    out = _assert_sweep_matches_oracle(s, rho)
+    assert np.isfinite(out.positions[s.valid]).all()
+    assert np.isnan(out.positions[~s.valid]).all()
+    group, fields = _surgery_group()
+    group, fields = [s] + group, [rho] + fields
+    for got, g, f in zip(sweep_sectors(group, fields), group, fields, strict=True):
+        want = oracle.sweep_sector(g, f)
+        for name in ("positions", "normals", "rho", "geo_dist", "valid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _perpendicular_sector(rho11):
