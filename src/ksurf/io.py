@@ -352,28 +352,27 @@ def _open_input(path, **kwargs):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _loadtxt(path, fh, what: str, select=None, width=None, first_line=1, **kwargs):
-    """``np.loadtxt`` of the rest of ``fh``; a line it cannot read is a ConfigError.
+def _loadtxt(path, lines, what: str, select=None, width=None, **kwargs):
+    """``np.loadtxt`` of the (line number, line) pairs ``lines``, row k from ``lines[k]``.
 
-    ``select`` maps each line to the text to read, "" to skip it, and rows
-    of a 2-D result must have ``width`` columns. ``first_line`` is the
-    number of the line ``fh`` stands at. When the read fails, the lines are
-    read again one at a time, by the same parser, to name the first that is
-    not ``what``. No line at all gives an empty array.
+    A line it cannot read is a ConfigError. ``select`` maps each line to
+    the text to read, and rows of a 2-D result must have ``width`` columns.
+    When the read fails, the lines are read again one at a time, by the
+    same parser, to name the first that is not ``what``. No line at all
+    gives an empty array.
     """
-    start = fh.tell()
+    texts = [line if select is None else select(line) for _, line in lines]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # np.loadtxt's "no data"
         try:
-            rows = np.loadtxt(fh if select is None else map(select, fh), **kwargs)
+            rows = np.loadtxt(texts, **kwargs)
             if width is None or not len(rows) or rows.shape[1] == width:
                 return rows
         except ValueError:
             pass
-        fh.seek(start)
-        for lineno, line in enumerate(fh, first_line):
+        for (lineno, line), text in zip(lines, texts):
             try:
-                row = np.loadtxt([line if select is None else select(line)], **kwargs)
+                row = np.loadtxt([text], **kwargs)
             except ValueError:
                 row = None
             if row is None or width is not None and len(row) and row.shape[1] != width:
@@ -448,27 +447,26 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
         header = fh.readline().rstrip("\n").split(",")
         if header != CSV_COLUMNS:
             raise ConfigError(f"{csv_path}: unexpected CSV columns {header}")
-        start = fh.tell()
-        rows = _loadtxt(csv_path, fh, f"{len(CSV_COLUMNS)} comma-separated values, "
-                        "4 integers then 9 numbers", first_line=2, delimiter=",",
-                        dtype=CSV_ROW, comments=None, ndmin=1)
-        sid, i, j = rows["sector_id"], rows["i"], rows["j"]
-        known = (sid >= 0) & (sid < len(cx.sectors))
-        shape = np.array([s.valid.shape for s in cx.sectors])[np.where(known, sid, 0)]
-        inside = known & (i >= 0) & (i < shape[:, 0]) & (j >= 0) & (j < shape[:, 1])
-        bad = np.flatnonzero(~inside)
-        if len(bad):
-            k = int(bad[0])
-            fh.seek(start)
-            # row k of the array is the k-th line that is not empty
-            lineno = [n for n, line in enumerate(fh, 2) if line != "\n"][k]
-            sid_k, i_k, j_k = int(sid[k]), int(i[k]), int(j[k])
-            if not known[k]:
-                raise ConfigError(f"{csv_path}: line {lineno}: sector_id {sid_k} is not a "
-                                  f"sector of the #meta line (0..{len(cx.sectors) - 1})")
-            s = cx.sectors[sid_k]
-            raise ConfigError(f"{csv_path}: line {lineno}: node ({i_k}, {j_k}) lies outside "
-                              f"sector {sid_k}, whose nodes are (0..{s.I}, 0..{s.J})")
+        # np.loadtxt skips empty lines: it reads the same rows without them
+        lines = [(n, line) for n, line in enumerate(fh, 2) if line != "\n"]
+    rows = _loadtxt(csv_path, lines, f"{len(CSV_COLUMNS)} comma-separated values, "
+                    "4 integers then 9 numbers", delimiter=",", dtype=CSV_ROW,
+                    comments=None, ndmin=1)
+    sid, i, j = rows["sector_id"], rows["i"], rows["j"]
+    known = (sid >= 0) & (sid < len(cx.sectors))
+    shape = np.array([s.valid.shape for s in cx.sectors])[np.where(known, sid, 0)]
+    inside = known & (i >= 0) & (i < shape[:, 0]) & (j >= 0) & (j < shape[:, 1])
+    bad = np.flatnonzero(~inside)
+    if len(bad):
+        k = int(bad[0])
+        lineno = lines[k][0]
+        sid_k, i_k, j_k = int(sid[k]), int(i[k]), int(j[k])
+        if not known[k]:
+            raise ConfigError(f"{csv_path}: line {lineno}: sector_id {sid_k} is not a "
+                              f"sector of the #meta line (0..{len(cx.sectors) - 1})")
+        s = cx.sectors[sid_k]
+        raise ConfigError(f"{csv_path}: line {lineno}: node ({i_k}, {j_k}) lies outside "
+                          f"sector {sid_k}, whose nodes are (0..{s.I}, 0..{s.J})")
 
     positions = np.column_stack([rows["x"], rows["y"], rows["z"]])
     normals = np.column_stack([rows["nx"], rows["ny"], rows["nz"]])
@@ -487,11 +485,6 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
         if not cx.sectors[node[0]].valid[node[1:]]:
             raise ConfigError(f"{obj_path}: line {lineno}: #meta {what} {list(node)} is not "
                               f"a node listed in {csv_path}")
-    for s in cx.sectors:
-        s.positions[~s.valid] = np.nan
-        s.normals[~s.valid] = np.nan
-        s.rho[~s.valid] = np.nan
-        s.geo_dist[~s.valid] = math.inf
 
     # nodes sharing a vertex index, in CSV order: each later one is glued
     # to the first, and one gluing per sector pair collects them, vertex by vertex
@@ -539,15 +532,6 @@ def obj_geometry_check(obj_path, cx: SurfaceComplex) -> CheckResult:
                        detail=f"{len(got)} v, vn and f lines match the import")
 
 
-def _vertex_line(line: str) -> str:
-    return line if line.startswith("v ") else ""
-
-
-def _face_line(line: str) -> str:
-    """The vertex indices of a face line, without the keyword."""
-    return FACE_SUFFIX.sub("", line[1:]) if line.startswith("f ") else ""
-
-
 def trimesh_from_obj(path) -> TriMesh:
     """Triangulate the quads of an exported OBJ for distance queries.
 
@@ -556,27 +540,27 @@ def trimesh_from_obj(path) -> TriMesh:
     the file's vertices (1..N); a line that breaks this is a ConfigError
     naming the file and the line.
     """
+    v_lines, f_lines = [], []
     with _open_input(path) as fh:
-        verts = _loadtxt(path, fh, "a vertex with 3 coordinates", _vertex_line,
-                         usecols=(1, 2, 3), ndmin=2)
-        fh.seek(0)
-        idx = _loadtxt(path, fh, "a quad face", _face_line, width=4,
-                       dtype=np.int64, ndmin=2) - 1
-        if not len(verts) or not len(idx):
-            raise ConfigError(f"{path}: no mesh data found")
-        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
-        if len(bad):
-            v = int(bad[0])
-            fh.seek(0)
-            lineno = [n for n, line in enumerate(fh, 1) if line.startswith("v ")][v]
-            raise ConfigError(f"{path}: line {lineno}: vertex {verts[v].tolist()} is not finite")
-        bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
-        if len(bad):
-            f = int(bad[0])
-            fh.seek(0)
-            lineno = [n for n, line in enumerate(fh, 1) if line.startswith("f ")][f]
-            raise ConfigError(f"{path}: line {lineno}: face {(idx[f] + 1).tolist()} "
-                              f"has an index outside 1..{len(verts)}")
+        for n, line in enumerate(fh, 1):
+            if line.startswith(("v ", "f ")):
+                (v_lines if line[0] == "v" else f_lines).append((n, line))
+    verts = _loadtxt(path, v_lines, "a vertex with 3 coordinates", usecols=(1, 2, 3), ndmin=2)
+    # the vertex indices of a face line, without the keyword
+    idx = _loadtxt(path, f_lines, "a quad face", lambda line: FACE_SUFFIX.sub("", line[1:]),
+                   width=4, dtype=np.int64, ndmin=2) - 1
+    if not len(verts) or not len(idx):
+        raise ConfigError(f"{path}: no mesh data found")
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if len(bad):
+        v = int(bad[0])
+        raise ConfigError(f"{path}: line {v_lines[v][0]}: vertex {verts[v].tolist()} "
+                          "is not finite")
+    bad = np.flatnonzero(((idx < 0) | (idx >= len(verts))).any(axis=1))
+    if len(bad):
+        f = int(bad[0])
+        raise ConfigError(f"{path}: line {f_lines[f][0]}: face {(idx[f] + 1).tolist()} "
+                          f"has an index outside 1..{len(verts)}")
     # Face cycles are (f0, f1, f12, f2); quad corner order is (f0, f1, f2, f12).
     return trimesh_from_quads(verts, idx[:, [0, 1, 3, 2]])
 

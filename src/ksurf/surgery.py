@@ -163,7 +163,8 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
 
     Returns a new complex; the input is not modified. Raises ValueError for
     even m (no consistent edge labeling exists), QuadError subclasses or
-    NonConvergenceError on numerical failure.
+    NonConvergenceError on numerical failure, and GridTooCoarseError when
+    the axis spacing is too coarse for the curvature along a fan axis.
     """
     cfg = cfg or IterationConfig()
     if not _skip_checks and spec.m % 2 == 0:

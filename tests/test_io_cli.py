@@ -597,7 +597,11 @@ SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
     (SQUARE_VERTICES + "f 1 2 4\n", "f 1 2 4", "a quad face"),
     (SQUARE_VERTICES + "f 1 2 4 3\nf 1 2 4 3 1\n", "f 1 2 4 3 1", "a quad face"),
     (SQUARE_VERTICES + "f 1 2 4 x/1\n", "f 1 2 4 x/1", "a quad face"),
-], ids=["two-coordinates", "triangle", "pentagon", "non-integer-index"])
+    (SQUARE_VERTICES + "vn 0 0 1\n# square\n\nf 1 2 4\n", "f 1 2 4", "a quad face"),
+    ("v 0 0 0\nvn 0 0 1\nvn 0 0 1\nv 1 0\nv 0 1 0\nv 1 1 0\nf 1 2 4 3\n", "v 1 0",
+     "a vertex with 3 coordinates"),
+], ids=["two-coordinates", "triangle", "pentagon", "non-integer-index", "face-after-other-lines",
+        "vertex-after-normals"])
 def test_cli_distance_names_the_line_it_cannot_parse(tmp_path, caplog, lines, line, what):
     obj = tmp_path / "bad.obj"
     obj.write_text(lines)
@@ -886,10 +890,14 @@ def test_cli_validate_on_node_outside_its_sector(tmp_path, caplog, column, value
 CSV_ROW_FORM = "13 comma-separated values, 4 integers then 9 numbers"
 
 
-@pytest.mark.parametrize("damage", ["non-numeric", "one-cell-short", "integer-as-float"])
+@pytest.mark.parametrize("damage", ["non-numeric", "one-cell-short", "integer-as-float",
+                                    "below-a-blank-line"])
 def test_cli_validate_names_the_csv_line_it_cannot_parse(tmp_path, caplog, damage):
     def edit(_, rows):
         if damage == "non-numeric":
+            _set_csv_field(rows, 5, 6, "abc")
+        elif damage == "below-a-blank-line":
+            rows.insert(2, "")
             _set_csv_field(rows, 5, 6, "abc")
         elif damage == "one-cell-short":
             rows[4] = rows[4].rsplit(",", 1)[0]

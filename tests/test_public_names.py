@@ -57,6 +57,18 @@ def test_every_module_uses_the_names_it_imports():
     assert unused == []
 
 
+def test_every_private_helper_has_a_caller():
+    # a module-level _function or _Class that no module of the package reads
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(ksurf.__file__).parent.glob("*.py"))}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    dead = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
+    assert dead == []
+
+
 def test_no_module_rebinds_a_module_global():
     # state of a mesh or a run lives on its object, not in module globals
     rebound = [f"{path.stem}:{node.lineno} {', '.join(node.names)}"
