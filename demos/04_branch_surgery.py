@@ -22,14 +22,16 @@ from ksurf import (
     symmetric_angles,
     validate_complex,
 )
-from ksurf.mesh import incident_quad_count
+from ksurf.mesh import global_vertex_ids, quad_table
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
 
 def describe(cx):
+    ids, _ = global_vertex_ids(cx)
+    corners = quad_table(cx, ids).corners
     for bp in cx.branch_points:
-        count = incident_quad_count(cx, bp.sector, bp.i, bp.j)
+        count = int((corners == ids[bp.sector][bp.i, bp.j]).any(axis=1).sum())
         print(f"  branch point in sector {bp.sector} at ({bp.i},{bp.j}): "
               f"{count} incident quads, {bp.incident_sectors} sectors")
 

@@ -29,7 +29,6 @@ from .amsler import (
 from .geodesic import (
     MarchResult,
     TriMesh,
-    dijkstra_bound,
     fast_march,
     triangulate_complex,
     trimesh_from_quads,
@@ -96,7 +95,6 @@ __all__ = [
     "auto_schedule",
     "build_report",
     "continuation_on_complex",
-    "dijkstra_bound",
     "eval_curvature",
     "eval_rho",
     "export_mesh",

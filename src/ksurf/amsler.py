@@ -52,6 +52,7 @@ from .mesh import (
     BranchPoint,
     GluingMap,
     Parity,
+    RayData,
     SectorGrid,
     SurfaceComplex,
 )
@@ -200,14 +201,6 @@ class StageRecord:
     iterations: int
     changes: list
     upwind_changes: list = field(default_factory=list)
-
-
-@dataclass
-class RayData:
-    positions: np.ndarray
-    normals: np.ndarray
-    rho: np.ndarray
-    D: np.ndarray
 
 
 def ray_boundary_data(start: Vec3, direction: Vec3, normal0: Vec3, spacing: float,

@@ -547,30 +547,3 @@ def upwind_distance(grids: list) -> list:
     offsets = offsets.tolist()
     return [d[a:b].reshape(s.geo_dist.shape) for s, a, b in zip(grids, offsets, offsets[1:])]
 
-
-def dijkstra_bound(m: TriMesh, sources) -> np.ndarray:
-    """Edge-graph Dijkstra distances, an upper bound for fast_march."""
-    n = m.n_vertices
-    starts, rows = m.fan_table
-    lengths = m.tri_lengths.ravel().tolist()
-    dist = np.full(n, math.inf)
-    heap = []
-    for v, d0 in sources:
-        v, d0 = _source(v, d0, n)
-        if dist[v] > d0:
-            dist[v] = d0
-            heapq.heappush(heap, (d0, v))
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        # the fan row (v, p, q) of each triangle of v holds its edges vp and vq
-        for p, q, _, vq, vp in rows[starts[v]:starts[v + 1]].tolist():
-            for nb, length in ((p, lengths[vp]), (q, lengths[vq])):
-                nd = dv + length
-                if nd < dist[nb]:
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb))
-    return dist

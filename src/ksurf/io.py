@@ -29,6 +29,7 @@ from .amsler import (
     CurvatureSpec,
     IterationConfig,
     SectorSpec,
+    StageRecord,
     _resolve_schedule,
     _validate_angles,
     origin_vertex,
@@ -48,6 +49,7 @@ from .mesh import (
     quad_corner_arrays,
     quad_corner_values,
 )
+from .surgery import SurgerySpec
 from .vectors import cross
 
 logger = logging.getLogger(__name__)
@@ -212,7 +214,6 @@ def _parse_cuts(entries) -> list:
         return []
     if not isinstance(entries, list):
         raise ConfigError("surgery: expected a list of cut specifications")
-    from .surgery import SurgerySpec
     cuts = []
     for idx, entry in enumerate(entries):
         path = f"surgery[{idx}]"
@@ -417,7 +418,6 @@ def import_mesh(obj_path, csv_path) -> SurfaceComplex:
     if meta is None:
         raise ConfigError(f"{obj_path}: missing #meta line, not a ksurf export")
 
-    from .amsler import StageRecord
     try:
         sectors = []
         for entry in meta["sectors"]:

@@ -38,6 +38,16 @@ class Parity(Enum):
 
 
 @dataclass
+class RayData:
+    """Per-node data of a boundary curve, as ``SectorGrid.write_side`` writes it."""
+
+    positions: np.ndarray
+    normals: np.ndarray
+    rho: np.ndarray
+    D: np.ndarray
+
+
+@dataclass
 class SectorGrid:
     """One quad-graph sector with per-node arrays.
 
@@ -77,11 +87,11 @@ class SectorGrid:
     def J(self) -> int:
         return self.positions.shape[1] - 1
 
-    def write_side(self, side: str, data) -> None:
+    def write_side(self, side: str, data: RayData) -> None:
         """Write boundary data along the first row or column.
 
-        ``side`` is "row" for the nodes (i, 0) or "col" for (0, j); ``data``
-        carries per-node ``positions``, ``normals``, ``rho`` and ``D``.
+        ``side`` is "row" for the nodes (i, 0) or "col" for (0, j). Every
+        boundary record of a complex writes its data through this method.
         """
         if side == "row":
             at, n = (slice(None), 0), self.I + 1
@@ -179,23 +189,21 @@ class GluingMap:
         if len(self.nodes_a) != len(self.nodes_b):
             raise ValueError("glued node runs must have equal length")
 
-    def pairs(self):
-        return zip(self.nodes_a, self.nodes_b)
-
 
 @dataclass(frozen=True)
 class InheritLink:
-    """Boundary record: destination nodes that mirror source nodes.
+    """Boundary record: a first row or column that mirrors source nodes.
 
     Branch-point surgery uses it for the fans' inherited curves. ``write``
-    copies position, normal, rho and geodesic distance of the source nodes,
-    which goes stale whenever the source sector is swept.
+    copies position, normal, rho and geodesic distance of ``src_nodes``
+    into the ``side`` ("row" or "col") of the destination, which goes stale
+    whenever the source sector is swept.
     """
 
     src_sector: int
     src_nodes: tuple
     dst_sector: int
-    dst_nodes: tuple
+    side: str
 
     @property
     def source(self) -> int:
@@ -206,11 +214,10 @@ class InheritLink:
         return (self.dst_sector,)
 
     def write(self, cx: "SurfaceComplex", curv=None) -> None:
-        src, dst = cx.sectors[self.src_sector], cx.sectors[self.dst_sector]
-        si, sj = np.array(self.src_nodes, dtype=int).T
-        di, dj = np.array(self.dst_nodes, dtype=int).T
-        for name in ("positions", "normals", "rho", "geo_dist"):
-            getattr(dst, name)[di, dj] = getattr(src, name)[si, sj]
+        src = cx.sectors[self.src_sector]
+        at = tuple(np.array(self.src_nodes, dtype=int).T)
+        cx.sectors[self.dst_sector].write_side(self.side, RayData(
+            src.positions[at], src.normals[at], src.rho[at], src.geo_dist[at]))
 
 
 @dataclass
@@ -229,7 +236,8 @@ class SurfaceComplex:
     ``boundaries`` lists immutable records of prescribed boundary data in
     the order they are written. Each has ``source``, the sector whose sweep
     makes it stale (None when it depends on the curvature alone),
-    ``dst_sectors``, the sectors it writes into, and ``write(cx, curv)``;
+    ``dst_sectors``, the sectors it writes into, and ``write(cx, curv)``,
+    which goes through ``SectorGrid.write_side``;
     ``amsler.refresh_boundaries`` writes them.
     """
 
@@ -352,15 +360,6 @@ def quad_table(cx: SurfaceComplex, ids) -> QuadTable:
                      sector=np.repeat(np.arange(len(at)), [len(i) for i, _ in at]),
                      i=np.concatenate([i for i, _ in at]),
                      j=np.concatenate([j for _, j in at]))
-
-
-def incident_quad_count(cx: SurfaceComplex, sector: int, i: int, j: int) -> int:
-    """Number of quads (over all sectors) meeting the given node."""
-    ids, _ = global_vertex_ids(cx)
-    target = ids[sector][i, j]
-    if target < 0:
-        raise ValueError(f"node ({sector},{i},{j}) is not a valid vertex")
-    return int((quad_table(cx, ids).corners == target).any(axis=1).sum())
 
 
 @dataclass

@@ -221,8 +221,8 @@ def insert_branch_point(cx: SurfaceComplex, spec: SurgerySpec, curv: CurvatureSp
     fan_first, fan_last = new_ids[0], new_ids[-1]
     cx.boundaries += [
         FanAxes(spec.sector, b, tuple(new_ids), spacing, m_ax),
-        InheritLink(spec.sector, row_nodes, fan_first, fan_row),
-        InheritLink(spec.sector, col_nodes, fan_last, fan_col),
+        InheritLink(spec.sector, row_nodes, fan_first, "row"),
+        InheritLink(spec.sector, col_nodes, fan_last, "col"),
     ]
     cx.gluings.append(GluingMap(
         sector_a=spec.sector, sector_b=fan_first, nodes_a=row_nodes, nodes_b=fan_row))

@@ -1,11 +1,16 @@
-"""Scalar reference implementations of triangulation and fast marching.
+"""Scalar reference implementations of triangulation and fast marching,
+and an upper bound on the geodesic distance that shares no march kernel.
 
-These are the per-quad diagonal enumeration, the scalar causal unfold and
-the full-recompute march that ``ksurf.geodesic`` replaced with an array kernel
-and an incremental march that does the unfold inside its loop. They are
-kept only as oracles: the library must reproduce their output bit for bit.
+The per-quad diagonal enumeration, the scalar causal unfold and the
+full-recompute march are what ``ksurf.geodesic`` replaced with an array
+kernel and an incremental march that does the unfold inside its loop. They
+are kept only as oracles: the library must reproduce their output bit for
+bit. ``steiner_bound`` is the shortest path over Steiner points (Lanthier,
+Maheshwari & Sack 2001), which bounds the exact distance on the piecewise
+flat surface from above and converges to it as its points get denser.
 """
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -181,3 +186,71 @@ def fast_march(m, sources):
                 heapq.heappush(heap, (best, nb))
                 pushes += 1
     return d, order, pops, pushes, fallbacks, fell_back
+
+
+def steiner_bound(m, sources, k):
+    """Dijkstra distances over the Steiner graph of order ``k`` of a TriMesh.
+
+    The graph has k - 1 points on every edge, the barycentric lattice points
+    (a, b, c) / k inside every triangle, and a straight segment between every
+    two points of one triangle. Each segment is a path on the piecewise flat
+    surface, so the result bounds the exact geodesic distance from above.
+    Lengths come from ``tri_lengths`` alone: a lattice step (da, db, dc),
+    summing to 0, has length sqrt(-(da db |ab|² + da dc |ac|² + db dc |bc|²)) / k,
+    which is each edge length itself at k = 1 (the edge graph), and the same
+    bits for the same segment at k = 2 and 4, whose point sets hold it.
+    ``sources`` are (vertex, D0) pairs; returns the distances of the vertices.
+    """
+    n, tris = m.n_vertices, m.tris
+    lattice = np.array([(k - b - c, b, c) for b in range(k + 1) for c in range(k + 1 - b)])
+    pa, pb = np.array(list(itertools.combinations(range(len(lattice)), 2))).T
+    da, db, dc = (lattice[pa] - lattice[pb]).T
+    bc, ac, ab = (m.tri_lengths ** 2).T  # opposite corners a, b and c
+    square = -(np.outer(ab, da * db) + np.outer(ac, da * dc) + np.outer(bc, db * dc))
+    length = np.sqrt(np.maximum(square, 0.0)) / k
+
+    # global point ids per (triangle, lattice point): the corners keep their
+    # vertex ids, edge points follow from the lower vertex id of their edge
+    ids = np.empty((len(tris), len(lattice)), dtype=np.intp)
+    inner = (lattice > 0).all(axis=1)
+    ids[:, inner] = n + np.arange(len(tris) * int(inner.sum())).reshape(len(tris), -1)
+    pairs = np.sort(tris[:, [[1, 2], [0, 2], [0, 1]]], axis=-1)  # edge opposite each corner
+    edges, edge_of = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+    edge_of = edge_of.reshape(len(tris), 3)
+    first = n + len(tris) * int(inner.sum())
+    for p, point in enumerate(lattice.tolist()):
+        zero = [a for a in range(3) if point[a] == 0]
+        if len(zero) == 2:
+            ids[:, p] = tris[:, 3 - sum(zero)]
+        elif len(zero) == 1:
+            a = zero[0]
+            lo, hi = [c for c in range(3) if c != a]  # local corners of the edge
+            # the point lies point[hi] / k of the way from corner lo to corner hi
+            step = np.where(tris[:, lo] < tris[:, hi], point[hi], point[lo])
+            ids[:, p] = first + (k - 1) * edge_of[:, a] + step - 1
+    total = first + (k - 1) * len(edges)
+
+    tail = np.concatenate([ids[:, pa].ravel(), ids[:, pb].ravel()])
+    head = np.concatenate([ids[:, pb].ravel(), ids[:, pa].ravel()])
+    order = np.argsort(tail, kind="stable")
+    starts = np.searchsorted(tail[order], np.arange(total + 1)).tolist()
+    head = head[order].tolist()
+    weight = np.concatenate([length.ravel(), length.ravel()])[order].tolist()
+
+    dist = [math.inf] * total
+    heap = []
+    for v, d0 in sources:
+        if d0 < dist[v]:
+            dist[v] = d0
+            heapq.heappush(heap, (d0, v))
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
+        for w, length_vw in zip(head[starts[v]:starts[v + 1]],
+                                weight[starts[v]:starts[v + 1]]):
+            nd = dv + length_vw
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return np.array(dist[:n])

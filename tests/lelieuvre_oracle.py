@@ -1,11 +1,15 @@
-"""Scalar reference implementations of the quad closure and the report.
+"""Scalar reference implementations of the quad closure and the report,
+and the smooth surface that the K = -1 nets converge to.
 
-These are the per-node sweep and the per-quad diagnostics loop that
+The per-node sweep and the per-quad diagnostics loop are what
 ``ksurf.lelieuvre`` and ``ksurf.io.build_report`` replaced with array
 kernels. They are kept only as oracles: the library must reproduce their
 output bit for bit, and raise the same error for the same quad. They read
 a quad through its corner indices (``quad_corner_indices``), which
 ``ksurf.mesh.quad_corner_values`` gathers for all quads at once.
+``amsler_angle`` is the Chebyshev angle of the smooth K = -1 surface
+through two straight asymptotic lines (Amsler 1955), which no kernel of
+the library computes.
 """
 import math
 from typing import NamedTuple
@@ -155,7 +159,7 @@ def build_report(cx):
     pos_max = nrm_max = 0.0
     for g in cx.gluings:
         sa, sb = cx.sectors[g.sector_a], cx.sectors[g.sector_b]
-        for (ia, ja), (ib, jb) in g.pairs():
+        for (ia, ja), (ib, jb) in zip(g.nodes_a, g.nodes_b):
             pos_max = float(np.maximum(pos_max, np.linalg.norm(
                 sa.positions[ia, ja] - sb.positions[ib, jb])))
             nrm_max = float(np.maximum(nrm_max, np.linalg.norm(
@@ -193,3 +197,35 @@ def build_report(cx):
         singular_margin=margin if margin < math.inf else math.nan,
         change_history=history, n_vertices=mesh.n_vertices, n_quads=n_quads,
     )
+
+
+def amsler_angle(omega0, s_values, ds=1e-3):
+    """f(s) of the Amsler surface at each of ``s_values`` (all >= 0), by RK4.
+
+    Two straight asymptotic lines at angle ``omega0`` carry a unique K = -1
+    surface, whose Chebyshev angle is omega(u, v) = f(uv) with
+    s f'' + f' = sin f, f(0) = omega0 and f'(0) = sin omega0: the
+    sine-Gordon equation omega_uv = sin omega in s = uv. At s = 0 the
+    equation gives f'' = cos(f) f' / 2. Steps of at most ``ds`` walk the
+    sorted values, so each is reached by RK4 itself, not by interpolation.
+    """
+    def slope(s, f, g):
+        return g, ((math.sin(f) - g) / s if s > 0.0 else 0.5 * math.cos(f) * g)
+
+    s_values = np.asarray(s_values, dtype=float)
+    out = np.empty(s_values.shape)
+    s, f, g = 0.0, omega0, math.sin(omega0)
+    for k in np.argsort(s_values, axis=None).tolist():
+        target = float(s_values.flat[k])
+        steps = max(1, math.ceil((target - s) / ds))
+        h = (target - s) / steps
+        for _ in range(steps):
+            f1, g1 = slope(s, f, g)
+            f2, g2 = slope(s + h / 2, f + h / 2 * f1, g + h / 2 * g1)
+            f3, g3 = slope(s + h / 2, f + h / 2 * f2, g + h / 2 * g2)
+            f4, g4 = slope(s + h, f + h * f3, g + h * g3)
+            f += h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            g += h / 6 * (g1 + 2 * g2 + 2 * g3 + g4)
+            s += h
+        out.flat[k] = f
+    return out

@@ -53,7 +53,7 @@ def global_vertex_ids(cx):
         return offsets[sector_id] + i * (s.J + 1) + j
 
     for g in cx.gluings:
-        for (ia, ja), (ib, jb) in g.pairs():
+        for (ia, ja), (ib, jb) in zip(g.nodes_a, g.nodes_b):
             union(flat(g.sector_a, ia, ja), flat(g.sector_b, ib, jb))
 
     ids = []

@@ -24,7 +24,6 @@ from ksurf import (
     auto_schedule,
     build_report,
     continuation_on_complex,
-    dijkstra_bound,
     export_mesh,
     fast_march,
     insert_branch_point,
@@ -37,8 +36,10 @@ from ksurf import (
     validate_complex,
 )
 from ksurf.lelieuvre import quad_residual_arrays
-from ksurf.mesh import incident_quad_count, quad_corner_arrays, quad_corner_values
+from ksurf.mesh import quad_corner_arrays, quad_corner_values
 
+import geodesic_oracle
+import mesh_oracle
 from conftest import WORKLOADS, build_branch_chain, build_patched, build_surgery_m3, build_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -159,7 +160,7 @@ def test_march_stays_below_edge_graph_distance():
             run_stage(cx, CurvatureSpec(CurvatureFamily.LINEAR, stage_eps), cfg)
         m = triangulate_complex(cx)
         res = fast_march(m, [(0, 0.0)])
-        upper = dijkstra_bound(m, [(0, 0.0)])
+        upper = geodesic_oracle.steiner_bound(m, [(0, 0.0)], 1)
         worst = max(worst, float((res.d - upper).max()))
         accepted = res.d[np.array(res.order)]
         assert (np.diff(accepted) >= -1e-12).all()
@@ -224,7 +225,7 @@ def test_branch_point_surgery_structure():
     rep3 = validate_complex(m3)
     assert rep3.passed, [c.name for c in rep3.checks if not c.passed]
     bp = m3.branch_points[0]
-    count3 = incident_quad_count(m3, bp.sector, bp.i, bp.j)
+    count3 = mesh_oracle.incident_quad_count(m3, bp.sector, bp.i, bp.j)
     assert count3 == bp.expected_quads == 6
 
     lin = CurvatureSpec(CurvatureFamily.LINEAR, 1.0)
@@ -234,7 +235,7 @@ def test_branch_point_surgery_structure():
     rep5 = validate_complex(m5)
     assert rep5.passed, [c.name for c in rep5.checks if not c.passed]
     bp5 = m5.branch_points[0]
-    count5 = incident_quad_count(m5, bp5.sector, bp5.i, bp5.j)
+    count5 = mesh_oracle.incident_quad_count(m5, bp5.sector, bp5.i, bp5.j)
     assert count5 == bp5.expected_quads == 8
 
     new5 = range(len(base5.sectors), len(m5.sectors))

@@ -14,7 +14,6 @@ from ksurf import (
     IterationConfig,
     SectorSpec,
     TriMesh,
-    dijkstra_bound,
     fast_march,
     geodesic_provider,
     global_vertex_ids,
@@ -29,7 +28,7 @@ from ksurf import (
 import ksurf.geodesic
 import geodesic_oracle as oracle
 import mesh_oracle
-from conftest import WORKLOADS, build_patched, build_surgery_m3, build_workload
+from conftest import WORKLOADS, build_branch_chain, build_patched, build_surgery_m3, build_workload
 from ksurf.amsler import RaySpec, sweep_runs
 from ksurf.mesh import quad_table
 from ksurf.surgery import FanAxes
@@ -246,7 +245,7 @@ def test_march_with_weighted_source():
     assert res.d.min() == 0.25
     accepted = res.d[np.array(res.order)]
     assert (np.diff(accepted) >= -1e-12).all()
-    upper = dijkstra_bound(m, [(0, 0.25)])
+    upper = oracle.steiner_bound(m, [(0, 0.25)], 1)
     assert (res.d <= upper + 1e-12).all()
     with pytest.raises(ValueError):
         fast_march(m, [(0, -0.1)])
@@ -273,7 +272,7 @@ def test_dijkstra_bounds_march_from_above():
     m = triangulate_complex(cx)
     src = origin_vertex(cx, m)
     res = fast_march(m, [(src, 0.0)])
-    upper = dijkstra_bound(m, [(src, 0.0)])
+    upper = oracle.steiner_bound(m, [(src, 0.0)], 1)
     assert (res.d <= upper + 1e-12).all()
     accepted = res.d[np.array(res.order)]
     assert (np.diff(accepted) >= -1e-12).all()
@@ -319,7 +318,7 @@ def test_march_never_goes_below_the_chord(name):
         res = fast_march(m, [(src, 0.0)])
         chord = np.linalg.norm(m.vertices - m.vertices[src], axis=1)
         assert (res.d >= chord - 1e-12).all(), (name, src, float((chord - res.d).max()))
-        assert (res.d <= dijkstra_bound(m, [(src, 0.0)]) + 1e-12).all()
+        assert (res.d <= oracle.steiner_bound(m, [(src, 0.0)], 1) + 1e-12).all()
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.6, 1.5])
@@ -338,17 +337,53 @@ def test_planar_march_is_bracketed_by_euclid_and_dijkstra(shift):
     res = fast_march(m, [(centre, 0.0)])
     euclid = np.linalg.norm(verts - verts[centre], axis=1)
     assert (res.d >= euclid - 1e-12).all(), float((euclid - res.d).max())
-    assert (res.d <= dijkstra_bound(m, [(centre, 0.0)]) + 1e-12).all()
+    assert (res.d <= oracle.steiner_bound(m, [(centre, 0.0)], 1) + 1e-12).all()
 
 
 def test_dijkstra_on_single_quad():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     m = trimesh_from_quads(verts, [(0, 1, 2, 3)])
-    d = dijkstra_bound(m, [(0, 0.0)])
+    d = oracle.steiner_bound(m, [(0, 0.0)], 1)
     assert d[1] == pytest.approx(1.0)
     assert d[2] == pytest.approx(1.0)
     assert d[3] == pytest.approx(math.sqrt(2.0))  # grid diagonal edge
+
+
+def test_steiner_bound_falls_toward_euclid_on_a_planar_grid():
+    # The oracle on a sheared, jittered planar grid, where Euclid is the exact
+    # distance. The point sets of k = 1, 2 and 4 are nested and give a shared
+    # segment the same bits, so each bound is at or below the one before.
+    n, h = 10, 0.1
+    rng = np.random.default_rng(11)
+    verts, quads = _flat_grid(n, h)
+    verts[:, :2] += rng.uniform(-0.2 * h, 0.2 * h, (len(verts), 2))
+    verts[:, 0] += 0.6 * h * np.repeat(np.arange(n + 1), n + 1)
+    m = trimesh_from_quads(verts, quads)
+    centre = (n // 2) * (n + 1) + n // 2
+    euclid = np.linalg.norm(verts - verts[centre], axis=1)
+    bounds = [oracle.steiner_bound(m, [(centre, 0.0)], k) for k in (1, 2, 4)]
+    for bound in bounds:
+        assert (bound >= euclid - 1e-12).all(), float((euclid - bound).max())
+    for coarse, fine in zip(bounds, bounds[1:]):
+        assert (fine <= coarse).all()
+        # measured: mean excess over Euclid 5.2e-2, 9.5e-3, 4.0e-3
+        assert (fine - euclid).mean() < 0.5 * (coarse - euclid).mean()
+
+
+def test_march_overshoot_on_the_ring_base_is_pinned():
+    # On the far corners of the RING sectors the march accepts vertices out of
+    # order and lies above the k = 6 Steiner bound, which bounds the exact
+    # distance of the triangulated surface from above. Measured: 2.632e-3,
+    # with 12 vertices above it by more than 1e-3 (the k = 4 bound is too
+    # loose to show it: 3.2e-4). An order-independent solve should bring the
+    # excess below 1e-3 everywhere; until then its size is pinned to 5%.
+    cx = build_branch_chain()[0]
+    m = triangulate_complex(cx)
+    sources = [(origin_vertex(cx, m), 0.0)]
+    excess = fast_march(m, sources).d - oracle.steiner_bound(m, sources, 6)
+    assert excess.max() == pytest.approx(2.632e-3, rel=0.05)
+    assert int((excess > 1e-3).sum()) == 12
 
 
 @pytest.mark.parametrize("quad,bad", [((0, 1, 2, -1), "[0, 1, 2, -1]"),
@@ -361,7 +396,7 @@ def test_trimesh_from_quads_rejects_index_outside_the_vertices(quad, bad):
         trimesh_from_quads(verts, [(0, 1, 2, 3), quad])
 
 
-@pytest.mark.parametrize("solver", [fast_march, dijkstra_bound])
+@pytest.mark.parametrize("solver", [fast_march])
 @pytest.mark.parametrize("source", [-1, 4])
 def test_march_rejects_a_source_outside_the_vertices(solver, source):
     # -1 would wrap to the last vertex, 4 would be a bare IndexError
@@ -373,7 +408,7 @@ def test_march_rejects_a_source_outside_the_vertices(solver, source):
         solver(m, [(0, 0.0), (source, 0.0)])
 
 
-@pytest.mark.parametrize("solver", [fast_march, dijkstra_bound])
+@pytest.mark.parametrize("solver", [fast_march])
 @pytest.mark.parametrize("d0", [math.nan, math.inf, -1.0])
 def test_march_rejects_a_source_distance_that_is_not_finite_and_nonnegative(solver, d0):
     # a NaN source would leave D at inf everywhere, a negative one would put D below 0

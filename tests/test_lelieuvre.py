@@ -485,3 +485,22 @@ def test_report_residuals_match_per_quad_oracle():
             quad = oracle.quad_corners(s, i, j)
             assert compat[k] == oracle.compatibility_residual(quad)
             assert (tangency[k], edge_length[k], unit_norm[k]) == oracle.quad_residuals(quad)
+
+
+def test_constant_net_converges_to_the_amsler_surface():
+    # The K = -1 net through two straight rays is a Chebyshev net of the
+    # Amsler surface: the angle between the i- and j-edges at node (i, j)
+    # approaches f(s) at the quad centre, s = (u + h/2)(v + h/2). Measured:
+    # 3.9e-3, 9.8e-4 and 2.4e-4 at 8, 16 and 32 quads a side, O(h^2).
+    errors = []
+    for grid in (8, 16, 32):
+        s = build_patched("CONSTANT", 0.0, 2, 1.0, grid, tol=1e-10).sectors[0]
+        ei = s.positions[1:, :-1] - s.positions[:-1, :-1]
+        ej = s.positions[:-1, 1:] - s.positions[:-1, :-1]
+        cos = np.vecdot(ei, ej) / np.sqrt(np.vecdot(ei, ei) * np.vecdot(ej, ej))
+        h = 1.0 / grid
+        centre = (np.arange(grid) + 0.5) * h
+        f = oracle.amsler_angle(math.acos(float(cos[0, 0])), np.outer(centre, centre))
+        errors.append(float(np.abs(np.arccos(cos) - f).max()))
+    assert errors[0] < 5e-3
+    assert errors[0] > 3.5 * errors[1] and errors[1] > 3.5 * errors[2], errors

@@ -27,7 +27,6 @@ from ksurf.io import build_report
 from ksurf.mesh import (
     diagonal_layout,
     gluing_gaps,
-    incident_quad_count,
     quad_corner_values,
     quad_table,
 )
@@ -99,14 +98,23 @@ def test_patched_vertex_count_after_dedup(n, grid):
     assert len(first) == 2 * n * I * J + n * (I + J) + 1
 
 
+def _incident_quad_counts(cx):
+    """Per sector, the quads that meet each node, as ``validate_complex`` counts
+    them from the quad table; -1 on invalid nodes."""
+    ids, first = global_vertex_ids(cx)
+    counts = np.bincount(quad_table(cx, ids).corners.ravel(), minlength=len(first))
+    return [np.where(a >= 0, counts[a], -1) for a in ids]
+
+
 def test_incidence_counts_on_patched_complex(pseudosphere_n2):
     cx = pseudosphere_n2
     I = cx.sectors[0].I
-    assert incident_quad_count(cx, 0, 0, 0) == len(cx.sectors)  # one quad per sector at the origin
-    assert incident_quad_count(cx, 0, 2, 3) == 4       # interior vertex
-    assert incident_quad_count(cx, 0, 2, 0) == 4       # glued ray vertex
-    assert incident_quad_count(cx, 0, I, 3) == 2       # outer edge
-    assert incident_quad_count(cx, 0, I, I) == 1       # outer corner
+    counts = _incident_quad_counts(cx)[0]
+    assert counts[0, 0] == len(cx.sectors)  # one quad per sector at the origin
+    assert counts[2, 3] == 4       # interior vertex
+    assert counts[2, 0] == 4       # glued ray vertex
+    assert counts[I, 3] == 2       # outer edge
+    assert counts[I, I] == 1       # outer corner
 
 
 def test_validate_passes_on_converged_complex(pseudosphere_n2):
@@ -280,10 +288,11 @@ def test_disk_topology_flags_a_branch_point_on_the_boundary(pseudosphere_n2):
 
 def test_incident_quad_count_matches_loop_oracle():
     cx = build_surgery_m3()
+    counts = _incident_quad_counts(cx)
     for sid, s in enumerate(cx.sectors):
         for i, j in np.argwhere(s.valid).tolist():
-            assert incident_quad_count(cx, sid, i, j) == \
-                mesh_oracle.incident_quad_count(cx, sid, i, j), (sid, i, j)
+            assert counts[sid][i, j] == mesh_oracle.incident_quad_count(cx, sid, i, j), \
+                (sid, i, j)
 
 
 def test_quads_follow_the_valid_nodes():

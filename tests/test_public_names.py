@@ -57,16 +57,32 @@ def test_every_module_uses_the_names_it_imports():
     assert unused == []
 
 
-def test_every_private_helper_has_a_caller():
-    # a module-level _function or _Class that no module of the package reads
+def _defs_and_reads() -> tuple:
+    """The module-level functions and classes of the package, as (module, name),
+    and every name that some module of the package reads."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(ksurf.__file__).parent.glob("*.py"))}
     read = {node.id for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Name)}
-    dead = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and node.name not in read]
+    defs = [(stem, node.name) for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return defs, read
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level _function or _Class that no module of the package reads
+    defs, read = _defs_and_reads()
+    dead = [f"{stem}.{name}" for stem, name in defs
+            if name.startswith("_") and name not in read]
     assert dead == []
+
+
+def test_every_public_definition_is_read_or_exported():
+    # library code that only tests and oracles call belongs with them
+    defs, read = _defs_and_reads()
+    unused = [f"{stem}.{name}" for stem, name in defs
+              if not name.startswith("_") and name not in read and name not in ksurf.__all__]
+    assert unused == []
 
 
 def test_no_module_rebinds_a_module_global():

@@ -17,8 +17,8 @@ from ksurf import (
     split_angle_axes,
     validate_complex,
 )
-from ksurf.mesh import incident_quad_count
 
+import mesh_oracle
 from conftest import build_branch_chain, build_patched, build_surgery_m3
 
 CONSTANT = CurvatureSpec(CurvatureFamily.CONSTANT)
@@ -102,7 +102,7 @@ def test_m3_insertion_structure():
     assert (bp.sector, bp.i, bp.j) == (0, 4, 4)
     assert bp.incident_sectors == 4
     assert bp.expected_quads == 6
-    assert incident_quad_count(cx, bp.sector, bp.i, bp.j) == 6
+    assert mesh_oracle.incident_quad_count(cx, bp.sector, bp.i, bp.j) == 6
 
     # the far corner square of the target is cut away
     target = cx.sectors[0]
@@ -133,12 +133,14 @@ def test_m3_inherits_are_bitwise():
                              CONSTANT, CFG0)
     links = [r for r in cx.boundaries if isinstance(r, InheritLink)]
     assert len(links) == 2
+    assert [link.side for link in links] == ["row", "col"]
     for link in links:
         src = cx.sectors[link.src_sector]
         dst = cx.sectors[link.dst_sector]
-        for (si, sj), (di, dj) in zip(link.src_nodes, link.dst_nodes):
-            assert np.array_equal(src.positions[si, sj], dst.positions[di, dj])
-            assert np.array_equal(src.normals[si, sj], dst.normals[di, dj])
+        at = tuple(np.array(link.src_nodes).T)
+        side = (slice(None), 0) if link.side == "row" else (0, slice(None))
+        for name in ("positions", "normals", "rho", "geo_dist"):
+            assert np.array_equal(getattr(src, name)[at], getattr(dst, name)[side])
 
 
 def test_fan_axis_distances_offset_from_corner():
@@ -166,7 +168,7 @@ def test_m5_insertion_on_varying_curvature():
     assert rep.passed, [c.detail for c in rep.checks if not c.passed]
     bp = cx.branch_points[-1]
     assert bp.expected_quads == 8
-    assert incident_quad_count(cx, bp.sector, bp.i, bp.j) == 8
+    assert mesh_oracle.incident_quad_count(cx, bp.sector, bp.i, bp.j) == 8
 
 
 def test_recursive_insertion():
